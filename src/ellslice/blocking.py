@@ -10,7 +10,7 @@ expects, so block updates compose with all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -143,29 +143,9 @@ def block_update(
     block_prior = factorize(cond.cov)
     block_model = _BlockLikelihood(model, part, cond.mean, state.f.copy())
 
-    g = state.f[part.subset] - cond.mean
-    inner = SamplerState(
-        f=g,
-        log_lik=state.log_lik,
-        lik_evals=state.lik_evals,
-        prior_evals=state.prior_evals,
-        iterations=state.iterations,
-    )
+    inner = replace(state, f=state.f[part.subset] - cond.mean)
     result = step_fn(inner, block_prior, block_model, rng)
 
     f_new = state.f.copy()
     f_new[part.subset] = result.new_state.f + cond.mean
-    new_state = SamplerState(
-        f=f_new,
-        log_lik=result.new_state.log_lik,
-        lik_evals=result.new_state.lik_evals,
-        prior_evals=result.new_state.prior_evals,
-        iterations=result.new_state.iterations,
-    )
-    return StepResult(
-        new_state=new_state,
-        accepted=result.accepted,
-        proposals_considered=result.proposals_considered,
-        angles=result.angles,
-        log_threshold=result.log_threshold,
-    )
+    return replace(result, new_state=replace(result.new_state, f=f_new))

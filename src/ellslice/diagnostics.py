@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import DegenerateSeries
 
+# Shortest series the autocorrelation (and so the ESS) is computed on.
+MIN_SERIES_LENGTH = 10
+
 
 @dataclass
 class ChainTrace:
@@ -66,8 +69,10 @@ def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
     """
     x = np.asarray(series, dtype=float)
     n = x.size
-    if n < 10:
-        raise ValueError(f"series too short for autocorrelation ({n} < 10)")
+    if n < MIN_SERIES_LENGTH:
+        raise ValueError(
+            f"series too short for autocorrelation ({n} < {MIN_SERIES_LENGTH})"
+        )
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
     x = x - x.mean()

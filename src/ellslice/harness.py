@@ -28,12 +28,20 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .diagnostics import ChainTrace, EssReport, effective_sample_size, summarize
+from .diagnostics import (
+    MIN_SERIES_LENGTH,
+    ChainTrace,
+    EssReport,
+    effective_sample_size,
+    summarize,
+)
 from .errors import EllsliceError, InvalidConfig
 from .gaussian import GaussianPrior, factorize
 from .kernels import KernelConfig, squared_exponential
 from .models import (
     CLASSIFICATION_KERNEL,
+    ClassificationData,
+    RegressionData,
     bin_events,
     generate_classification_dataset,
     generate_regression_dataset,
@@ -87,8 +95,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.seed, int):
             raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
-        if self.n_keep < 1:
-            raise InvalidConfig(f"n_keep must be >= 1, got {self.n_keep}")
+        if self.n_keep < MIN_SERIES_LENGTH:
+            # every command summarizes its chains by ESS, which needs this many
+            raise InvalidConfig(
+                f"n_keep must be >= {MIN_SERIES_LENGTH}, got {self.n_keep}"
+            )
         if self.n_burn < 0 or self.thin < 0:
             raise InvalidConfig("n_burn and thin must be >= 0")
         if self.repeats < 1:
@@ -218,16 +229,26 @@ def build_dataset(model_cfg: Mapping[str, Any], kernel: KernelConfig, rng: np.ra
         return Dataset(inputs, data, latents, kern, dict(model_cfg))
     if kind == "cox":
         kern = _model_kernel(model_cfg, COX_KERNEL)
-        source = model_cfg.get("events_file")
-        if source is None:
-            events = np.asarray(mining_event_times())
-        else:
-            events = read_event_times(source)
-        width = float(model_cfg.get("bin_width", COX_BIN_WIDTH))
-        data = bin_events(events, width)
-        centers = (np.arange(data.n) + 0.5) * width
-        return Dataset(centers.reshape(-1, 1), data, None, kern, dict(model_cfg))
+        return _cox_dataset(_cox_events(model_cfg), model_cfg, kern)
     raise InvalidConfig(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+
+
+def _cox_events(model_cfg: Mapping[str, Any]) -> np.ndarray:
+    """Event times of a cox spec: ``events_file``, else the coal-mining record."""
+    source = model_cfg.get("events_file")
+    if source is None:
+        return np.asarray(mining_event_times())
+    return read_event_times(source)
+
+
+def _cox_dataset(
+    events: np.ndarray, model_cfg: Mapping[str, Any], kernel: KernelConfig
+) -> Dataset:
+    """Bin events into counts; bin centers are the 1-D inputs."""
+    width = float(model_cfg.get("bin_width", COX_BIN_WIDTH))
+    data = bin_events(events, width)
+    centers = (np.arange(data.n) + 0.5) * width
+    return Dataset(centers.reshape(-1, 1), data, None, kernel, dict(model_cfg))
 
 
 def _write_matrix(path: Path, arr: np.ndarray, comment: str) -> None:
@@ -287,8 +308,7 @@ def cli_generate(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
             "n": ds.data.n,
         }
         if ds.model_cfg["kind"] == "cox":
-            events = np.asarray(mining_event_times()) if ds.model_cfg.get("events_file") is None \
-                else read_event_times(ds.model_cfg["events_file"])
+            events = _cox_events(ds.model_cfg)
             (target / "events.txt").write_text(
                 "\n".join(repr(float(t)) for t in events) + "\n"
             )
@@ -320,22 +340,14 @@ def load_dataset(dataset_dir: str | Path) -> Dataset:
     kernel = KernelConfig(**manifest["kernel"])
     kind = model_cfg["kind"]
     if kind == "cox":
-        events = read_event_times(dataset_dir / "events.txt")
-        width = float(manifest.get("bin_width", COX_BIN_WIDTH))
-        data = bin_events(events, width)
-        centers = (np.arange(data.n) + 0.5) * width
-        return Dataset(centers.reshape(-1, 1), data, None, kernel, model_cfg)
+        return _cox_dataset(read_event_times(dataset_dir / "events.txt"), model_cfg, kernel)
     inputs = _read_matrix(dataset_dir / "inputs.csv")
     obs = _read_matrix(dataset_dir / "observations.csv").ravel()
     latents = _read_matrix(dataset_dir / "latents.csv").ravel()
     if kind == "regression":
-        from .models import RegressionData
-
         noise_std = float(model_cfg.get("noise_std", 0.3))
         data = RegressionData(y=obs, noise_variance=noise_std**2)
     elif kind == "classification":
-        from .models import ClassificationData
-
         data = ClassificationData(
             labels=obs.astype(int), link=model_cfg.get("link", "logistic")
         )

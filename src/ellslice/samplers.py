@@ -16,6 +16,10 @@ propose moves built from a single auxiliary draw nu ~ N(0, cov):
   f + eps*nu, which (unlike the ellipse) must evaluate the prior density at
   every proposal.
 
+The three slice operators differ only in their curve, their first draw and
+bracket, and (for the line) the prior term of the target; they share one
+bracket-shrink loop, :func:`_slice_shrink`.
+
 Operators never mutate their inputs; each chain owns its RNG stream.
 """
 
@@ -36,7 +40,7 @@ from .errors import (
     NonFiniteLikelihood,
     ShrinkLimitExceeded,
 )
-from .gaussian import GaussianPrior
+from .gaussian import GaussianPrior, rotate
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,7 +65,6 @@ class SamplerState:
     log_lik: float | None = None
     lik_evals: int = 0
     prior_evals: int = 0
-    iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -102,13 +105,14 @@ class StepResult:
     """One transition: new state plus diagnostics for tests and accounting.
 
     ``angles`` is the ordered sequence of positions considered (angles on
-    the ellipse, step fractions on the line); ``log_threshold`` is the slice
-    height log(y), None for Metropolis-Hastings.
+    the ellipse, step fractions on the line), so its length is the number
+    of proposals; it is empty for Metropolis-Hastings, which makes exactly
+    one. ``log_threshold`` is the slice height log(y), None for
+    Metropolis-Hastings.
     """
 
     new_state: SamplerState
     accepted: bool
-    proposals_considered: int
     angles: list[float] = field(default_factory=list)
     log_threshold: float | None = None
 
@@ -125,26 +129,76 @@ def _eval_log_lik(model: LikelihoodModel, f: np.ndarray) -> float:
     return value
 
 
-def _cached_log_lik(
-    state: SamplerState, model: LikelihoodModel
+def _start(
+    state: SamplerState, model: LikelihoodModel, rng: np.random.Generator | None
 ) -> tuple[float, int]:
-    """Current log-likelihood and how many evaluations resolving it cost."""
-    if state.log_lik is not None:
-        return state.log_lik, 0
-    return _eval_log_lik(model, state.f), 1
+    """Current log-likelihood and how many evaluations resolving it cost.
 
-
-def _require_finite_start(log_lik: float) -> None:
+    Every operator begins here: it requires an RNG and a start with non-zero
+    likelihood, and evaluates the likelihood only when none is cached.
+    """
+    if rng is None:
+        raise ValueError("rng is required")
+    if state.log_lik is None:
+        log_lik, evals = _eval_log_lik(model, state.f), 1
+    else:
+        log_lik, evals = state.log_lik, 0
     if not math.isfinite(log_lik):
         raise ValueError(
             "initial state has zero likelihood (log L = -inf); "
             "start the chain from a point with non-zero likelihood"
         )
+    return log_lik, evals
 
 
-def _log_slice_height(log_lik: float, rng: np.random.Generator) -> float:
+def _advance(
+    state: SamplerState, f: np.ndarray, log_lik: float, lik_evals: int, prior_evals: int = 0
+) -> SamplerState:
+    """The next state, with this step's evaluations added to the counters."""
+    return SamplerState(
+        f, log_lik, state.lik_evals + lik_evals, state.prior_evals + prior_evals
+    )
+
+
+def _log_slice_height(log_target: float, rng: np.random.Generator) -> float:
     u = rng.uniform()
-    return log_lik + (math.log(u) if u > 0.0 else -math.inf)
+    return log_target + (math.log(u) if u > 0.0 else -math.inf)
+
+
+def _slice_shrink(
+    propose: Callable[[float], tuple[np.ndarray, float, float]],
+    log_y: float,
+    x: float,
+    lo: float,
+    hi: float,
+    rng: np.random.Generator,
+    max_shrinks: int,
+) -> tuple[list[float], np.ndarray, float]:
+    """Shrink the bracket [lo, hi] around 0 until a proposal clears the slice.
+
+    ``propose(x)`` returns ``(point, log_lik, log_target)`` for position
+    ``x``; position 0 is the current state, so the bracket always keeps it.
+    ``x`` is the first position, already drawn by the caller. Returns the
+    positions tried in order, the accepted point and its log-likelihood.
+
+    Raises
+    ------
+    ShrinkLimitExceeded
+        After ``max_shrinks`` shrinks; the slice is numerically empty.
+    """
+    positions: list[float] = []
+    for _ in range(max_shrinks + 1):
+        positions.append(x)
+        point, log_lik, log_target = propose(x)
+        if log_target > log_y:
+            return positions, point, log_lik
+        if x < 0.0:
+            lo = x
+        else:
+            hi = x
+        assert lo <= 0.0 <= hi, "bracket lost the current state"
+        x = rng.uniform(lo, hi)
+    raise ShrinkLimitExceeded(f"no acceptable point after {max_shrinks} bracket shrinks")
 
 
 def elliptical_slice_step(
@@ -172,48 +226,21 @@ def elliptical_slice_step(
     NonFiniteLikelihood
         If the likelihood returns NaN at a proposal.
     """
-    if rng is None:
-        raise ValueError("rng is required")
-    cur_log_lik, evals = _cached_log_lik(state, model)
-    _require_finite_start(cur_log_lik)
-
+    cur_log_lik, evals = _start(state, model, rng)
     nu = prior.sample(rng)
     log_y = _log_slice_height(cur_log_lik, rng)
 
-    theta = rng.uniform(0.0, cfg.bracket_width)
-    theta_min, theta_max = theta - cfg.bracket_width, theta
-
-    angles: list[float] = []
-    for _ in range(cfg.max_shrinks + 1):
-        angles.append(theta)
+    def propose(theta):
         f_prop = state.f * math.cos(theta) + nu * math.sin(theta)
-        prop_log_lik = _eval_log_lik(model, f_prop)
-        evals += 1
-        if prop_log_lik > log_y:
-            new_state = SamplerState(
-                f=f_prop,
-                log_lik=prop_log_lik,
-                lik_evals=state.lik_evals + evals,
-                prior_evals=state.prior_evals,
-                iterations=state.iterations + 1,
-            )
-            return StepResult(
-                new_state=new_state,
-                accepted=True,
-                proposals_considered=len(angles),
-                angles=angles,
-                log_threshold=log_y,
-            )
-        # Shrink the bracket toward the current state and redraw
-        if theta < 0.0:
-            theta_min = theta
-        else:
-            theta_max = theta
-        assert theta_min <= 0.0 <= theta_max, "bracket lost the current state"
-        theta = rng.uniform(theta_min, theta_max)
-    raise ShrinkLimitExceeded(
-        f"no acceptable point after {cfg.max_shrinks} bracket shrinks"
+        log_lik = _eval_log_lik(model, f_prop)
+        return f_prop, log_lik, log_lik
+
+    theta = rng.uniform(0.0, cfg.bracket_width)
+    angles, f_new, log_lik = _slice_shrink(
+        propose, log_y, theta, theta - cfg.bracket_width, theta, rng, cfg.max_shrinks
     )
+    new_state = _advance(state, f_new, log_lik, evals + len(angles))
+    return StepResult(new_state, True, angles, log_y)
 
 
 def elliptical_slice_aux_step(
@@ -226,61 +253,32 @@ def elliptical_slice_aux_step(
 
     Stage one resamples the ellipse parameterization (nu0, nu1, theta)
     holding the current state fixed: theta ~ Uniform[0, 2*pi), nu ~ N(0, cov),
-    nu0 = f*sin(theta) + nu*cos(theta), nu1 = f*cos(theta) - nu*sin(theta),
-    so that nu0*sin(theta) + nu1*cos(theta) reproduces f exactly. Stage two
+    (nu0, nu1) = :func:`~ellslice.gaussian.rotate` (nu, f, theta), so that
+    nu0*sin(theta) + nu1*cos(theta) reproduces f exactly. Stage two
     slice-samples the angle against L(nu0*sin + nu1*cos) with the same
     shrink rule as :func:`elliptical_slice_step`, the bracket re-centered at
     the entry angle. Statistically equivalent to the one-stage operator;
     retained so the equivalence is testable.
     """
-    if rng is None:
-        raise ValueError("rng is required")
-    cur_log_lik, evals = _cached_log_lik(state, model)
-    _require_finite_start(cur_log_lik)
-
+    cur_log_lik, evals = _start(state, model, rng)
     theta0 = rng.uniform(0.0, TWO_PI)
-    nu = prior.sample(rng)
-    sin0, cos0 = math.sin(theta0), math.cos(theta0)
-    nu0 = state.f * sin0 + nu * cos0
-    nu1 = state.f * cos0 - nu * sin0
-
+    nu0, nu1 = rotate(prior.sample(rng), state.f, theta0)
     # the current angle theta0 reproduces the current state, so its cached
     # likelihood seeds the slice threshold
     log_y = _log_slice_height(cur_log_lik, rng)
 
-    offset = rng.uniform(0.0, TWO_PI)
-    off_min, off_max = offset - TWO_PI, offset
-
-    max_shrinks = EllipticalConfig().max_shrinks
-    angles: list[float] = []
-    for _ in range(max_shrinks + 1):
+    def propose(offset):
         theta = theta0 + offset
-        angles.append(theta)
         f_prop = nu0 * math.sin(theta) + nu1 * math.cos(theta)
-        prop_log_lik = _eval_log_lik(model, f_prop)
-        evals += 1
-        if prop_log_lik > log_y:
-            new_state = SamplerState(
-                f=f_prop,
-                log_lik=prop_log_lik,
-                lik_evals=state.lik_evals + evals,
-                prior_evals=state.prior_evals,
-                iterations=state.iterations + 1,
-            )
-            return StepResult(
-                new_state=new_state,
-                accepted=True,
-                proposals_considered=len(angles),
-                angles=angles,
-                log_threshold=log_y,
-            )
-        if offset < 0.0:
-            off_min = offset
-        else:
-            off_max = offset
-        assert off_min <= 0.0 <= off_max, "bracket lost the current state"
-        offset = rng.uniform(off_min, off_max)
-    raise ShrinkLimitExceeded(f"no acceptable point after {max_shrinks} bracket shrinks")
+        log_lik = _eval_log_lik(model, f_prop)
+        return f_prop, log_lik, log_lik
+
+    offset = rng.uniform(0.0, TWO_PI)
+    offsets, f_new, log_lik = _slice_shrink(
+        propose, log_y, offset, offset - TWO_PI, offset, rng, EllipticalConfig().max_shrinks
+    )
+    new_state = _advance(state, f_new, log_lik, evals + len(offsets))
+    return StepResult(new_state, True, [theta0 + o for o in offsets], log_y)
 
 
 def neal_mh_step(
@@ -297,29 +295,15 @@ def neal_mh_step(
     acceptance ratio reduces to the likelihood ratio. On rejection the new
     state is a copy of the current one with counters advanced.
     """
-    if rng is None:
-        raise ValueError("rng is required")
-    cur_log_lik, evals = _cached_log_lik(state, model)
-    _require_finite_start(cur_log_lik)
-
+    cur_log_lik, evals = _start(state, model, rng)
     nu = prior.sample(rng)
     eps = cfg.epsilon
     f_prop = math.sqrt(1.0 - eps * eps) * state.f + eps * nu
     prop_log_lik = _eval_log_lik(model, f_prop)
-    evals += 1
 
-    delta = prop_log_lik - cur_log_lik
-    accepted = rng.uniform() < math.exp(min(delta, 0.0))
-    new_state = SamplerState(
-        f=f_prop if accepted else state.f.copy(),
-        log_lik=prop_log_lik if accepted else cur_log_lik,
-        lik_evals=state.lik_evals + evals,
-        prior_evals=state.prior_evals,
-        iterations=state.iterations + 1,
-    )
-    return StepResult(
-        new_state=new_state, accepted=accepted, proposals_considered=1
-    )
+    accepted = rng.uniform() < math.exp(min(prop_log_lik - cur_log_lik, 0.0))
+    f_new, log_lik = (f_prop, prop_log_lik) if accepted else (state.f.copy(), cur_log_lik)
+    return StepResult(_advance(state, f_new, log_lik, evals + 1), accepted)
 
 
 def line_slice_step(
@@ -337,54 +321,35 @@ def line_slice_step(
     likelihood. The initial bracket of width ``cfg.bracket_width / 2`` is
     positioned uniformly at random around eps = 0 and shrinks toward it.
     """
-    if rng is None:
-        raise ValueError("rng is required")
-    cur_log_lik, evals = _cached_log_lik(state, model)
-    _require_finite_start(cur_log_lik)
-
+    cur_log_lik, evals = _start(state, model, rng)
     nu = prior.sample(rng)
-    prior_evals = 1  # current-state prior density seeds the threshold
+    # the current state's prior density seeds the threshold: one prior eval
     log_y = _log_slice_height(prior.log_density(state.f) + cur_log_lik, rng)
+
+    def propose(eps):
+        f_prop = state.f + eps * nu
+        log_lik = _eval_log_lik(model, f_prop)
+        return f_prop, log_lik, prior.log_density(f_prop) + log_lik
 
     half = 0.5 * cfg.bracket_width
     u = rng.uniform()
     eps_min, eps_max = -half * u, half * (1.0 - u)
     eps = rng.uniform(eps_min, eps_max)
-
-    steps: list[float] = []
-    for _ in range(cfg.max_shrinks + 1):
-        steps.append(eps)
-        f_prop = state.f + eps * nu
-        prop_log_lik = _eval_log_lik(model, f_prop)
-        evals += 1
-        prior_evals += 1
-        if prior.log_density(f_prop) + prop_log_lik > log_y:
-            new_state = SamplerState(
-                f=f_prop,
-                log_lik=prop_log_lik,
-                lik_evals=state.lik_evals + evals,
-                prior_evals=state.prior_evals + prior_evals,
-                iterations=state.iterations + 1,
-            )
-            return StepResult(
-                new_state=new_state,
-                accepted=True,
-                proposals_considered=len(steps),
-                angles=steps,
-                log_threshold=log_y,
-            )
-        if eps < 0.0:
-            eps_min = eps
-        else:
-            eps_max = eps
-        assert eps_min <= 0.0 <= eps_max, "bracket lost the current state"
-        eps = rng.uniform(eps_min, eps_max)
-    raise ShrinkLimitExceeded(
-        f"no acceptable point after {cfg.max_shrinks} bracket shrinks"
+    steps, f_new, log_lik = _slice_shrink(
+        propose, log_y, eps, eps_min, eps_max, rng, cfg.max_shrinks
     )
+    new_state = _advance(state, f_new, log_lik, evals + len(steps), 1 + len(steps))
+    return StepResult(new_state, True, steps, log_y)
 
 
 OPERATOR_KINDS = ("elliptical", "elliptical-aux", "neal-mh", "line-slice")
+
+# kinds whose step function takes a config built from the operator parameters
+_CONFIGURED = {
+    "elliptical": (elliptical_slice_step, EllipticalConfig),
+    "neal-mh": (neal_mh_step, MhConfig),
+    "line-slice": (line_slice_step, EllipticalConfig),
+}
 
 
 def make_operator(kind: str, **params) -> StepFn:
@@ -393,26 +358,15 @@ def make_operator(kind: str, **params) -> StepFn:
     Parameters are the matching config fields: ``bracket_width`` and
     ``max_shrinks`` for the slice operators, ``epsilon`` for ``neal-mh``.
     """
-    if kind == "elliptical":
-        cfg = EllipticalConfig(**params)
-        return lambda state, prior, model, rng: elliptical_slice_step(
-            state, prior, model, cfg, rng
-        )
     if kind == "elliptical-aux":
         if params:
             raise InvalidConfig("elliptical-aux takes no parameters")
         return elliptical_slice_aux_step
-    if kind == "neal-mh":
-        mh_cfg = MhConfig(**params)
-        return lambda state, prior, model, rng: neal_mh_step(
-            state, prior, model, mh_cfg, rng
-        )
-    if kind == "line-slice":
-        line_cfg = EllipticalConfig(**params)
-        return lambda state, prior, model, rng: line_slice_step(
-            state, prior, model, line_cfg, rng
-        )
-    raise InvalidConfig(f"unknown sampler kind {kind!r}; expected one of {OPERATOR_KINDS}")
+    if kind not in _CONFIGURED:
+        raise InvalidConfig(f"unknown sampler kind {kind!r}; expected one of {OPERATOR_KINDS}")
+    step, config = _CONFIGURED[kind]
+    cfg = config(**params)
+    return lambda state, prior, model, rng: step(state, prior, model, cfg, rng)
 
 
 def chain_rng(master_seed: int, *stream: int) -> np.random.Generator:

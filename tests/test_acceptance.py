@@ -128,7 +128,7 @@ def test_criterion_02_prior_recovery(capsys):
         samples = np.empty((n, 20))
         for i in range(n):
             res = elliptical_slice_step(state, prior, model, rng=rng)
-            assert res.proposals_considered == 1  # first proposal always lands
+            assert len(res.angles) == 1  # first proposal always lands
             assert res.accepted
             state = res.new_state
             samples[i] = state.f

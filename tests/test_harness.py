@@ -15,6 +15,7 @@ from ellslice import (
     cli,
     harness,
 )
+from ellslice.diagnostics import MIN_SERIES_LENGTH
 from ellslice.harness import (
     ExperimentConfig,
     build_dataset,
@@ -64,6 +65,9 @@ class TestConfig:
     def test_bad_values_rejected(self):
         with pytest.raises(InvalidConfig):
             parse_config({"seed": 1, "n_keep": 0})
+        with pytest.raises(InvalidConfig, match="n_keep"):
+            parse_config({"seed": 1, "n_keep": MIN_SERIES_LENGTH - 1})
+        assert parse_config({"seed": 1, "n_keep": MIN_SERIES_LENGTH}).n_keep == MIN_SERIES_LENGTH
         with pytest.raises(InvalidConfig):
             parse_config({"seed": 1, "repeats": 0})
         with pytest.raises(InvalidConfig):
@@ -385,6 +389,27 @@ class TestCliMain:
         assert cli.main(["run", ds, "--config", cfg, "--out", out2]) == 0
         assert (Path(out1) / "trace.csv").read_bytes() == (Path(out2) / "trace.csv").read_bytes()
         assert "ess=" in capsys.readouterr().out
+
+    def test_keep_too_short_for_ess_exits_2(self, tmp_path, capsys):
+        cfg = self.write_cfg(
+            tmp_path,
+            {
+                "seed": 14,
+                "n_burn": 5,
+                "n_keep": 40,
+                "model": {"kind": "regression", "n": 10, "dims": 1},
+                "sampler": {"kind": "elliptical"},
+            },
+        )
+        ds = str(tmp_path / "ds")
+        assert cli.main(["generate", "--config", cfg, "--out", ds]) == 0
+        capsys.readouterr()
+        code = cli.main(["run", ds, "--config", cfg, "--out", str(tmp_path / "r"), "--keep", "5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "n_keep" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
 
     def test_diagnose_writes_json(self, tmp_path, capsys):
         cfg = self.write_cfg(

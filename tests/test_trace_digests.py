@@ -1,0 +1,160 @@
+"""Pinned sha256 digests of fixed-seed chains and block sweeps.
+
+A refactor of the transition operators must not change a single bit of what
+they produce: the digests below pin the log-likelihood trace, both
+cumulative evaluation columns, the acceptance flags and every latent
+snapshot of short chains, plus the full step record of block-update sweeps.
+Any change in how random numbers are consumed shows up here.
+
+A change that alters the draws on purpose re-baselines the table: run
+``PYTHONPATH=src python tests/test_trace_digests.py`` and paste its output.
+Priors stay small (n <= 40) so the digests depend little on the BLAS build.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from ellslice import (
+    KernelConfig,
+    SamplerState,
+    bin_events,
+    block_update,
+    chain_rng,
+    contiguous_partitions,
+    factorize,
+    generate_classification_dataset,
+    generate_regression_dataset,
+    make_operator,
+    run_chain,
+    squared_exponential,
+)
+
+OPERATORS = {
+    "elliptical": ("elliptical", {}),
+    "elliptical-narrow": ("elliptical", {"bracket_width": 1.0}),
+    "elliptical-aux": ("elliptical-aux", {}),
+    "neal-mh": ("neal-mh", {"epsilon": 0.3}),
+    "line-slice": ("line-slice", {}),
+}
+
+
+def _regression(n=24):
+    inputs, data, _ = generate_regression_dataset(n, 2, KernelConfig(), 0.3, chain_rng(5, 0))
+    return factorize(squared_exponential(inputs, KernelConfig())), data
+
+
+def _classification(n=24):
+    kernel = KernelConfig(lengthscale=0.5, signal_variance=4.0)
+    inputs, data, _ = generate_classification_dataset(n, 1, kernel, chain_rng(5, 1))
+    return factorize(squared_exponential(inputs, kernel)), data
+
+
+def _cox():
+    events = np.sort(chain_rng(5, 2).uniform(0.0, 1000.0, size=60))
+    data = bin_events(events, 50.0)
+    centers = ((np.arange(data.n) + 0.5) * 50.0).reshape(-1, 1)
+    return factorize(squared_exponential(centers, KernelConfig(lengthscale=200.0))), data
+
+
+MODELS = {"regression": _regression, "classification": _classification, "cox": _cox}
+
+
+def chain_digest(model: str, operator: str) -> str:
+    prior, data = MODELS[model]()
+    kind, params = OPERATORS[operator]
+    trace = run_chain(
+        np.zeros(data.n), make_operator(kind, **params), prior, data,
+        n_burn=20, n_keep=100, thin=1, rng=chain_rng(11, 3),
+    )
+    h = hashlib.sha256()
+    for column in (trace.log_lik, trace.lik_evals_cum, trace.prior_evals_cum,
+                   trace.accepted, trace.snapshots):
+        h.update(np.ascontiguousarray(column).tobytes())
+    return h.hexdigest()
+
+
+def block_sweep_digest(operator: str, sweeps: int = 5) -> str:
+    prior, data = _regression()
+    kind, params = OPERATORS[operator]
+    step_fn = make_operator(kind, **params)
+    parts = contiguous_partitions(data.n, 4)
+    rng = chain_rng(13, 4)
+    state = SamplerState(f=np.zeros(data.n))
+    h = hashlib.sha256()
+    for _ in range(sweeps):
+        for part in parts:
+            res = block_update(state, prior, data, part, step_fn, rng)
+            state = res.new_state
+            h.update(state.f.tobytes())
+            h.update(np.array(res.angles, dtype=float).tobytes())
+            h.update(repr((state.log_lik, state.lik_evals, state.prior_evals,
+                           res.accepted, res.log_threshold)).encode())
+    return h.hexdigest()
+
+
+CASES = [("chain", m, op) for m in MODELS for op in OPERATORS] + [
+    ("block", "regression", op) for op in OPERATORS
+]
+
+
+def digest(case) -> str:
+    what, model, operator = case
+    return chain_digest(model, operator) if what == "chain" else block_sweep_digest(operator)
+
+
+EXPECTED = {
+    ('chain', 'regression', 'elliptical'):
+        '076fae513360a19060b81cc8c1e7ee1bad9b0f8aacfcd10263103912a537b9c3',
+    ('chain', 'regression', 'elliptical-narrow'):
+        'eb452b94ce22eb92beb67ed29d65a9c44fa6f941b2a3f3e4402439e06f769052',
+    ('chain', 'regression', 'elliptical-aux'):
+        '5e406efcd0691bbe3ce72c76ce19812ceca62ba0966f4897cdfae4a6a8463981',
+    ('chain', 'regression', 'neal-mh'):
+        'e44d9c07ea9195d021287c095e083ddb30e591272908dc758d35a2509a11eb6b',
+    ('chain', 'regression', 'line-slice'):
+        'd85f132bf6ade541d4541fc56fd36286b2ea5cdfe4386f23b89f88ebf9471a5f',
+    ('chain', 'classification', 'elliptical'):
+        'fa5097f2be6502234bd8b64ea635a50ad28fdf54b441f972c573e27063a77a9e',
+    ('chain', 'classification', 'elliptical-narrow'):
+        '15922480d79d93963dce75f4dcf9645c40540b40860ebe159aca7c7916b61c82',
+    ('chain', 'classification', 'elliptical-aux'):
+        '2b3f6eabab1cae4d4c66c155d958eef56e84613daa5d5f2ef8ac1631a8e4e760',
+    ('chain', 'classification', 'neal-mh'):
+        'b28bd96e46329ad6a9d65c2769e4abfe5a4b1e1f5a2a15ef78b31337a21829b1',
+    ('chain', 'classification', 'line-slice'):
+        '16faa68d428ab9fc775b94f751e6f2c0d514bb855ca38753d3d9df5970256585',
+    ('chain', 'cox', 'elliptical'):
+        '3be603898da5c150248d0b3169c3bbed0556cdb7f36862b2440c276c878b1569',
+    ('chain', 'cox', 'elliptical-narrow'):
+        'a1767dfff0745e3458fec1757e01da1dee4ec4f41fd22389cc13ada6233e91c1',
+    ('chain', 'cox', 'elliptical-aux'):
+        '85a686cfe23e98555d83bd846d4b1478c5b8f382c3656268419cabf78662e9d1',
+    ('chain', 'cox', 'neal-mh'):
+        '28c55e1c1b75f4ecb4aa368f080953d64631e42147f85a9908374fb705555da6',
+    ('chain', 'cox', 'line-slice'):
+        'd1ef5377c6261ed0dc1c0c228da5db6f7e6606f3b9bcabf940fc3fd70fbdd240',
+    ('block', 'regression', 'elliptical'):
+        'd09864d8fffd71473310e5879ec8b507c2c182a9030c505e44a78d934f7889f7',
+    ('block', 'regression', 'elliptical-narrow'):
+        '4bdfadb5be63e3d95fe81bb6f71668c2ceb4668cd6ffc5e21ce016ade5507f81',
+    ('block', 'regression', 'elliptical-aux'):
+        '19a5e5064c4d387a12abf0353cbb0113e10226e7cb80abe1f1299d1c5b148ef6',
+    ('block', 'regression', 'neal-mh'):
+        'e7e77f025fc6ddcdf04e090514a31c0a39e7cdd49a3a94cab937e3d57b356bf6',
+    ('block', 'regression', 'line-slice'):
+        '77cd3360d92f0e91aa01ad07199320bfcebe8d3613efee3caac5c89830179746',
+}
+
+
+@pytest.mark.parametrize("case", CASES, ids=["-".join(c) for c in CASES])
+def test_digest_is_pinned(case):
+    assert digest(case) == EXPECTED[case]
+
+
+if __name__ == "__main__":
+    print("EXPECTED = {")
+    for case in CASES:
+        print(f"    {case!r}:\n        {digest(case)!r},")
+    print("}")
