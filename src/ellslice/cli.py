@@ -24,8 +24,6 @@ def _add_common(p: argparse.ArgumentParser, *, needs_out: bool = True) -> None:
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--burn", type=int, default=None, help="burn-in iterations")
     p.add_argument("--keep", type=int, default=None, help="kept iterations")
-    p.add_argument("--thin", type=int, default=None,
-                   help="snapshot every k-th kept state (0 = none)")
     p.add_argument("--paper-scale", action="store_true",
                    help="10^4 burn / 10^5 kept instead of desk scale")
 
@@ -62,7 +60,6 @@ def _load(args: argparse.Namespace) -> harness.ExperimentConfig:
         "seed": args.seed,
         "n_burn": args.burn,
         "n_keep": args.keep,
-        "thin": getattr(args, "thin", None),
     }
     if args.paper_scale:
         if args.burn is None:

@@ -22,7 +22,7 @@ class NonFiniteLikelihood(EllsliceError):
 
 
 class ShrinkLimitExceeded(EllsliceError):
-    """Slice bracket shrank ``max_shrinks`` times without finding an
+    """Slice bracket shrank ``samplers.MAX_SHRINKS`` times without finding an
     acceptable point; signals a numerically empty slice or a broken
     likelihood, never a normal outcome."""
 

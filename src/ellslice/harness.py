@@ -24,7 +24,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .models import (
     mining_event_times,
     read_event_times,
 )
-from .samplers import chain_rng, make_operator, run_chain
+from .samplers import StepFn, chain_rng, make_operator, run_chain
 
 DESK_BURN = 1_000
 DESK_KEEP = 10_000
@@ -83,7 +83,6 @@ class ExperimentConfig:
     seed: int
     n_burn: int = DESK_BURN
     n_keep: int = DESK_KEEP
-    thin: int = 0
     repeats: int = 1
     kernel: KernelConfig = KernelConfig()
     model: Mapping[str, Any] | None = None
@@ -100,8 +99,8 @@ class ExperimentConfig:
             raise InvalidConfig(
                 f"n_keep must be >= {MIN_SERIES_LENGTH}, got {self.n_keep}"
             )
-        if self.n_burn < 0 or self.thin < 0:
-            raise InvalidConfig("n_burn and thin must be >= 0")
+        if self.n_burn < 0:
+            raise InvalidConfig(f"n_burn must be >= 0, got {self.n_burn}")
         if self.repeats < 1:
             raise InvalidConfig(f"repeats must be >= 1, got {self.repeats}")
 
@@ -111,7 +110,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "n_burn": self.n_burn,
             "n_keep": self.n_keep,
-            "thin": self.thin,
             "repeats": self.repeats,
             "kernel": dataclasses.asdict(self.kernel),
             "model": dict(self.model) if self.model is not None else None,
@@ -137,28 +135,39 @@ def parse_config(raw: Mapping[str, Any], overrides: Mapping[str, Any] | None = N
     if "seed" not in merged:
         raise InvalidConfig("config must supply a seed (no wall-clock seeding)")
     known = {
-        "seed", "n_burn", "n_keep", "thin", "repeats", "kernel",
+        "seed", "n_burn", "n_keep", "repeats", "kernel",
         "model", "sampler", "models", "samplers", "tune_grid",
     }
     unknown = set(merged) - known
     if unknown:
         raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-    kernel = merged.get("kernel", {})
-    if isinstance(kernel, Mapping):
-        kernel = KernelConfig(**kernel)
     return ExperimentConfig(
         seed=merged["seed"],
-        n_burn=int(merged.get("n_burn", DESK_BURN)),
-        n_keep=int(merged.get("n_keep", DESK_KEEP)),
-        thin=int(merged.get("thin", 0)),
-        repeats=int(merged.get("repeats", 1)),
-        kernel=kernel,
+        n_burn=_coerce("n_burn", merged.get("n_burn", DESK_BURN), int),
+        n_keep=_coerce("n_keep", merged.get("n_keep", DESK_KEEP), int),
+        repeats=_coerce("repeats", merged.get("repeats", 1), int),
+        kernel=_kernel_config("kernel", merged.get("kernel", {})),
         model=merged.get("model"),
         sampler=merged.get("sampler"),
         models=tuple(merged.get("models", ())),
         samplers=tuple(merged.get("samplers", ())),
-        tune_grid=tuple(float(g) for g in merged.get("tune_grid", ())),
+        tune_grid=_coerce(
+            "tune_grid", merged.get("tune_grid", ()), lambda gs: tuple(float(g) for g in gs)
+        ),
     )
+
+
+def _coerce(key: str, value: Any, convert: Callable[[Any], Any]) -> Any:
+    """``convert(value)``; a value it cannot convert raises InvalidConfig naming ``key``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"bad value for {key!r}: {value!r} ({exc})") from None
+
+
+def _kernel_config(key: str, value: Any) -> KernelConfig:
+    """A kernel section (a JSON object of KernelConfig fields) as a KernelConfig."""
+    return _coerce(key, value, lambda fields: KernelConfig(**fields))
 
 
 def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) -> ExperimentConfig:
@@ -193,9 +202,7 @@ def _model_kernel(model_cfg: Mapping[str, Any], default: KernelConfig) -> Kernel
     override = model_cfg.get("kernel")
     if override is None:
         return default
-    if isinstance(override, Mapping):
-        return KernelConfig(**override)
-    return override
+    return _kernel_config("model kernel", override)
 
 
 def build_dataset(model_cfg: Mapping[str, Any], kernel: KernelConfig, rng: np.random.Generator) -> Dataset:
@@ -210,18 +217,18 @@ def build_dataset(model_cfg: Mapping[str, Any], kernel: KernelConfig, rng: np.ra
     if kind == "regression":
         kern = _model_kernel(model_cfg, kernel)
         inputs, data, latents = generate_regression_dataset(
-            int(model_cfg.get("n", 200)),
-            int(model_cfg.get("dims", 1)),
+            _coerce("n", model_cfg.get("n", 200), int),
+            _coerce("dims", model_cfg.get("dims", 1), int),
             kern,
-            float(model_cfg.get("noise_std", 0.3)),
+            _coerce("noise_std", model_cfg.get("noise_std", 0.3), float),
             rng,
         )
         return Dataset(inputs, data, latents, kern, dict(model_cfg))
     if kind == "classification":
         kern = _model_kernel(model_cfg, CLASSIFICATION_KERNEL)
         inputs, data, latents = generate_classification_dataset(
-            int(model_cfg.get("n", 200)),
-            int(model_cfg.get("dims", 1)),
+            _coerce("n", model_cfg.get("n", 200), int),
+            _coerce("dims", model_cfg.get("dims", 1), int),
             kern,
             rng,
             link=model_cfg.get("link", "logistic"),
@@ -245,7 +252,7 @@ def _cox_dataset(
     events: np.ndarray, model_cfg: Mapping[str, Any], kernel: KernelConfig
 ) -> Dataset:
     """Bin events into counts; bin centers are the 1-D inputs."""
-    width = float(model_cfg.get("bin_width", COX_BIN_WIDTH))
+    width = _coerce("bin_width", model_cfg.get("bin_width", COX_BIN_WIDTH), float)
     data = bin_events(events, width)
     centers = (np.arange(data.n) + 0.5) * width
     return Dataset(centers.reshape(-1, 1), data, None, kernel, dict(model_cfg))
@@ -289,8 +296,9 @@ def cli_generate(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
         raise InvalidConfig("generate requires a 'model' section")
     dims = cfg.model.get("dims", 1)
     if isinstance(dims, (list, tuple)):
-        variants = [dict(cfg.model, dims=int(d)) for d in dims]
-        dirs = [Path(out_dir) / f"d{int(d):02d}" for d in dims]
+        dims = [_coerce("dims", d, int) for d in dims]
+        variants = [dict(cfg.model, dims=d) for d in dims]
+        dirs = [Path(out_dir) / f"d{d:02d}" for d in dims]
     else:
         variants = [dict(cfg.model)]
         dirs = [Path(out_dir)]
@@ -312,7 +320,6 @@ def cli_generate(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
             (target / "events.txt").write_text(
                 "\n".join(repr(float(t)) for t in events) + "\n"
             )
-            manifest["bin_width"] = float(ds.model_cfg.get("bin_width", COX_BIN_WIDTH))
             manifest["files"] = ["events.txt"]
         else:
             _write_matrix(target / "inputs.csv", ds.inputs, note)
@@ -397,15 +404,21 @@ def _report_dict(report: EssReport, cfg: ExperimentConfig) -> dict[str, Any]:
     return payload
 
 
+def _step_fn(sampler_cfg: Mapping[str, Any]) -> StepFn:
+    """The step function a sampler spec (``kind`` plus parameters) describes."""
+    if not isinstance(sampler_cfg, Mapping):
+        raise InvalidConfig(f"a sampler spec must be a JSON object, got {sampler_cfg!r}")
+    params = {k: v for k, v in sampler_cfg.items() if k != "kind"}
+    return make_operator(sampler_cfg.get("kind", "elliptical"), **params)
+
+
 def _run_one(
     cfg: ExperimentConfig,
     dataset: Dataset,
     prior: GaussianPrior,
-    sampler_cfg: Mapping[str, Any],
+    step_fn: StepFn,
     stream: tuple[int, ...],
 ) -> tuple[ChainTrace, EssReport]:
-    params = {k: v for k, v in sampler_cfg.items() if k != "kind"}
-    step_fn = make_operator(sampler_cfg.get("kind", "elliptical"), **params)
     rng = chain_rng(cfg.seed, *stream)
     trace = run_chain(
         np.zeros(dataset.data.n),
@@ -414,7 +427,6 @@ def _run_one(
         dataset.data,
         n_burn=cfg.n_burn,
         n_keep=cfg.n_keep,
-        thin=cfg.thin,
         rng=rng,
     )
     return trace, summarize(trace)
@@ -426,9 +438,10 @@ def cli_run(
     """Single chain on an existing dataset; writes trace, summary, manifest."""
     if cfg.sampler is None:
         raise InvalidConfig("run requires a 'sampler' section")
+    step_fn = _step_fn(cfg.sampler)
     dataset = load_dataset(dataset_dir)
     prior = build_prior(dataset)
-    trace, report = _run_one(cfg, dataset, prior, cfg.sampler, (_STREAM_RUN, 0))
+    trace, report = _run_one(cfg, dataset, prior, step_fn, (_STREAM_RUN, 0))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out / "trace.csv", trace, _provenance(cfg))
@@ -465,12 +478,10 @@ def cli_tune_mh(
     results = []
     best_eps, best_ess = None, -np.inf
     for gi, eps in enumerate(sorted(grid)):
+        step_fn = _step_fn({"kind": "neal-mh", "epsilon": eps})
         esses = []
         for rep in range(cfg.repeats):
-            _, report = _run_one(
-                cfg, dataset, prior, {"kind": "neal-mh", "epsilon": eps},
-                (_STREAM_TUNE, gi, rep),
-            )
+            _, report = _run_one(cfg, dataset, prior, step_fn, (_STREAM_TUNE, gi, rep))
             esses.append(report.ess)
         mean_ess = float(np.mean(esses))
         results.append({"epsilon": eps, "ess_mean": mean_ess, "ess": esses})
@@ -514,17 +525,19 @@ def cli_benchmark(cfg: ExperimentConfig, out_dir: str | Path) -> dict[str, Any]:
 
     One directory per cell; per-repeat traces and summaries inside. A repeat
     that raises is recorded in the cell's ``failures`` list and the matrix
-    keeps going. Datasets are built once per model (stream keyed by model
-    index) and shared by every sampler, so cells are comparable.
+    keeps going; a bad sampler spec is an error before anything is built or
+    written. Datasets are built once per model (stream keyed by model index)
+    and shared by every sampler, so cells are comparable.
     """
     if not cfg.samplers or not cfg.models:
         raise InvalidConfig("benchmark requires non-empty 'samplers' and 'models'")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    step_fns = [_step_fn(sampler_cfg) for sampler_cfg in cfg.samplers]
     datasets = []
     for mi, model_cfg in enumerate(cfg.models):
         ds = build_dataset(model_cfg, cfg.kernel, chain_rng(cfg.seed, _STREAM_DATASET, mi))
         datasets.append((ds, build_prior(ds)))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     cells = []
     for si, sampler_cfg in enumerate(cfg.samplers):
         for mi, model_cfg in enumerate(cfg.models):
@@ -539,7 +552,7 @@ def cli_benchmark(cfg: ExperimentConfig, out_dir: str | Path) -> dict[str, Any]:
                 rep_dir.mkdir(parents=True, exist_ok=True)
                 try:
                     trace, report = _run_one(
-                        cfg, dataset, prior, sampler_cfg,
+                        cfg, dataset, prior, step_fns[si],
                         (_STREAM_BENCH, cell_index, rep),
                     )
                 except EllsliceError as exc:

@@ -18,7 +18,10 @@ propose moves built from a single auxiliary draw nu ~ N(0, cov):
 
 The three slice operators differ only in their curve, their first draw and
 bracket, and (for the line) the prior term of the target; they share one
-bracket-shrink loop, :func:`_slice_shrink`.
+bracket-shrink loop, :func:`_slice_shrink`. They have no free parameters:
+the ellipse bracket is a full revolution, the line bracket has width
+:data:`LINE_WIDTH`, and :data:`MAX_SHRINKS` is a safety bound, not a knob.
+Only Metropolis-Hastings takes a step size.
 
 Operators never mutate their inputs; each chain owns its RNG stream.
 """
@@ -26,6 +29,7 @@ Operators never mutate their inputs; each chain owns its RNG stream.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
@@ -43,6 +47,10 @@ from .errors import (
 from .gaussian import GaussianPrior, rotate
 
 TWO_PI = 2.0 * math.pi
+# width of the line-slice bracket in units of the prior draw nu
+LINE_WIDTH = math.pi
+# shrinks after which a slice counts as numerically empty
+MAX_SHRINKS = 1000
 
 
 class LikelihoodModel(Protocol):
@@ -68,36 +76,14 @@ class SamplerState:
 
 
 @dataclass(frozen=True)
-class EllipticalConfig:
-    """Options for the slice-based operators.
-
-    ``bracket_width`` in (0, 2*pi] narrows the initial angle bracket below a
-    full revolution (a tuning knob that trades likelihood evaluations for
-    smaller moves); ``max_shrinks`` bounds the shrink loop, and hitting it is
-    an error rather than a silent no-op.
-    """
-
-    bracket_width: float = TWO_PI
-    max_shrinks: int = 1000
-
-    def __post_init__(self):
-        if not (0.0 < self.bracket_width <= TWO_PI + 1e-12):
-            raise InvalidConfig(
-                f"bracket_width must be in (0, 2*pi], got {self.bracket_width!r}"
-            )
-        if self.max_shrinks < 1:
-            raise InvalidConfig("max_shrinks must be a positive integer")
-
-
-@dataclass(frozen=True)
 class MhConfig:
     """Step size for the Metropolis-Hastings operator."""
 
     epsilon: float = 0.5
 
     def __post_init__(self):
-        if not abs(self.epsilon) <= 1.0:
-            raise InvalidConfig(f"|epsilon| must be <= 1, got {self.epsilon!r}")
+        if not isinstance(self.epsilon, numbers.Real) or not abs(self.epsilon) <= 1.0:
+            raise InvalidConfig(f"epsilon must be a number in [-1, 1], got {self.epsilon!r}")
 
 
 @dataclass
@@ -172,7 +158,6 @@ def _slice_shrink(
     lo: float,
     hi: float,
     rng: np.random.Generator,
-    max_shrinks: int,
 ) -> tuple[list[float], np.ndarray, float]:
     """Shrink the bracket [lo, hi] around 0 until a proposal clears the slice.
 
@@ -184,10 +169,10 @@ def _slice_shrink(
     Raises
     ------
     ShrinkLimitExceeded
-        After ``max_shrinks`` shrinks; the slice is numerically empty.
+        After :data:`MAX_SHRINKS` shrinks; the slice is numerically empty.
     """
     positions: list[float] = []
-    for _ in range(max_shrinks + 1):
+    for _ in range(MAX_SHRINKS + 1):
         positions.append(x)
         point, log_lik, log_target = propose(x)
         if log_target > log_y:
@@ -198,14 +183,13 @@ def _slice_shrink(
             hi = x
         assert lo <= 0.0 <= hi, "bracket lost the current state"
         x = rng.uniform(lo, hi)
-    raise ShrinkLimitExceeded(f"no acceptable point after {max_shrinks} bracket shrinks")
+    raise ShrinkLimitExceeded(f"no acceptable point after {MAX_SHRINKS} bracket shrinks")
 
 
 def elliptical_slice_step(
     state: SamplerState,
     prior: GaussianPrior,
     model: LikelihoodModel,
-    cfg: EllipticalConfig = EllipticalConfig(),
     rng: np.random.Generator | None = None,
 ) -> StepResult:
     """One elliptical slice sampling transition.
@@ -214,15 +198,15 @@ def elliptical_slice_step(
     a log-likelihood threshold uniformly under the current value, then
     proposes angles from a bracket that shrinks toward the current state
     (angle 0) until a proposal clears the threshold. The first proposal's
-    angle also sets both bracket edges, so with the default full-width
-    bracket the move is de facto parameter-free.
+    angle also sets both edges of the full-revolution bracket, so the move
+    has no free parameters.
 
     There are no rejections: the returned ``accepted`` is always True.
 
     Raises
     ------
     ShrinkLimitExceeded
-        After ``cfg.max_shrinks`` shrinks; the slice is numerically empty.
+        After :data:`MAX_SHRINKS` shrinks; the slice is numerically empty.
     NonFiniteLikelihood
         If the likelihood returns NaN at a proposal.
     """
@@ -235,10 +219,8 @@ def elliptical_slice_step(
         log_lik = _eval_log_lik(model, f_prop)
         return f_prop, log_lik, log_lik
 
-    theta = rng.uniform(0.0, cfg.bracket_width)
-    angles, f_new, log_lik = _slice_shrink(
-        propose, log_y, theta, theta - cfg.bracket_width, theta, rng, cfg.max_shrinks
-    )
+    theta = rng.uniform(0.0, TWO_PI)
+    angles, f_new, log_lik = _slice_shrink(propose, log_y, theta, theta - TWO_PI, theta, rng)
     new_state = _advance(state, f_new, log_lik, evals + len(angles))
     return StepResult(new_state, True, angles, log_y)
 
@@ -274,9 +256,7 @@ def elliptical_slice_aux_step(
         return f_prop, log_lik, log_lik
 
     offset = rng.uniform(0.0, TWO_PI)
-    offsets, f_new, log_lik = _slice_shrink(
-        propose, log_y, offset, offset - TWO_PI, offset, rng, EllipticalConfig().max_shrinks
-    )
+    offsets, f_new, log_lik = _slice_shrink(propose, log_y, offset, offset - TWO_PI, offset, rng)
     new_state = _advance(state, f_new, log_lik, evals + len(offsets))
     return StepResult(new_state, True, [theta0 + o for o in offsets], log_y)
 
@@ -310,7 +290,6 @@ def line_slice_step(
     state: SamplerState,
     prior: GaussianPrior,
     model: LikelihoodModel,
-    cfg: EllipticalConfig = EllipticalConfig(),
     rng: np.random.Generator | None = None,
 ) -> StepResult:
     """Slice sampling along the straight line f + eps*nu.
@@ -318,7 +297,7 @@ def line_slice_step(
     The prior density does not cancel along a line the way it does around
     the ellipse, so the slice is taken through the full log posterior and
     every proposal costs a prior log-density evaluation on top of the
-    likelihood. The initial bracket of width ``cfg.bracket_width / 2`` is
+    likelihood. The initial bracket of width :data:`LINE_WIDTH` is
     positioned uniformly at random around eps = 0 and shrinks toward it.
     """
     cur_log_lik, evals = _start(state, model, rng)
@@ -331,42 +310,39 @@ def line_slice_step(
         log_lik = _eval_log_lik(model, f_prop)
         return f_prop, log_lik, prior.log_density(f_prop) + log_lik
 
-    half = 0.5 * cfg.bracket_width
     u = rng.uniform()
-    eps_min, eps_max = -half * u, half * (1.0 - u)
+    eps_min, eps_max = -LINE_WIDTH * u, LINE_WIDTH * (1.0 - u)
     eps = rng.uniform(eps_min, eps_max)
-    steps, f_new, log_lik = _slice_shrink(
-        propose, log_y, eps, eps_min, eps_max, rng, cfg.max_shrinks
-    )
+    steps, f_new, log_lik = _slice_shrink(propose, log_y, eps, eps_min, eps_max, rng)
     new_state = _advance(state, f_new, log_lik, evals + len(steps), 1 + len(steps))
     return StepResult(new_state, True, steps, log_y)
 
 
 OPERATOR_KINDS = ("elliptical", "elliptical-aux", "neal-mh", "line-slice")
 
-# kinds whose step function takes a config built from the operator parameters
-_CONFIGURED = {
-    "elliptical": (elliptical_slice_step, EllipticalConfig),
-    "neal-mh": (neal_mh_step, MhConfig),
-    "line-slice": (line_slice_step, EllipticalConfig),
+_PARAMETER_FREE = {
+    "elliptical": elliptical_slice_step,
+    "elliptical-aux": elliptical_slice_aux_step,
+    "line-slice": line_slice_step,
 }
 
 
 def make_operator(kind: str, **params) -> StepFn:
     """Build a step function from a (kind, parameters) spec.
 
-    Parameters are the matching config fields: ``bracket_width`` and
-    ``max_shrinks`` for the slice operators, ``epsilon`` for ``neal-mh``.
+    Only ``neal-mh`` takes a parameter, its step size ``epsilon``; any other
+    parameter, or any parameter for a slice operator, is an error.
     """
-    if kind == "elliptical-aux":
-        if params:
-            raise InvalidConfig("elliptical-aux takes no parameters")
-        return elliptical_slice_aux_step
-    if kind not in _CONFIGURED:
+    if kind not in OPERATOR_KINDS:
         raise InvalidConfig(f"unknown sampler kind {kind!r}; expected one of {OPERATOR_KINDS}")
-    step, config = _CONFIGURED[kind]
-    cfg = config(**params)
-    return lambda state, prior, model, rng: step(state, prior, model, cfg, rng)
+    if kind == "neal-mh":
+        if set(params) - {"epsilon"}:
+            raise InvalidConfig(f"neal-mh takes only 'epsilon', got {sorted(params)}")
+        cfg = MhConfig(**params)
+        return lambda state, prior, model, rng: neal_mh_step(state, prior, model, cfg, rng)
+    if params:
+        raise InvalidConfig(f"{kind} takes no parameters, got {sorted(params)}")
+    return _PARAMETER_FREE[kind]
 
 
 def chain_rng(master_seed: int, *stream: int) -> np.random.Generator:

@@ -16,7 +16,6 @@ import numpy as np
 
 from ellslice import (
     ConstantLikelihood,
-    EllipticalConfig,
     KernelConfig,
     MhConfig,
     RegressionData,

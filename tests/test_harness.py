@@ -14,6 +14,7 @@ from ellslice import (
     chain_rng,
     cli,
     harness,
+    samplers,
 )
 from ellslice.diagnostics import MIN_SERIES_LENGTH
 from ellslice.harness import (
@@ -50,7 +51,6 @@ class TestConfig:
         cfg = parse_config({"seed": 5})
         assert cfg.n_burn == 1_000
         assert cfg.n_keep == 10_000
-        assert cfg.thin == 0
         assert cfg.repeats == 1
         assert cfg.kernel == KernelConfig()
 
@@ -61,6 +61,8 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(InvalidConfig, match="unknown config keys"):
             parse_config({"seed": 1, "nkeep": 100})
+        with pytest.raises(InvalidConfig, match="unknown config keys"):
+            parse_config({"seed": 1, "thin": 1})
 
     def test_bad_values_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -72,6 +74,12 @@ class TestConfig:
             parse_config({"seed": 1, "repeats": 0})
         with pytest.raises(InvalidConfig):
             parse_config({"seed": "tomorrow"})
+        # values that do not convert are errors naming their key
+        for key, bad in [("n_burn", "abc"), ("n_keep", None), ("repeats", [2]),
+                         ("tune_grid", ["wide"]), ("kernel", {"length": 1.0}),
+                         ("kernel", {"lengthscale": "long"}), ("kernel", 2.0)]:
+            with pytest.raises(InvalidConfig, match=key):
+                parse_config({"seed": 1, key: bad})
 
     def test_overrides_win(self):
         cfg = parse_config({"seed": 1, "n_keep": 50}, {"n_keep": 75, "seed": None})
@@ -146,13 +154,19 @@ class TestGenerateAndLoad:
         assert manifest["seed"] == 7
 
     def test_cox_round_trip(self, tmp_path):
-        cfg = parse_config({"seed": 4, "model": {"kind": "cox"}})
-        (written,) = cli_generate(cfg, tmp_path / "cox")
-        assert (written / "events.txt").exists()
-        ds = load_dataset(written)
-        assert ds.data.n == 811
-        assert int(ds.data.counts.sum()) == 191
-        assert ds.kernel.lengthscale == 13516.0
+        for model, n in (({"kind": "cox"}, 811), ({"kind": "cox", "bin_width": 100.0}, 406)):
+            cfg = parse_config({"seed": 4, "model": model})
+            (written,) = cli_generate(cfg, tmp_path / f"cox{n}")
+            assert (written / "events.txt").exists()
+            manifest = json.loads((written / "manifest.json").read_text())
+            assert "bin_width" not in manifest  # only the model section carries it
+            ds = load_dataset(written)
+            assert ds.data.n == n
+            assert int(ds.data.counts.sum()) == 191
+            assert ds.kernel.lengthscale == 13516.0
+            fresh = build_dataset(cfg.model, cfg.kernel, chain_rng(cfg.seed, 0, 0))
+            assert np.array_equal(ds.data.counts, fresh.data.counts)
+            assert np.array_equal(ds.inputs, fresh.inputs)
 
     def test_dims_list_writes_one_dir_per_dimension(self, tmp_path):
         cfg = parse_config(
@@ -343,13 +357,14 @@ class TestBenchmark:
         for cell in summary["cells"]:
             assert cell["ess_std"] == 0.0
 
-    def test_failed_repeats_recorded_matrix_continues(self, tmp_path):
-        cfg = self.matrix_cfg(
-            samplers=[{"kind": "elliptical"}, {"kind": "elliptical", "max_shrinks": 1}]
-        )
+    def test_failed_repeats_recorded_matrix_continues(self, tmp_path, monkeypatch):
+        # one shrink is never enough for the slice operator here, while
+        # Metropolis-Hastings never shrinks
+        monkeypatch.setattr(samplers, "MAX_SHRINKS", 1)
+        cfg = self.matrix_cfg(samplers=[{"kind": "neal-mh"}, {"kind": "elliptical"}])
         summary = cli_benchmark(cfg, tmp_path)
         healthy = summary["cells"][0]
-        crippled = summary["cells"][2]  # one shrink is never enough here
+        crippled = summary["cells"][2]
         assert healthy["repeats_completed"] == 2 and not healthy["failures"]
         assert crippled["repeats_completed"] < 2
         assert crippled["failures"]
@@ -410,6 +425,30 @@ class TestCliMain:
         assert "error:" in err and "n_keep" in err
         assert "Traceback" not in err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command, raw", [
+        ("generate", {"kernel": {"length": 1.0}}),
+        ("generate", {"n_burn": "abc"}),
+        ("generate", {"model": {"kind": "regression", "n": 10, "kernel": {"length": 1.0}}}),
+        ("generate", {"model": {"kind": "regression", "n": 10, "dims": [1, "a"]}}),
+        ("benchmark", {"samplers": [{"kind": "hamiltonian"}]}),
+        ("benchmark", {"samplers": [{"kind": "elliptical"},
+                                    {"kind": "elliptical", "max_shrinks": 1}]}),
+    ])
+    def test_malformed_config_value_exits_2(self, tmp_path, capsys, command, raw):
+        cfg = self.write_cfg(tmp_path, {
+            "seed": 14, "n_keep": 20,
+            "model": {"kind": "regression", "n": 10},
+            "models": [{"kind": "regression", "n": 10}],
+            "samplers": [{"kind": "elliptical"}],
+            **raw,
+        })
+        out = tmp_path / "out"
+        code = cli.main([command, "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_diagnose_writes_json(self, tmp_path, capsys):
         cfg = self.write_cfg(

@@ -8,7 +8,6 @@ import pytest
 from ellslice import (
     ChainError,
     ConstantLikelihood,
-    EllipticalConfig,
     InvalidConfig,
     MhConfig,
     NonFiniteLikelihood,
@@ -25,6 +24,7 @@ from ellslice import (
     neal_mh_step,
     run_chain,
 )
+from ellslice.samplers import LINE_WIDTH
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,15 +63,6 @@ class PoisonedLikelihood:
 
 
 class TestConfigs:
-    @pytest.mark.parametrize("bad", [0.0, -1.0, TWO_PI + 0.1])
-    def test_bracket_width_bounds(self, bad):
-        with pytest.raises(InvalidConfig):
-            EllipticalConfig(bracket_width=bad)
-
-    def test_max_shrinks_positive(self):
-        with pytest.raises(InvalidConfig):
-            EllipticalConfig(max_shrinks=0)
-
     @pytest.mark.parametrize("bad", [1.5, -1.01])
     def test_epsilon_bounds(self, bad):
         with pytest.raises(InvalidConfig):
@@ -146,19 +137,6 @@ class TestEllipticalStep:
             state = res.new_state
         assert abs(coeff) < 1e-3
 
-    def test_narrow_bracket_stays_inside_width(self):
-        prior = scalar_prior()
-        data = RegressionData(y=np.array([1.0]), noise_variance=1.0)
-        cfg = EllipticalConfig(bracket_width=0.5)
-        state = SamplerState(f=np.array([1.0]))
-        rng = chain_rng(5)
-        for _ in range(500):
-            res = elliptical_slice_step(state, prior, data, cfg, rng=rng)
-            first = res.angles[0]
-            assert 0.0 <= first <= 0.5
-            assert all(first - 0.5 <= t <= first for t in res.angles)
-            state = res.new_state
-
     def test_zero_likelihood_start_rejected(self):
         state = SamplerState(f=np.array([3.0]))
         model = SpikeAtStart(np.array([0.0]))  # -inf at f=3
@@ -169,9 +147,8 @@ class TestEllipticalStep:
         # slice is a single point, so no proposal ever clears the threshold
         state = SamplerState(f=np.array([0.0]))
         model = SpikeAtStart(np.array([0.0]))
-        cfg = EllipticalConfig(max_shrinks=50)
         with pytest.raises(ShrinkLimitExceeded):
-            elliptical_slice_step(state, scalar_prior(), model, cfg, rng=chain_rng(1))
+            elliptical_slice_step(state, scalar_prior(), model, rng=chain_rng(1))
 
     def test_nan_likelihood_raises(self):
         state = SamplerState(f=np.array([0.0]), log_lik=0.0)
@@ -326,10 +303,9 @@ class TestLineSlice:
         data = RegressionData(y=np.array([0.5]), noise_variance=0.2)
         state = SamplerState(f=np.array([0.5]))
         rng = chain_rng(61)
-        half = EllipticalConfig().bracket_width / 2
         for _ in range(300):
             res = line_slice_step(state, prior, data, rng=rng)
-            assert all(-half <= e <= half for e in res.angles)
+            assert all(-LINE_WIDTH <= e <= LINE_WIDTH for e in res.angles)
             state = res.new_state
 
     def test_conjugate_posterior_mean(self):
@@ -364,6 +340,13 @@ class TestMakeOperator:
     def test_bad_params_rejected(self):
         with pytest.raises(InvalidConfig):
             make_operator("elliptical", bracket_width=-1.0)
+        for kind in ("elliptical", "line-slice"):
+            with pytest.raises(InvalidConfig, match="takes no parameters"):
+                make_operator(kind, max_shrinks=5)
+        with pytest.raises(InvalidConfig, match="epsilon"):
+            make_operator("neal-mh", epsilon=0.1, max_shrinks=5)
+        with pytest.raises(InvalidConfig):
+            make_operator("neal-mh", epsilon="0.1")
 
 
 class TestChainRng:

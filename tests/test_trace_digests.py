@@ -33,7 +33,6 @@ from ellslice import (
 
 OPERATORS = {
     "elliptical": ("elliptical", {}),
-    "elliptical-narrow": ("elliptical", {"bracket_width": 1.0}),
     "elliptical-aux": ("elliptical-aux", {}),
     "neal-mh": ("neal-mh", {"epsilon": 0.3}),
     "line-slice": ("line-slice", {}),
@@ -107,8 +106,6 @@ def digest(case) -> str:
 EXPECTED = {
     ('chain', 'regression', 'elliptical'):
         '076fae513360a19060b81cc8c1e7ee1bad9b0f8aacfcd10263103912a537b9c3',
-    ('chain', 'regression', 'elliptical-narrow'):
-        'eb452b94ce22eb92beb67ed29d65a9c44fa6f941b2a3f3e4402439e06f769052',
     ('chain', 'regression', 'elliptical-aux'):
         '5e406efcd0691bbe3ce72c76ce19812ceca62ba0966f4897cdfae4a6a8463981',
     ('chain', 'regression', 'neal-mh'):
@@ -117,8 +114,6 @@ EXPECTED = {
         'd85f132bf6ade541d4541fc56fd36286b2ea5cdfe4386f23b89f88ebf9471a5f',
     ('chain', 'classification', 'elliptical'):
         'fa5097f2be6502234bd8b64ea635a50ad28fdf54b441f972c573e27063a77a9e',
-    ('chain', 'classification', 'elliptical-narrow'):
-        '15922480d79d93963dce75f4dcf9645c40540b40860ebe159aca7c7916b61c82',
     ('chain', 'classification', 'elliptical-aux'):
         '2b3f6eabab1cae4d4c66c155d958eef56e84613daa5d5f2ef8ac1631a8e4e760',
     ('chain', 'classification', 'neal-mh'):
@@ -127,8 +122,6 @@ EXPECTED = {
         '16faa68d428ab9fc775b94f751e6f2c0d514bb855ca38753d3d9df5970256585',
     ('chain', 'cox', 'elliptical'):
         '3be603898da5c150248d0b3169c3bbed0556cdb7f36862b2440c276c878b1569',
-    ('chain', 'cox', 'elliptical-narrow'):
-        'a1767dfff0745e3458fec1757e01da1dee4ec4f41fd22389cc13ada6233e91c1',
     ('chain', 'cox', 'elliptical-aux'):
         '85a686cfe23e98555d83bd846d4b1478c5b8f382c3656268419cabf78662e9d1',
     ('chain', 'cox', 'neal-mh'):
@@ -137,8 +130,6 @@ EXPECTED = {
         'd1ef5377c6261ed0dc1c0c228da5db6f7e6606f3b9bcabf940fc3fd70fbdd240',
     ('block', 'regression', 'elliptical'):
         'd09864d8fffd71473310e5879ec8b507c2c182a9030c505e44a78d934f7889f7',
-    ('block', 'regression', 'elliptical-narrow'):
-        '4bdfadb5be63e3d95fe81bb6f71668c2ceb4668cd6ffc5e21ce016ade5507f81',
     ('block', 'regression', 'elliptical-aux'):
         '19a5e5064c4d387a12abf0353cbb0113e10226e7cb80abe1f1299d1c5b148ef6',
     ('block', 'regression', 'neal-mh'):
