@@ -67,13 +67,6 @@ def contiguous_partitions(n: int, n_blocks: int) -> list[BlockPartition]:
     ]
 
 
-def random_partition(n: int, size: int, rng: np.random.Generator) -> BlockPartition:
-    """Uniformly random subset of the given size."""
-    if not 1 <= size <= n:
-        raise ValueError("need 1 <= size <= n")
-    return make_partition(n, rng.choice(n, size=size, replace=False))
-
-
 @dataclass(frozen=True)
 class ConditionalGaussian:
     """Conditional prior N(mean, cov) over the subset block."""

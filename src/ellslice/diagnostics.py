@@ -61,8 +61,8 @@ class EssReport:
     seconds: float = 0.0
 
 
-def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased sample autocorrelation rho(0..max_lag), with rho(0) == 1.
+def autocorrelation(series: np.ndarray) -> np.ndarray:
+    """Biased sample autocorrelation rho(0..n-1), with rho(0) == 1.
 
     Computed via FFT; the 1/n normalization (rather than 1/(n-t)) keeps the
     estimated autocovariance sequence positive semi-definite.
@@ -79,10 +79,9 @@ def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
     var = float(x @ x) / n
     if var == 0.0:
         raise DegenerateSeries("series is constant; autocorrelation undefined")
-    max_lag = min(max_lag, n - 1)
     m = 1 << (2 * n - 1).bit_length()
     spec = np.fft.rfft(x, m)
-    acov = np.fft.irfft(spec * np.conj(spec), m)[: max_lag + 1] / n
+    acov = np.fft.irfft(spec * np.conj(spec), m)[:n] / n
     return acov / acov[0]
 
 
@@ -94,7 +93,7 @@ def effective_sample_size(series: np.ndarray) -> EssReport:
     Evaluation totals and timing are zero here; :func:`summarize` fills
     them in from a full trace.
     """
-    rho = autocorrelation(series, max_lag=len(series) - 1)
+    rho = autocorrelation(series)
     n = len(series)
     tau = -1.0
     k = 0

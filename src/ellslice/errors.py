@@ -31,10 +31,6 @@ class DegenerateSeries(EllsliceError):
     """A trace has zero variance, so autocorrelations are undefined."""
 
 
-class EventOutOfRange(EllsliceError):
-    """An event time precedes the binning origin."""
-
-
 class ChainError(EllsliceError):
     """Wraps an operator error raised mid-chain with the iteration index."""
 

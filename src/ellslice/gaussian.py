@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
-DEFAULT_JITTER_SCALE = 1e-10
+JITTER_SCALE = 1e-10
 _JITTER_ATTEMPTS = 3
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -40,7 +40,7 @@ def check_covariance(cov: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianPrior:
-    """N(0, cov) with cached lower-triangular factor.
+    """N(0, cov + jitter * I) with cached lower-triangular factor.
 
     ``chol @ chol.T == cov + jitter * I``; ``jitter`` is whatever diagonal
     repair :func:`factorize` actually had to add (0.0 on well-conditioned
@@ -56,7 +56,7 @@ class GaussianPrior:
         object.__setattr__(self, "n", self.cov.shape[0])
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw one vector from N(0, cov): a triangular multiply per draw."""
+        """Draw one vector from N(0, cov + jitter*I): a triangular multiply per draw."""
         return self.chol @ rng.standard_normal(self.n)
 
     def log_density(self, f: np.ndarray) -> float:
@@ -71,12 +71,13 @@ class GaussianPrior:
         return -0.5 * self.n * LOG_2PI - half_logdet - 0.5 * float(w @ w)
 
 
-def factorize(cov: np.ndarray, jitter_scale: float = DEFAULT_JITTER_SCALE) -> GaussianPrior:
+def factorize(cov: np.ndarray) -> GaussianPrior:
     """Cholesky-factorize a covariance, repairing near-singularity with jitter.
 
     A plain factorization is attempted first. On failure, retries with
-    ``jitter = jitter_scale * max(diag(cov))`` added to the diagonal,
-    escalating the jitter tenfold up to 3 attempts.
+    ``jitter = JITTER_SCALE * max(diag(cov))`` (1e-10 of the largest
+    variance) added to the diagonal, escalating the jitter tenfold for
+    ``_JITTER_ATTEMPTS`` (3) attempts.
 
     Raises
     ------
@@ -84,14 +85,8 @@ def factorize(cov: np.ndarray, jitter_scale: float = DEFAULT_JITTER_SCALE) -> Ga
         If every attempt fails; the covariance is genuinely invalid.
     """
     cov = check_covariance(cov)
-    if jitter_scale < 0:
-        raise ValueError("jitter_scale must be non-negative")
-
-    jitters = [0.0]
-    if jitter_scale > 0:
-        base = jitter_scale * float(np.max(np.diag(cov)))
-        jitters += [base * 10.0**k for k in range(_JITTER_ATTEMPTS)]
-
+    base = JITTER_SCALE * float(np.max(np.diag(cov)))
+    jitters = [0.0] + [base * 10.0**k for k in range(_JITTER_ATTEMPTS)]
     for jitter in jitters:
         try:
             chol = np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))

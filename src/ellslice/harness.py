@@ -13,8 +13,10 @@ File conventions, shared by the CLI and the test suite:
   the exact configuration that produced it.
 
 Floats are written with ``repr`` (shortest round-trip form), which makes
-rerunning a command with the same config and seed byte-identical. Wall-clock
-fields live only in ``summary.json``, never in trace CSVs.
+rerunning a command with the same config and seed byte-identical, bar the
+wall-clock fields: ``seconds`` in ``summary.json`` and ``seconds_mean`` in
+``cell_summary.json``, ``benchmark_summary.json`` and
+``benchmark_summary.csv``. Trace CSVs and dataset files carry no timings.
 """
 
 from __future__ import annotations
@@ -103,6 +105,16 @@ class ExperimentConfig:
             raise InvalidConfig(f"n_burn must be >= 0, got {self.n_burn}")
         if self.repeats < 1:
             raise InvalidConfig(f"repeats must be >= 1, got {self.repeats}")
+        for key in ("model", "sampler"):
+            spec = getattr(self, key)
+            if spec is not None and not isinstance(spec, Mapping):
+                raise InvalidConfig(f"{key!r} must be a JSON object, got {spec!r}")
+        for key in ("models", "samplers"):
+            for spec in getattr(self, key):
+                if not isinstance(spec, Mapping):
+                    raise InvalidConfig(
+                        f"every {key!r} entry must be a JSON object, got {spec!r}"
+                    )
 
     def as_dict(self) -> dict[str, Any]:
         """Canonical plain-dict form, used for hashing and manifests."""
@@ -149,8 +161,8 @@ def parse_config(raw: Mapping[str, Any], overrides: Mapping[str, Any] | None = N
         kernel=_kernel_config("kernel", merged.get("kernel", {})),
         model=merged.get("model"),
         sampler=merged.get("sampler"),
-        models=tuple(merged.get("models", ())),
-        samplers=tuple(merged.get("samplers", ())),
+        models=_coerce("models", merged.get("models", ()), tuple),
+        samplers=_coerce("samplers", merged.get("samplers", ()), tuple),
         tune_grid=_coerce(
             "tune_grid", merged.get("tune_grid", ()), lambda gs: tuple(float(g) for g in gs)
         ),
@@ -245,7 +257,15 @@ def _cox_events(model_cfg: Mapping[str, Any]) -> np.ndarray:
     source = model_cfg.get("events_file")
     if source is None:
         return np.asarray(mining_event_times())
-    return read_event_times(source)
+    return _read_events(source)
+
+
+def _read_events(path: str | Path) -> np.ndarray:
+    """:func:`read_event_times`, with a bad line raising InvalidConfig."""
+    try:
+        return read_event_times(path)
+    except ValueError as exc:
+        raise InvalidConfig(str(exc)) from None
 
 
 def _cox_dataset(
@@ -267,14 +287,41 @@ def _write_matrix(path: Path, arr: np.ndarray, comment: str) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _read_matrix(path: Path) -> np.ndarray:
-    rows = []
-    for line in Path(path).read_text().splitlines():
+def _read_rows(
+    path: str | Path,
+    convert: Callable[[list[str]], Any],
+    header: str | None = None,
+) -> list[Any]:
+    """``convert`` applied to the comma-split fields of each data row of a CSV.
+
+    Blank lines, ``#`` comments and a ``header`` line are skipped. Every row
+    must have as many fields as the first; a row that does not, or that
+    ``convert`` rejects, raises InvalidConfig naming the file and line, as
+    does a file without rows.
+    """
+    rows, width = [], None
+    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
-        if not line or line.startswith("#"):
+        if not line or line.startswith("#") or line == header:
             continue
-        rows.append([float(tok) for tok in line.split(",")])
-    return np.asarray(rows, dtype=float)
+        fields = line.split(",")
+        width = width or len(fields)
+        try:
+            if len(fields) != width:
+                raise ValueError(f"{len(fields)} fields, expected {width}")
+            rows.append(convert(fields))
+        except ValueError as exc:
+            raise InvalidConfig(f"{path}:{line_no}: bad row {line!r} ({exc})") from None
+    if not rows:
+        raise InvalidConfig(f"{path} contains no data rows")
+    return rows
+
+
+def _read_matrix(path: Path) -> np.ndarray:
+    arr = np.asarray(_read_rows(path, lambda fields: [float(t) for t in fields]))
+    if not np.all(np.isfinite(arr)):
+        raise InvalidConfig(f"{path} contains non-finite values")
+    return arr
 
 
 def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
@@ -342,24 +389,35 @@ def load_dataset(dataset_dir: str | Path) -> Dataset:
     manifest_path = dataset_dir / "manifest.json"
     if not manifest_path.exists():
         raise InvalidConfig(f"{dataset_dir} has no manifest.json")
-    manifest = json.loads(manifest_path.read_text())
-    model_cfg = dict(manifest["model"])
-    kernel = KernelConfig(**manifest["kernel"])
-    kind = model_cfg["kind"]
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        model_cfg = dict(manifest["model"])
+        kernel = KernelConfig(**manifest["kernel"])
+        kind = model_cfg["kind"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise InvalidConfig(f"{manifest_path} is not a dataset manifest: {exc!r}") from None
     if kind == "cox":
-        return _cox_dataset(read_event_times(dataset_dir / "events.txt"), model_cfg, kernel)
+        return _cox_dataset(_read_events(dataset_dir / "events.txt"), model_cfg, kernel)
     inputs = _read_matrix(dataset_dir / "inputs.csv")
     obs = _read_matrix(dataset_dir / "observations.csv").ravel()
     latents = _read_matrix(dataset_dir / "latents.csv").ravel()
-    if kind == "regression":
-        noise_std = float(model_cfg.get("noise_std", 0.3))
-        data = RegressionData(y=obs, noise_variance=noise_std**2)
-    elif kind == "classification":
-        data = ClassificationData(
-            labels=obs.astype(int), link=model_cfg.get("link", "logistic")
+    if not len(inputs) == obs.size == latents.size:
+        raise InvalidConfig(
+            f"{dataset_dir / 'observations.csv'} has {obs.size} values and "
+            f"latents.csv {latents.size}, but inputs.csv has {len(inputs)} rows"
         )
-    else:
-        raise InvalidConfig(f"unknown model kind {kind!r} in manifest")
+    try:
+        if kind == "regression":
+            noise_std = float(model_cfg.get("noise_std", 0.3))
+            data = RegressionData(y=obs, noise_variance=noise_std**2)
+        elif kind == "classification":
+            data = ClassificationData(
+                labels=obs.astype(int), link=model_cfg.get("link", "logistic")
+            )
+        else:
+            raise InvalidConfig(f"unknown model kind {kind!r} in manifest")
+    except ValueError as exc:
+        raise InvalidConfig(f"{dataset_dir}: {exc}") from None
     return Dataset(inputs, data, latents, kernel, model_cfg)
 
 
@@ -371,8 +429,11 @@ def build_prior(dataset: Dataset) -> GaussianPrior:
     return factorize(squared_exponential(dataset.inputs, dataset.kernel))
 
 
+_TRACE_HEADER = "iteration,log_likelihood,cumulative_likelihood_evals,accepted"
+
+
 def write_trace_csv(path: str | Path, trace: ChainTrace, comment: str) -> None:
-    lines = [f"# {comment}", "iteration,log_likelihood,cumulative_likelihood_evals,accepted"]
+    lines = [f"# {comment}", _TRACE_HEADER]
     for i in range(trace.n_kept):
         lines.append(
             f"{i},{repr(float(trace.log_lik[i]))},"
@@ -383,18 +444,14 @@ def write_trace_csv(path: str | Path, trace: ChainTrace, comment: str) -> None:
 
 def read_trace_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(log_likelihood, cumulative_likelihood_evals, accepted) columns."""
-    log_lik, evals, accepted = [], [], []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("iteration"):
-            continue
-        _, ll, ev, acc = line.split(",")
-        log_lik.append(float(ll))
-        evals.append(int(ev))
-        accepted.append(bool(int(acc)))
-    if not log_lik:
-        raise InvalidConfig(f"{path} contains no trace rows")
+    rows = _read_rows(path, _trace_row, header=_TRACE_HEADER)
+    log_lik, evals, accepted = zip(*rows)
     return np.asarray(log_lik), np.asarray(evals), np.asarray(accepted)
+
+
+def _trace_row(fields: list[str]) -> tuple[float, int, bool]:
+    _, ll, ev, acc = fields  # another width raises ValueError
+    return float(ll), int(ev), bool(int(acc))
 
 
 def _report_dict(report: EssReport, cfg: ExperimentConfig) -> dict[str, Any]:
@@ -406,8 +463,6 @@ def _report_dict(report: EssReport, cfg: ExperimentConfig) -> dict[str, Any]:
 
 def _step_fn(sampler_cfg: Mapping[str, Any]) -> StepFn:
     """The step function a sampler spec (``kind`` plus parameters) describes."""
-    if not isinstance(sampler_cfg, Mapping):
-        raise InvalidConfig(f"a sampler spec must be a JSON object, got {sampler_cfg!r}")
     params = {k: v for k, v in sampler_cfg.items() if k != "kind"}
     return make_operator(sampler_cfg.get("kind", "elliptical"), **params)
 

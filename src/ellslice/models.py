@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import gammaln, log_ndtr
 
-from .errors import DimensionMismatch, EventOutOfRange
+from .errors import DimensionMismatch
 from .gaussian import GaussianPrior, factorize
 from .kernels import KernelConfig, squared_exponential
 
@@ -173,50 +173,35 @@ def gp_regression_posterior_oracle(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact Gaussian posterior for the regression likelihood.
 
-    mean = S (S + v I)^-1 y and cov = S - S (S + v I)^-1 S with S the prior
-    covariance and v the noise variance, solved through a factorization of
-    (S + v I) rather than an explicit inverse.
+    mean = S (S + v I)^-1 y and cov = S - S (S + v I)^-1 S with v the noise
+    variance and S = cov + jitter*I the covariance the prior actually draws
+    from, solved through a factorization of (S + v I) rather than an
+    explicit inverse.
     """
     if data.n != prior.n:
         raise DimensionMismatch(f"data has {data.n} points, prior has {prior.n}")
-    cov = prior.cov
-    gram = factorize(cov + data.noise_variance * np.eye(prior.n), jitter_scale=0.0)
+    cov = prior.cov + prior.jitter * np.eye(prior.n)
+    gram = factorize(cov + data.noise_variance * np.eye(prior.n))
     mean = cov @ scipy.linalg.cho_solve((gram.chol, True), data.y)
     post_cov = cov - cov @ scipy.linalg.cho_solve((gram.chol, True), cov)
     return mean, 0.5 * (post_cov + post_cov.T)
 
 
-def bin_events(
-    event_times: np.ndarray,
-    bin_width: float,
-    origin: float | None = None,
-    n_bins: int | None = None,
-) -> CoxData:
-    """Count events into half-open bins [origin + k*w, origin + (k+1)*w).
+def bin_events(event_times: np.ndarray, bin_width: float) -> CoxData:
+    """Count events into half-open bins [t0 + k*w, t0 + (k+1)*w), where t0 is
+    the first event and the last bin is the one holding the last event.
 
     The offset is log(total events / number of bins), the empirical mean
-    rate per bin. ``origin`` defaults to the first event; ``n_bins`` defaults
-    to the smallest count covering the last event (pass it explicitly to
-    keep trailing empty bins).
+    rate per bin.
     """
     times = np.asarray(event_times, dtype=float)
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
     if times.size == 0:
         raise ValueError("no events: mean-rate offset log(0) is degenerate")
-    if origin is None:
-        origin = float(times.min())
-    if np.any(times < origin):
-        raise EventOutOfRange(f"event at {times.min()} precedes origin {origin}")
-    idx = np.floor((times - origin) / bin_width).astype(np.int64)
-    if n_bins is None:
-        n_bins = int(idx.max()) + 1
-    elif np.any(idx >= n_bins):
-        raise EventOutOfRange(
-            f"event in bin {idx.max()} but only {n_bins} bins requested"
-        )
-    counts = np.bincount(idx, minlength=n_bins)
-    offset = math.log(times.size / n_bins)
+    idx = np.floor((times - times.min()) / bin_width).astype(np.int64)
+    counts = np.bincount(idx)
+    offset = math.log(times.size / counts.size)
     return CoxData(counts, offset)
 
 
@@ -228,8 +213,11 @@ def read_event_times(path: str | Path) -> np.ndarray:
         text = line.strip()
         if not text:
             continue
-        value = float(text)
-        if value < 0 or not math.isfinite(value):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{path}:{line_no}: invalid event time {text!r}")
         times.append(value)
     return np.asarray(times, dtype=float)

@@ -19,7 +19,6 @@ from ellslice import (
     factorize,
     make_operator,
     make_partition,
-    random_partition,
     squared_exponential,
     KernelConfig,
 )
@@ -58,11 +57,6 @@ class TestPartitions:
         covered = sorted(i for p in parts for i in p.subset)
         assert covered == list(range(10))
 
-    def test_random_partition_size(self):
-        part = random_partition(8, 3, chain_rng(0))
-        assert len(part.subset) == 3
-        assert len(part.complement) == 5
-
     def test_direct_construction_validates(self):
         with pytest.raises(ValueError):
             BlockPartition(subset=(0, 1), complement=(1, 2), n=3)
@@ -98,7 +92,7 @@ class TestConditionalGaussian:
         for _ in range(100):
             cov = random_spd(rng, 6)
             size = int(rng.integers(1, 6))
-            part = random_partition(6, size, rng)
+            part = make_partition(6, rng.choice(6, size=size, replace=False))
             f_b = rng.standard_normal(len(part.complement))
             cond = conditional_gaussian(cov, part, f_b)
             A = np.ix_(part.subset, part.subset)
@@ -136,7 +130,7 @@ class TestBlockUpdate:
         conditional N(m, S) given the frozen complement."""
         rng = chain_rng(4)
         cov = random_spd(rng, 4)
-        prior = factorize(cov, jitter_scale=0.0)
+        prior = factorize(cov)
         model = ConstantLikelihood(4)
         part = make_partition(4, [0, 2])
         f0 = prior.sample(rng)
@@ -161,7 +155,7 @@ class TestBlockUpdate:
         same transition as the plain operator: compare posterior moments."""
         rng = chain_rng(5)
         cov = np.array([[1.0, 0.6], [0.6, 1.2]])
-        prior = factorize(cov, jitter_scale=0.0)
+        prior = factorize(cov)
         data = RegressionData(y=np.array([1.0, -1.0]), noise_variance=0.5)
         part = make_partition(2, [0, 1])
 

@@ -41,7 +41,7 @@ class TestCheckCovariance:
 
 class TestFactorize:
     def test_identity_needs_no_jitter(self):
-        prior = factorize(np.eye(2), jitter_scale=0.0)
+        prior = factorize(np.eye(2))
         np.testing.assert_array_equal(prior.chol, np.eye(2))
         assert prior.jitter == 0.0
 
@@ -79,7 +79,7 @@ class TestFactorize:
 
 class TestSample:
     def test_identity_covariance_passes_through_normals(self):
-        prior = factorize(np.eye(3), jitter_scale=0.0)
+        prior = factorize(np.eye(3))
         draw = prior.sample(np.random.default_rng(7))
         raw = np.random.default_rng(7).standard_normal(3)
         np.testing.assert_array_equal(draw, raw)
@@ -109,11 +109,11 @@ class TestSample:
 
 class TestLogDensity:
     def test_standard_normal_at_origin(self):
-        prior = factorize(np.array([[1.0]]), jitter_scale=0.0)
+        prior = factorize(np.array([[1.0]]))
         assert math.isclose(prior.log_density(np.array([0.0])), -0.5 * math.log(2 * math.pi))
 
     def test_standard_normal_at_one(self):
-        prior = factorize(np.array([[1.0]]), jitter_scale=0.0)
+        prior = factorize(np.array([[1.0]]))
         expected = -0.5 * math.log(2 * math.pi) - 0.5
         assert math.isclose(prior.log_density(np.array([1.0])), expected)
 
@@ -121,7 +121,7 @@ class TestLogDensity:
         rng = np.random.default_rng(9)
         for _ in range(25):
             cov = random_spd(rng, 4)
-            prior = factorize(cov, jitter_scale=0.0)
+            prior = factorize(cov)
             f = rng.standard_normal(4)
             direct = -0.5 * (
                 4 * math.log(2 * math.pi)
@@ -177,7 +177,7 @@ class TestRotate:
         """Rotating (f, nu) by any angle preserves the joint prior density."""
         rng = np.random.default_rng(21)
         cov = random_spd(rng, 10)
-        prior = factorize(cov, jitter_scale=0.0)
+        prior = factorize(cov)
         for _ in range(200):
             f = prior.sample(rng)
             nu = prior.sample(rng)

@@ -34,6 +34,44 @@ from ellslice.harness import (
 )
 
 
+# Corruptions of a generated dataset or run file, for
+# TestCliMain.test_malformed_input_file_exits_2.
+def _edit_manifest(change):
+    def corrupt(path):
+        manifest = json.loads(path.read_text())
+        change(manifest)
+        path.write_text(json.dumps(manifest))
+    return corrupt
+
+
+def _append(text):
+    return lambda path: path.write_text(path.read_text() + text)
+
+
+def _drop_last_line(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
+def _keep_columns(k):
+    def corrupt(path):
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(",".join(line.split(",")[:k]) for line in lines) + "\n")
+    return corrupt
+
+
+def _set_kind(kind):
+    def corrupt(dataset_dir):
+        _edit_manifest(lambda m: m["model"].update(kind=kind))(dataset_dir / "manifest.json")
+    return corrupt
+
+
+def _cox_with_events(text):
+    def corrupt(path):
+        path.write_text(text)
+        _set_kind("cox")(path.parent)
+    return corrupt
+
+
 def small_regression_cfg(seed=3, **extra):
     raw = {
         "seed": seed,
@@ -138,13 +176,19 @@ class TestBuildDataset:
 
 class TestGenerateAndLoad:
     def test_regression_round_trip(self, tmp_path):
-        cfg = small_regression_cfg()
-        (written,) = cli_generate(cfg, tmp_path / "ds")
-        ds = load_dataset(written)
-        fresh = build_dataset(cfg.model, cfg.kernel, chain_rng(cfg.seed, 0, 0))
-        assert np.array_equal(ds.inputs, fresh.inputs)
-        assert np.array_equal(ds.data.y, fresh.data.y)
-        assert np.array_equal(ds.latents, fresh.latents)
+        probit = {"kind": "classification", "n": 15, "dims": 1, "link": "probit"}
+        for name, cfg in (("reg", small_regression_cfg()),
+                          ("cls", small_regression_cfg(model=probit))):
+            (written,) = cli_generate(cfg, tmp_path / name)
+            ds = load_dataset(written)
+            fresh = build_dataset(cfg.model, cfg.kernel, chain_rng(cfg.seed, 0, 0))
+            assert np.array_equal(ds.inputs, fresh.inputs)
+            assert np.array_equal(ds.latents, fresh.latents)
+            if name == "reg":
+                assert np.array_equal(ds.data.y, fresh.data.y)
+            else:
+                assert np.array_equal(ds.data.labels, fresh.data.labels)
+                assert ds.data.link == fresh.data.link == "probit"
 
     def test_manifest_embeds_hash_and_seed(self, tmp_path):
         cfg = small_regression_cfg(seed=7)
@@ -434,6 +478,10 @@ class TestCliMain:
         ("benchmark", {"samplers": [{"kind": "hamiltonian"}]}),
         ("benchmark", {"samplers": [{"kind": "elliptical"},
                                     {"kind": "elliptical", "max_shrinks": 1}]}),
+        ("generate", {"model": 5}),
+        ("generate", {"sampler": 5}),
+        ("benchmark", {"models": 5}),
+        ("benchmark", {"models": [5]}),
     ])
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, command, raw):
         cfg = self.write_cfg(tmp_path, {
@@ -448,6 +496,43 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert code == 2
         assert "error:" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, target, corrupt", [
+        pytest.param("run", "ds/manifest.json", lambda p: p.write_text("{not json"),
+                     id="manifest-not-json"),
+        pytest.param("run", "ds/manifest.json", _edit_manifest(lambda m: m.pop("model")),
+                     id="manifest-no-model"),
+        pytest.param("run", "ds/inputs.csv", _append("abc\n"), id="cell-not-numeric"),
+        pytest.param("run", "ds/inputs.csv", _append("nan\n"), id="cell-not-finite"),
+        pytest.param("run", "ds/observations.csv", _drop_last_line, id="observations-short"),
+        pytest.param("run", "ds", _set_kind("classification"), id="labels-not-plus-minus-one"),
+        pytest.param("run", "ds/events.txt", _cox_with_events("0.0\nsoon\n"),
+                     id="event-not-numeric"),
+        pytest.param("diagnose", "run/trace.csv", _keep_columns(3), id="trace-3-columns"),
+        pytest.param("diagnose", "run/trace.csv", _append("20,abc,99,1\n"),
+                     id="trace-cell-not-numeric"),
+    ])
+    def test_malformed_input_file_exits_2(self, tmp_path, capsys, command, target, corrupt):
+        cfg = self.write_cfg(tmp_path, {
+            "seed": 14, "n_burn": 5, "n_keep": 20,
+            "model": {"kind": "regression", "n": 10},
+            "sampler": {"kind": "elliptical"},
+        })
+        ds, run = str(tmp_path / "ds"), str(tmp_path / "run")
+        assert cli.main(["generate", "--config", cfg, "--out", ds]) == 0
+        assert cli.main(["run", ds, "--config", cfg, "--out", run]) == 0
+        corrupt(tmp_path / target)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        if command == "run":
+            code = cli.main(["run", ds, "--config", cfg, "--out", str(out)])
+        else:
+            code = cli.main(["diagnose", str(tmp_path / target), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and str(tmp_path / target) in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_diagnose_writes_json(self, tmp_path, capsys):

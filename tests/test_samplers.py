@@ -30,7 +30,7 @@ TWO_PI = 2.0 * math.pi
 
 
 def scalar_prior(var=1.0):
-    return factorize(np.array([[var]]), jitter_scale=0.0)
+    return factorize(np.array([[var]]))
 
 
 class SpikeAtStart:
@@ -180,7 +180,7 @@ class TestEllipticalStep:
 class TestAuxiliaryVariant:
     def test_prior_recovery_moments(self):
         cov = np.array([[1.0, 0.4], [0.4, 0.8]])
-        prior = factorize(cov, jitter_scale=0.0)
+        prior = factorize(cov)
         trace = run_chain(
             np.zeros(2), make_operator("elliptical-aux"), prior,
             ConstantLikelihood(2), n_burn=100, n_keep=10_000, thin=1,
@@ -387,7 +387,7 @@ class TestRunChain:
 
     def test_prior_recovery_within_monte_carlo_error(self):
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])
-        prior = factorize(cov, jitter_scale=0.0)
+        prior = factorize(cov)
         trace = run_chain(
             np.array([5.0, -5.0]), make_operator("elliptical"), prior,
             ConstantLikelihood(2), n_burn=100, n_keep=10_000, thin=1,
