@@ -2,7 +2,10 @@
 
 Everything downstream (samplers, conditional blocks, posterior oracles)
 funnels through :class:`GaussianPrior`: one factorization per covariance,
-then draws are a triangular multiply and log-densities a triangular solve.
+then draws are a triangular multiply (:meth:`~GaussianPrior.draw` also
+returns the white noise behind the draw) and whitening is a triangular
+solve (:meth:`~GaussianPrior.whiten`). The normalizing constant of the
+log-density is computed once, with the factor.
 """
 
 from __future__ import annotations
@@ -44,31 +47,62 @@ class GaussianPrior:
 
     ``chol @ chol.T == cov + jitter * I``; ``jitter`` is whatever diagonal
     repair :func:`factorize` actually had to add (0.0 on well-conditioned
-    input). Immutable, so one prior can be shared across chains.
+    input). ``log_norm`` is the log normalizing constant
+    -n/2 log(2 pi) - sum(log diag(chol)), so that
+    ``log_density(f) == log_norm - |whiten(f)|^2 / 2``. Immutable, so one
+    prior can be shared across chains.
     """
 
     cov: np.ndarray
     chol: np.ndarray
     jitter: float = 0.0
     n: int = field(init=False)
+    log_norm: np.float64 = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", self.cov.shape[0])
+        # kept a NumPy scalar, as np.sum returns it, so log-densities and
+        # line-slice thresholds are np.float64, whose repr the pinned trace
+        # digests hash
+        half_logdet = np.sum(np.log(np.diag(self.chol)))
+        object.__setattr__(self, "log_norm", -0.5 * self.n * LOG_2PI - half_logdet)
+
+    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Draw ``(nu, z)``: z ~ N(0, I) and nu = chol @ z ~ N(0, cov + jitter*I)."""
+        z = rng.standard_normal(self.n)
+        return self.chol @ z, z
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Draw one vector from N(0, cov + jitter*I): a triangular multiply per draw."""
-        return self.chol @ rng.standard_normal(self.n)
+        return self.draw(rng)[0]
 
-    def log_density(self, f: np.ndarray) -> float:
-        """Exact log N(f; 0, cov + jitter*I) via the cached factor."""
+    def whiten(self, f: np.ndarray) -> np.ndarray:
+        """Solve ``chol @ w = f`` for w, which is N(0, I) when f is a prior draw.
+
+        The factor was checked once by :func:`factorize`, so the solve skips
+        SciPy's finiteness scan of it; a non-finite ``f`` shows up in ``w``.
+
+        Raises
+        ------
+        DimensionMismatch
+            If ``f`` is not a vector of length ``n``.
+        ValueError
+            If ``f`` contains infs or NaNs.
+        """
         f = np.asarray(f, dtype=float)
         if f.shape != (self.n,):
             raise DimensionMismatch(
                 f"expected vector of length {self.n}, got shape {f.shape}"
             )
-        half_logdet = np.sum(np.log(np.diag(self.chol)))
-        w = scipy.linalg.solve_triangular(self.chol, f, lower=True)
-        return -0.5 * self.n * LOG_2PI - half_logdet - 0.5 * float(w @ w)
+        w = scipy.linalg.solve_triangular(self.chol, f, lower=True, check_finite=False)
+        if not np.isfinite(w).all():
+            raise ValueError("vector must not contain infs or NaNs")
+        return w
+
+    def log_density(self, f: np.ndarray) -> float:
+        """Exact log N(f; 0, cov + jitter*I): one triangular solve."""
+        w = self.whiten(f)
+        return self.log_norm - 0.5 * float(w @ w)
 
 
 def factorize(cov: np.ndarray) -> GaussianPrior:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -177,6 +178,22 @@ def _coerce(key: str, value: Any, convert: Callable[[Any], Any]) -> Any:
         raise InvalidConfig(f"bad value for {key!r}: {value!r} ({exc})") from None
 
 
+def _in_range(convert: Callable[[Any], Any], ok: Callable[[Any], bool], need: str):
+    """``convert``, then a range check that raises ValueError saying what is needed."""
+    def checked(value: Any) -> Any:
+        converted = convert(value)
+        if not ok(converted):
+            raise ValueError(f"must be {need}")
+        return converted
+    return checked
+
+
+# model-spec values: sizes (n, dims), noise_std, bin_width
+_COUNT = _in_range(int, lambda x: x >= 1, ">= 1")
+_NONNEGATIVE = _in_range(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0")
+_POSITIVE = _in_range(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
+
+
 def _kernel_config(key: str, value: Any) -> KernelConfig:
     """A kernel section (a JSON object of KernelConfig fields) as a KernelConfig."""
     return _coerce(key, value, lambda fields: KernelConfig(**fields))
@@ -229,18 +246,18 @@ def build_dataset(model_cfg: Mapping[str, Any], kernel: KernelConfig, rng: np.ra
     if kind == "regression":
         kern = _model_kernel(model_cfg, kernel)
         inputs, data, latents = generate_regression_dataset(
-            _coerce("n", model_cfg.get("n", 200), int),
-            _coerce("dims", model_cfg.get("dims", 1), int),
+            _coerce("n", model_cfg.get("n", 200), _COUNT),
+            _coerce("dims", model_cfg.get("dims", 1), _COUNT),
             kern,
-            _coerce("noise_std", model_cfg.get("noise_std", 0.3), float),
+            _coerce("noise_std", model_cfg.get("noise_std", 0.3), _NONNEGATIVE),
             rng,
         )
         return Dataset(inputs, data, latents, kern, dict(model_cfg))
     if kind == "classification":
         kern = _model_kernel(model_cfg, CLASSIFICATION_KERNEL)
         inputs, data, latents = generate_classification_dataset(
-            _coerce("n", model_cfg.get("n", 200), int),
-            _coerce("dims", model_cfg.get("dims", 1), int),
+            _coerce("n", model_cfg.get("n", 200), _COUNT),
+            _coerce("dims", model_cfg.get("dims", 1), _COUNT),
             kern,
             rng,
             link=model_cfg.get("link", "logistic"),
@@ -257,22 +274,28 @@ def _cox_events(model_cfg: Mapping[str, Any]) -> np.ndarray:
     source = model_cfg.get("events_file")
     if source is None:
         return np.asarray(mining_event_times())
-    return _read_events(source)
+    try:
+        return _read_events(source)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"bad value for 'events_file': {exc}") from None
 
 
 def _read_events(path: str | Path) -> np.ndarray:
-    """:func:`read_event_times`, with a bad line raising InvalidConfig."""
+    """:func:`read_event_times`, with a bad line or no events raising InvalidConfig."""
     try:
-        return read_event_times(path)
+        times = read_event_times(path)
     except ValueError as exc:
         raise InvalidConfig(str(exc)) from None
+    if times.size == 0:
+        raise InvalidConfig(f"{path}: no event times")
+    return times
 
 
 def _cox_dataset(
     events: np.ndarray, model_cfg: Mapping[str, Any], kernel: KernelConfig
 ) -> Dataset:
     """Bin events into counts; bin centers are the 1-D inputs."""
-    width = _coerce("bin_width", model_cfg.get("bin_width", COX_BIN_WIDTH), float)
+    width = _coerce("bin_width", model_cfg.get("bin_width", COX_BIN_WIDTH), _POSITIVE)
     data = bin_events(events, width)
     centers = (np.arange(data.n) + 0.5) * width
     return Dataset(centers.reshape(-1, 1), data, None, kernel, dict(model_cfg))
@@ -343,7 +366,7 @@ def cli_generate(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
         raise InvalidConfig("generate requires a 'model' section")
     dims = cfg.model.get("dims", 1)
     if isinstance(dims, (list, tuple)):
-        dims = [_coerce("dims", d, int) for d in dims]
+        dims = [_coerce("dims", d, _COUNT) for d in dims]
         variants = [dict(cfg.model, dims=d) for d in dims]
         dirs = [Path(out_dir) / f"d{d:02d}" for d in dims]
     else:
@@ -454,10 +477,11 @@ def _trace_row(fields: list[str]) -> tuple[float, int, bool]:
     return float(ll), int(ev), bool(int(acc))
 
 
-def _report_dict(report: EssReport, cfg: ExperimentConfig) -> dict[str, Any]:
+def _report_dict(report: EssReport, cfg: ExperimentConfig, prior: GaussianPrior) -> dict[str, Any]:
     payload = dataclasses.asdict(report)
     payload["config_hash"] = config_hash(cfg)
     payload["seed"] = cfg.seed
+    payload["prior_jitter"] = float(prior.jitter)
     return payload
 
 
@@ -500,7 +524,7 @@ def cli_run(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out / "trace.csv", trace, _provenance(cfg))
-    _write_json(out / "summary.json", _report_dict(report, cfg))
+    _write_json(out / "summary.json", _report_dict(report, cfg, prior))
     _write_json(
         out / "manifest.json",
         {
@@ -614,7 +638,7 @@ def cli_benchmark(cfg: ExperimentConfig, out_dir: str | Path) -> dict[str, Any]:
                     failures.append({"repeat": rep, "error": str(exc)})
                     continue
                 write_trace_csv(rep_dir / "trace.csv", trace, _provenance(cfg))
-                _write_json(rep_dir / "summary.json", _report_dict(report, cfg))
+                _write_json(rep_dir / "summary.json", _report_dict(report, cfg, prior))
                 reports.append(report)
             ess = np.array([r.ess for r in reports]) if reports else np.array([np.nan])
             cell = {

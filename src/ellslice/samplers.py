@@ -14,7 +14,7 @@ propose moves built from a single auxiliary draw nu ~ N(0, cov):
   sqrt(1-eps^2)*f + eps*nu and a fixed step size eps.
 * :func:`line_slice_step` -- slice sampling along the straight line
   f + eps*nu, which (unlike the ellipse) must evaluate the prior density at
-  every proposal.
+  every proposal; in whitened coordinates that costs O(1) per proposal.
 
 The three slice operators differ only in their curve, their first draw and
 bracket, and (for the line) the prior term of the target; they share one
@@ -286,6 +286,20 @@ def neal_mh_step(
     return StepResult(_advance(state, f_new, log_lik, evals + 1), accepted)
 
 
+def _line_log_prior(
+    prior: GaussianPrior, f: np.ndarray, z: np.ndarray
+) -> Callable[[float], float]:
+    """The prior log-density at f + eps*nu as a function of eps, for nu = chol @ z.
+
+    In whitened coordinates the line is w + eps*z with w = chol^-1 f, so the
+    log-density is log_norm - (w.w + eps*(2 w.z + eps z.z))/2: one triangular
+    solve and three dot products up front, then O(1) per eps.
+    """
+    w = prior.whiten(f)
+    c, ww, wz2, zz = prior.log_norm, float(w @ w), 2.0 * float(w @ z), float(z @ z)
+    return lambda eps: c - 0.5 * (ww + eps * (wz2 + eps * zz))
+
+
 def line_slice_step(
     state: SamplerState,
     prior: GaussianPrior,
@@ -296,19 +310,22 @@ def line_slice_step(
 
     The prior density does not cancel along a line the way it does around
     the ellipse, so the slice is taken through the full log posterior and
-    every proposal costs a prior log-density evaluation on top of the
-    likelihood. The initial bracket of width :data:`LINE_WIDTH` is
-    positioned uniformly at random around eps = 0 and shrinks toward it.
+    every proposal evaluates the prior log-density on top of the
+    likelihood; :func:`_line_log_prior` makes that one triangular solve per
+    step and O(1) per proposal. The initial bracket of width
+    :data:`LINE_WIDTH` is positioned uniformly at random around eps = 0 and
+    shrinks toward it.
     """
     cur_log_lik, evals = _start(state, model, rng)
-    nu = prior.sample(rng)
+    nu, z = prior.draw(rng)
+    log_prior = _line_log_prior(prior, state.f, z)
     # the current state's prior density seeds the threshold: one prior eval
-    log_y = _log_slice_height(prior.log_density(state.f) + cur_log_lik, rng)
+    log_y = _log_slice_height(log_prior(0.0) + cur_log_lik, rng)
 
     def propose(eps):
         f_prop = state.f + eps * nu
         log_lik = _eval_log_lik(model, f_prop)
-        return f_prop, log_lik, prior.log_density(f_prop) + log_lik
+        return f_prop, log_lik, log_prior(eps) + log_lik
 
     u = rng.uniform()
     eps_min, eps_max = -LINE_WIDTH * u, LINE_WIDTH * (1.0 - u)

@@ -107,6 +107,50 @@ class TestSample:
         assert np.linalg.norm(emp - cov) / np.linalg.norm(cov) < 0.05
 
 
+class TestDrawAndWhiten:
+    def test_draw_returns_factor_times_noise(self):
+        prior = factorize(random_spd(np.random.default_rng(2), 6))
+        nu, z = prior.draw(np.random.default_rng(4))
+        np.testing.assert_array_equal(z, np.random.default_rng(4).standard_normal(6))
+        np.testing.assert_array_equal(nu, prior.chol @ z)
+
+    def test_draw_consumes_the_stream_as_sample_does(self):
+        prior = factorize(random_spd(np.random.default_rng(3), 5))
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(3):
+            np.testing.assert_array_equal(prior.draw(a)[0], prior.sample(b))
+        assert a.uniform() == b.uniform()
+
+    def test_whiten_inverts_the_draw(self):
+        prior = factorize(random_spd(np.random.default_rng(5), 7))
+        nu, z = prior.draw(np.random.default_rng(6))
+        np.testing.assert_allclose(prior.whiten(nu), z, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        prior = factorize(random_spd(np.random.default_rng(7), 4))
+        f = np.array([0.5, bad, -1.0, 2.0])
+        with pytest.raises(ValueError):
+            prior.whiten(f)
+        with pytest.raises(ValueError):
+            prior.log_density(f)
+
+    def test_whiten_wrong_length_rejected(self):
+        prior = factorize(np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            prior.whiten(np.zeros(4))
+
+    def test_log_norm_is_the_density_at_zero(self):
+        cov = random_spd(np.random.default_rng(10), 5)
+        prior = factorize(cov)
+        expected = -0.5 * (5 * math.log(2 * math.pi) + math.log(np.linalg.det(cov)))
+        assert prior.log_norm == pytest.approx(expected, rel=1e-12)
+        assert prior.log_density(np.zeros(5)) == prior.log_norm
+        # a NumPy scalar, as it was when summed per call; its repr is pinned
+        # through the line-slice log_threshold in tests/test_trace_digests.py
+        assert type(prior.log_norm) is np.float64
+
+
 class TestLogDensity:
     def test_standard_normal_at_origin(self):
         prior = factorize(np.array([[1.0]]))

@@ -20,6 +20,7 @@ from ellslice.diagnostics import MIN_SERIES_LENGTH
 from ellslice.harness import (
     ExperimentConfig,
     build_dataset,
+    build_prior,
     cli_benchmark,
     cli_diagnose,
     cli_generate,
@@ -70,6 +71,12 @@ def _cox_with_events(text):
         path.write_text(text)
         _set_kind("cox")(path.parent)
     return corrupt
+
+
+def _empty_file(directory):
+    path = directory / "empty.txt"
+    path.write_text("")
+    return str(path)
 
 
 def small_regression_cfg(seed=3, **extra):
@@ -172,6 +179,24 @@ class TestBuildDataset:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidConfig):
             build_dataset({"kind": "survival"}, KernelConfig(), chain_rng(3))
+
+    @pytest.mark.parametrize("key, spec", [
+        ("n", {"kind": "regression", "n": 0}),
+        ("dims", {"kind": "regression", "n": 5, "dims": 0}),
+        ("noise_std", {"kind": "regression", "n": 5, "noise_std": -1}),
+        ("noise_std", {"kind": "regression", "n": 5, "noise_std": float("nan")}),
+        ("n", {"kind": "classification", "n": -3}),
+        ("bin_width", {"kind": "cox", "bin_width": -5}),
+        ("bin_width", {"kind": "cox", "bin_width": float("inf")}),
+    ])
+    def test_out_of_range_value_names_its_key(self, key, spec):
+        with pytest.raises(InvalidConfig, match=f"'{key}'"):
+            build_dataset(spec, KernelConfig(), chain_rng(4))
+
+    def test_empty_events_file_names_its_key(self, tmp_path):
+        spec = {"kind": "cox", "events_file": _empty_file(tmp_path)}
+        with pytest.raises(InvalidConfig, match="'events_file'.*no event times"):
+            build_dataset(spec, KernelConfig(), chain_rng(5))
 
 
 class TestGenerateAndLoad:
@@ -299,6 +324,7 @@ class TestRunCommand:
         assert summary["n_kept"] == cfg.n_keep == report.n_kept
         assert summary["config_hash"] == config_hash(cfg)
         assert summary["seed"] == cfg.seed
+        assert summary["prior_jitter"] == build_prior(load_dataset(ds)).jitter > 0.0
 
     def test_diagnose_matches_summary(self, tmp_path):
         cfg = small_regression_cfg(seed=10)
@@ -396,6 +422,20 @@ class TestBenchmark:
         assert line["prior_evals_mean"] > ell["prior_evals_mean"]
         assert ell["prior_evals_mean"] == 0.0
 
+    def test_summaries_report_prior_jitter(self, tmp_path):
+        cfg = self.matrix_cfg(repeats=1)
+        summary = cli_benchmark(cfg, tmp_path)
+        jitters = [
+            build_prior(build_dataset(
+                m, cfg.kernel, chain_rng(cfg.seed, harness._STREAM_DATASET, mi))).jitter
+            for mi, m in enumerate(cfg.models)
+        ]
+        assert jitters[0] != jitters[1]
+        for cell in summary["cells"]:
+            rep = json.loads((tmp_path / cell["cell"] / "repeat00" / "summary.json").read_text())
+            model = 0 if cell["model"]["kind"] == "regression" else 1
+            assert rep["prior_jitter"] == jitters[model]
+
     def test_single_repeat_has_zero_std(self, tmp_path):
         summary = cli_benchmark(self.matrix_cfg(repeats=1), tmp_path)
         for cell in summary["cells"]:
@@ -482,8 +522,18 @@ class TestCliMain:
         ("generate", {"sampler": 5}),
         ("benchmark", {"models": 5}),
         ("benchmark", {"models": [5]}),
+        ("generate", {"model": {"kind": "cox", "bin_width": -5}}),
+        pytest.param("generate",
+                     lambda tmp: {"model": {"kind": "cox", "events_file": _empty_file(tmp)}},
+                     id="generate-empty-events-file"),
+        ("generate", {"model": {"kind": "regression", "n": 0}}),
+        ("generate", {"model": {"kind": "regression", "n": 10, "dims": 0}}),
+        ("generate", {"model": {"kind": "regression", "n": 10, "noise_std": -1}}),
+        ("generate", {"model": {"kind": "classification", "n": -3}}),
     ])
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, command, raw):
+        if callable(raw):
+            raw = raw(tmp_path)
         cfg = self.write_cfg(tmp_path, {
             "seed": 14, "n_keep": 20,
             "model": {"kind": "regression", "n": 10},

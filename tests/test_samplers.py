@@ -9,6 +9,7 @@ from ellslice import (
     ChainError,
     ConstantLikelihood,
     InvalidConfig,
+    KernelConfig,
     MhConfig,
     NonFiniteLikelihood,
     RegressionData,
@@ -24,7 +25,8 @@ from ellslice import (
     neal_mh_step,
     run_chain,
 )
-from ellslice.samplers import LINE_WIDTH
+from ellslice.harness import build_dataset, build_prior
+from ellslice.samplers import LINE_WIDTH, _line_log_prior
 
 TWO_PI = 2.0 * math.pi
 
@@ -320,6 +322,23 @@ class TestLineSlice:
         xs = trace.snapshots[:, 0]
         ess = effective_sample_size(xs).ess
         assert abs(xs.mean() - post_mean) < 3 * math.sqrt(post_var / ess)
+
+    @pytest.mark.parametrize("kind", ["cox", "regression"])
+    def test_whitened_prior_term_matches_log_density_at_benchmark_size(self, kind):
+        """The per-step quadratic equals the direct log-density on the
+        default cox (n=811) and regression (n=200) priors, both of which
+        need jitter 1e-10 to factorize."""
+        prior = build_prior(build_dataset({"kind": kind}, KernelConfig(), chain_rng(1)))
+        assert prior.n == {"cox": 811, "regression": 200}[kind]
+        assert prior.jitter == 1e-10
+        rng = chain_rng(71)
+        for _ in range(20):
+            f = prior.sample(rng)
+            nu, z = prior.draw(rng)
+            log_prior = _line_log_prior(prior, f, z)
+            for eps in rng.uniform(-math.pi, math.pi, size=5):
+                direct = prior.log_density(f + eps * nu)
+                assert log_prior(eps) == pytest.approx(direct, rel=1e-9)
 
 
 class TestMakeOperator:
