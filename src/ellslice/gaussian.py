@@ -50,7 +50,10 @@ class GaussianPrior:
     input). ``log_norm`` is the log normalizing constant
     -n/2 log(2 pi) - sum(log diag(chol)), so that
     ``log_density(f) == log_norm - |whiten(f)|^2 / 2``. Immutable, so one
-    prior can be shared across chains.
+    prior can be shared across chains. ``conditionals`` is where
+    :func:`~ellslice.blocking.block_update` keeps each partition's
+    conditional factors; they are derived from ``cov`` alone, so they never
+    go stale.
     """
 
     cov: np.ndarray
@@ -58,6 +61,7 @@ class GaussianPrior:
     jitter: float = 0.0
     n: int = field(init=False)
     log_norm: np.float64 = field(init=False)
+    conditionals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", self.cov.shape[0])

@@ -431,15 +431,13 @@ def load_dataset(dataset_dir: str | Path) -> Dataset:
         )
     try:
         if kind == "regression":
-            noise_std = float(model_cfg.get("noise_std", 0.3))
+            noise_std = _coerce("noise_std", model_cfg.get("noise_std", 0.3), _NONNEGATIVE)
             data = RegressionData(y=obs, noise_variance=noise_std**2)
         elif kind == "classification":
-            data = ClassificationData(
-                labels=obs.astype(int), link=model_cfg.get("link", "logistic")
-            )
+            data = ClassificationData(labels=obs, link=model_cfg.get("link", "logistic"))
         else:
             raise InvalidConfig(f"unknown model kind {kind!r} in manifest")
-    except ValueError as exc:
+    except (ValueError, InvalidConfig) as exc:
         raise InvalidConfig(f"{dataset_dir}: {exc}") from None
     return Dataset(inputs, data, latents, kernel, model_cfg)
 

@@ -1,6 +1,7 @@
 """Conditional-Gaussian block updates and partition helpers."""
 
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ellslice import (
     BlockPartition,
     ConstantLikelihood,
     DimensionMismatch,
+    NotPositiveDefinite,
     RegressionData,
     SamplerState,
     block_update,
@@ -22,6 +24,7 @@ from ellslice import (
     squared_exponential,
     KernelConfig,
 )
+from ellslice import blocking, harness
 
 
 def random_spd(rng, n):
@@ -213,3 +216,116 @@ class TestBlockUpdate:
             samples[i] = state.f
         emp = np.cov(samples.T)
         assert np.linalg.norm(emp - cov) / np.linalg.norm(cov) < 0.10
+
+
+def recording(step_fn, seen):
+    """``step_fn``, also recording the centered block state and block prior
+    that block_update hands it."""
+    def step(state, prior, model, rng):
+        seen.append((state.f.copy(), prior))
+        return step_fn(state, prior, model, rng)
+    return step
+
+
+class TestBlockUpdateChecks:
+    def setup_method(self):
+        rng = chain_rng(9)
+        self.prior = factorize(random_spd(rng, 8))
+        self.data = RegressionData(y=rng.standard_normal(8), noise_variance=0.2)
+        self.state = SamplerState(f=self.prior.sample(rng))
+        self.rng = rng
+
+    def update(self, state, part):
+        return block_update(state, self.prior, self.data, part,
+                            make_operator("elliptical"), self.rng)
+
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_partition_of_another_size_rejected_before_cache(self, n):
+        self.update(self.state, make_partition(8, [0, 1]))
+        cached = list(self.prior.conditionals)
+        with pytest.raises(DimensionMismatch):
+            self.update(SamplerState(f=np.zeros(n)), make_partition(n, [0, 1]))
+        assert list(self.prior.conditionals) == cached
+
+    @pytest.mark.parametrize("length", [7, 9])
+    def test_state_of_wrong_length_rejected(self, length):
+        state = SamplerState(f=np.zeros(length))
+        with pytest.raises(DimensionMismatch):
+            self.update(state, make_partition(8, [0, 1]))
+
+    def test_complement_order_is_part_of_the_partition(self):
+        """Partitions with one subset but differently ordered complements
+        each get the conditional of their own ordering."""
+        for complement in ([1, 2, 3, 4, 5, 6, 7], [7, 3, 1, 5, 2, 6, 4]):
+            part = BlockPartition(subset=[0], complement=complement, n=8)
+            seen = []
+            block_update(self.state, self.prior, self.data, part,
+                         recording(make_operator("elliptical"), seen), self.rng)
+            cond = conditional_gaussian(self.prior.cov, part, self.state.f[part.complement])
+            np.testing.assert_allclose(seen[0][0], self.state.f[part.subset] - cond.mean,
+                                       rtol=0, atol=1e-12)
+
+    def test_conditional_that_does_not_factorize_fails_every_call(self):
+        """f_0 is a copy of f_1 under this prior, so the conditional of f_0
+        given the rest has zero variance."""
+        prior = factorize(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        data = RegressionData(y=np.zeros(3), noise_variance=0.2)
+        part = make_partition(3, [0])
+        f = np.array([0.5, 0.5, -1.0])
+        state = SamplerState(f=f)
+        errors = []
+        for _ in range(3):
+            with pytest.raises(NotPositiveDefinite) as info:
+                block_update(state, prior, data, part, make_operator("elliptical"), self.rng)
+            errors.append(info.value)
+        assert len({str(e) for e in errors}) == 1
+        assert len({id(e) for e in errors}) == 3
+        assert len({len(traceback.extract_tb(e.__traceback__)) for e in errors}) == 1
+        assert state.f is f
+        np.testing.assert_array_equal(f, [0.5, 0.5, -1.0])
+        # the other block's conditional is well defined
+        block_update(state, prior, data, make_partition(3, [1, 2]),
+                     make_operator("elliptical"), self.rng)
+
+
+class TestBenchmarkSize:
+    """The n=200, d=10 regression prior and four contiguous blocks that the
+    block-sweep benchmark uses."""
+
+    def setup_method(self):
+        cfg = {"kind": "regression", "n": 200, "dims": 10}
+        self.ds = harness.build_dataset(cfg, KernelConfig(), chain_rng(7, 0, 10))
+        self.prior = harness.build_prior(self.ds)
+        self.parts = contiguous_partitions(200, 4)
+
+    def test_cached_conditionals_match_dense_oracle(self):
+        rng = chain_rng(10)
+        step_fn = make_operator("elliptical")
+        state = SamplerState(f=self.prior.sample(rng))
+        for _ in range(3):
+            for part in self.parts:
+                seen = []
+                res = block_update(state, self.prior, self.ds.data, part,
+                                   recording(step_fn, seen), rng)
+                (inner_f, block_prior), = seen
+                cond = conditional_gaussian(self.prior.cov, part, state.f[part.complement])
+                np.testing.assert_allclose(inner_f, state.f[part.subset] - cond.mean,
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(block_prior.cov, cond.cov, rtol=0, atol=1e-12)
+                state = res.new_state
+
+    def test_at_most_two_factorizations_per_partition(self, monkeypatch):
+        calls = []
+
+        def counting(cov):
+            calls.append(cov.shape)
+            return factorize(cov)
+
+        monkeypatch.setattr(blocking, "factorize", counting)
+        rng = chain_rng(11)
+        step_fn = make_operator("elliptical")
+        state = SamplerState(f=np.zeros(200))
+        for _ in range(10):
+            for part in self.parts:
+                state = block_update(state, self.prior, self.ds.data, part, step_fn, rng).new_state
+        assert len(calls) <= 2 * len(self.parts)

@@ -60,9 +60,24 @@ def _keep_columns(k):
     return corrupt
 
 
-def _set_kind(kind):
+def _set_model(**fields):
     def corrupt(dataset_dir):
-        _edit_manifest(lambda m: m["model"].update(kind=kind))(dataset_dir / "manifest.json")
+        _edit_manifest(lambda m: m["model"].update(fields))(dataset_dir / "manifest.json")
+    return corrupt
+
+
+def _set_kind(kind):
+    return _set_model(kind=kind)
+
+
+def _labels_with(bad):
+    """Classification dataset whose labels are +1 except one ``bad`` value."""
+    def corrupt(dataset_dir):
+        _set_kind("classification")(dataset_dir)
+        path = dataset_dir / "observations.csv"
+        rows = [line for line in path.read_text().splitlines()
+                if line.strip() and not line.startswith("#")]
+        path.write_text("\n".join([repr(bad)] + ["1.0"] * (len(rows) - 1)) + "\n")
     return corrupt
 
 
@@ -261,6 +276,13 @@ class TestGenerateAndLoad:
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(InvalidConfig):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("noise_std", [-0.3, float("inf"), "loud"])
+    def test_bad_noise_std_in_manifest_rejected(self, tmp_path, noise_std):
+        (written,) = cli_generate(small_regression_cfg(seed=6), tmp_path)
+        _set_model(noise_std=noise_std)(written)
+        with pytest.raises(InvalidConfig, match="'noise_std'"):
+            load_dataset(written)
 
 
 class TestTraceCsv:
@@ -557,6 +579,8 @@ class TestCliMain:
         pytest.param("run", "ds/inputs.csv", _append("nan\n"), id="cell-not-finite"),
         pytest.param("run", "ds/observations.csv", _drop_last_line, id="observations-short"),
         pytest.param("run", "ds", _set_kind("classification"), id="labels-not-plus-minus-one"),
+        pytest.param("run", "ds", _labels_with(1.9), id="label-1.9"),
+        pytest.param("run", "ds", _set_model(noise_std=-0.3), id="manifest-negative-noise-std"),
         pytest.param("run", "ds/events.txt", _cox_with_events("0.0\nsoon\n"),
                      id="event-not-numeric"),
         pytest.param("diagnose", "run/trace.csv", _keep_columns(3), id="trace-3-columns"),
