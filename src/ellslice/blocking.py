@@ -138,7 +138,9 @@ def _block_conditional(
     A conditional that does not factorize is remembered too: every later
     call raises a fresh NotPositiveDefinite with the same message.
     """
-    key = part.subset.tobytes() + part.complement.tobytes()
+    # two fields, so the subset's end is part of the key: concatenated bytes
+    # of different splits (say [0] | [1..7] and [0, 1] | [2..7]) coincide
+    key = (part.subset.tobytes(), part.complement.tobytes())
     entry = prior.conditionals.get(key)
     if entry is None:
         try:
@@ -186,7 +188,9 @@ def block_update(
     the cache never goes stale). After the first call on a partition an
     update costs one pair of triangular solves for m plus the inner step,
     instead of two Cholesky factorizations. A partition whose conditional
-    does not factorize raises NotPositiveDefinite on every call.
+    does not factorize raises NotPositiveDefinite on every call. Entries are
+    kept for the prior's lifetime, one per distinct partition, so callers
+    should reuse partitions rather than draw new index sets every sweep.
 
     Raises
     ------

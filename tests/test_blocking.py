@@ -265,6 +265,26 @@ class TestBlockUpdateChecks:
             np.testing.assert_allclose(seen[0][0], self.state.f[part.subset] - cond.mean,
                                        rtol=0, atol=1e-12)
 
+    def test_partitions_that_share_index_bytes_get_their_own_conditional(self):
+        """[0] | [1..7] and [0, 1] | [2..7] list the same indices in the same
+        order, as do the first blocks of 2- and 4-block contiguous splits;
+        each must still get the conditional of its own split."""
+        parts = [make_partition(8, [0]), make_partition(8, [0, 1]),
+                 contiguous_partitions(8, 2)[0], contiguous_partitions(8, 4)[0]]
+        for part in parts:
+            seen = []
+            res = block_update(self.state, self.prior, self.data, part,
+                               recording(make_operator("elliptical"), seen), self.rng)
+            (inner_f, block_prior), = seen
+            cond = conditional_gaussian(self.prior.cov, part, self.state.f[part.complement])
+            np.testing.assert_allclose(inner_f, self.state.f[part.subset] - cond.mean,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(block_prior.cov, cond.cov, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(res.new_state.f[part.complement],
+                                          self.state.f[part.complement])
+        # contiguous_partitions(8, 4)[0] is make_partition(8, [0, 1]) again
+        assert len(self.prior.conditionals) == 3
+
     def test_conditional_that_does_not_factorize_fails_every_call(self):
         """f_0 is a copy of f_1 under this prior, so the conditional of f_0
         given the rest has zero variance."""
