@@ -80,8 +80,8 @@ class _Conditional:
     """The parts of the subset's conditional that do not depend on f_B.
 
     ``cov_ab`` is Cov_AB, ``chol_bb`` the lower Cholesky factor of Cov_BB
-    (both None for an empty complement) and ``schur`` the symmetrized Schur
-    complement S.
+    in Fortran order, as LAPACK takes it (both None for an empty
+    complement), and ``schur`` the symmetrized Schur complement S.
     """
 
     cov_ab: np.ndarray | None
@@ -96,15 +96,22 @@ class _Conditional:
         if b.size == 0:
             return cls(None, None, cov_aa)
         cov_ab = cov[np.ix_(a, b)]
-        chol_bb = factorize(cov[np.ix_(b, b)]).chol
+        chol_bb = np.asfortranarray(factorize(cov[np.ix_(b, b)]).chol)
         schur = cov_aa - cov_ab @ scipy.linalg.cho_solve((chol_bb, True), cov_ab.T)
         return cls(cov_ab, chol_bb, 0.5 * (schur + schur.T))
 
     def mean(self, f_b: np.ndarray) -> np.ndarray:
-        """m = Cov_AB Cov_BB^-1 f_B: one pair of triangular solves."""
+        """m = Cov_AB Cov_BB^-1 f_B: one pair of triangular solves.
+
+        The factor is finite by construction, so the solve skips SciPy's
+        finiteness scan; a non-finite f_B shows as a non-finite m instead.
+        """
         if self.cov_ab is None:
             return np.zeros(self.schur.shape[0])
-        return self.cov_ab @ scipy.linalg.cho_solve((self.chol_bb, True), f_b)
+        m = self.cov_ab @ scipy.linalg.cho_solve((self.chol_bb, True), f_b, check_finite=False)
+        if not np.isfinite(m).all():
+            raise ValueError("complement values give a non-finite conditional mean")
+        return m
 
 
 def conditional_gaussian(

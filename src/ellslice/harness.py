@@ -62,7 +62,7 @@ PAPER_KEEP = 100_000
 COX_BIN_WIDTH = 50.0
 COX_KERNEL = KernelConfig(lengthscale=13516.0, signal_variance=1.0)
 
-MODEL_KINDS = ("regression", "classification", "cox")
+_DEFAULT_SAMPLER = "elliptical"  # the kind of a sampler spec without "kind"
 
 # Sub-streams of the master seed, so each command draws from its own
 # reproducible stream regardless of execution order. Benchmark cells build
@@ -119,18 +119,7 @@ class ExperimentConfig:
 
     def as_dict(self) -> dict[str, Any]:
         """Canonical plain-dict form, used for hashing and manifests."""
-        return {
-            "seed": self.seed,
-            "n_burn": self.n_burn,
-            "n_keep": self.n_keep,
-            "repeats": self.repeats,
-            "kernel": dataclasses.asdict(self.kernel),
-            "model": dict(self.model) if self.model is not None else None,
-            "sampler": dict(self.sampler) if self.sampler is not None else None,
-            "models": [dict(m) for m in self.models],
-            "samplers": [dict(s) for s in self.samplers],
-            "tune_grid": list(self.tune_grid),
-        }
+        return dataclasses.asdict(self)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -147,11 +136,7 @@ def parse_config(raw: Mapping[str, Any], overrides: Mapping[str, Any] | None = N
             merged[key] = value
     if "seed" not in merged:
         raise InvalidConfig("config must supply a seed (no wall-clock seeding)")
-    known = {
-        "seed", "n_burn", "n_keep", "repeats", "kernel",
-        "model", "sampler", "models", "samplers", "tune_grid",
-    }
-    unknown = set(merged) - known
+    unknown = set(merged) - {field.name for field in dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
     return ExperimentConfig(
@@ -159,7 +144,7 @@ def parse_config(raw: Mapping[str, Any], overrides: Mapping[str, Any] | None = N
         n_burn=_coerce("n_burn", merged.get("n_burn", DESK_BURN), int),
         n_keep=_coerce("n_keep", merged.get("n_keep", DESK_KEEP), int),
         repeats=_coerce("repeats", merged.get("repeats", 1), int),
-        kernel=_kernel_config("kernel", merged.get("kernel", {})),
+        kernel=_coerce("kernel", merged.get("kernel", {}), _kernel),
         model=merged.get("model"),
         sampler=merged.get("sampler"),
         models=_coerce("models", merged.get("models", ()), tuple),
@@ -188,15 +173,44 @@ def _in_range(convert: Callable[[Any], Any], ok: Callable[[Any], bool], need: st
     return checked
 
 
-# model-spec values: sizes (n, dims), noise_std, bin_width
+# model-spec values: sizes (n, dims), noise_std, bin_width, link, events_file
 _COUNT = _in_range(int, lambda x: x >= 1, ">= 1")
 _NONNEGATIVE = _in_range(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0")
 _POSITIVE = _in_range(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
+_LINK = _in_range(lambda x: x, lambda x: x in ("logistic", "probit"), "'logistic' or 'probit'")
+_PATH = _in_range(lambda x: x, lambda x: isinstance(x, str), "a path string")
 
 
-def _kernel_config(key: str, value: Any) -> KernelConfig:
-    """A kernel section (a JSON object of KernelConfig fields) as a KernelConfig."""
-    return _coerce(key, value, lambda fields: KernelConfig(**fields))
+def _kernel(fields: Any) -> KernelConfig:
+    return KernelConfig(**fields)
+
+
+# Each model kind's keys besides "kind", as (default, checked converter): the
+# one place a model spec is read. A default of None stands for the config's
+# kernel (regression) or the coal-mining record (cox).
+_SIZES = {"n": (200, _COUNT), "dims": (1, _COUNT)}  # of a synthetic dataset
+_MODEL_KEYS: dict[str, dict[str, tuple[Any, Callable[[Any], Any]]]] = {
+    "regression": {**_SIZES, "noise_std": (0.3, _NONNEGATIVE), "kernel": (None, _kernel)},
+    "classification": {
+        **_SIZES, "link": ("logistic", _LINK), "kernel": (CLASSIFICATION_KERNEL, _kernel)
+    },
+    "cox": {
+        "events_file": (None, _PATH),
+        "bin_width": (COX_BIN_WIDTH, _POSITIVE),
+        "kernel": (COX_KERNEL, _kernel),
+    },
+}
+
+
+def _model_spec(model_cfg: Mapping[str, Any]) -> tuple[str, dict[str, Any]]:
+    """A model spec's kind and each of its kind's keys, checked or defaulted."""
+    kind = model_cfg.get("kind")
+    if kind not in tuple(_MODEL_KEYS):  # a tuple, as a JSON list kind is unhashable
+        raise InvalidConfig(f"unknown model kind {kind!r}; expected one of {tuple(_MODEL_KEYS)}")
+    return kind, {
+        key: _coerce(key, model_cfg[key], convert) if key in model_cfg else default
+        for key, (default, convert) in _MODEL_KEYS[kind].items()
+    }
 
 
 def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) -> ExperimentConfig:
@@ -226,52 +240,36 @@ class Dataset:
     model_cfg: dict[str, Any]
 
 
-def _model_kernel(model_cfg: Mapping[str, Any], default: KernelConfig) -> KernelConfig:
-    """Per-model kernel override, else the kind-specific default."""
-    override = model_cfg.get("kernel")
-    if override is None:
-        return default
-    return _kernel_config("model kernel", override)
-
-
 def build_dataset(model_cfg: Mapping[str, Any], kernel: KernelConfig, rng: np.random.Generator) -> Dataset:
     """Generate (or load and bin) the dataset a model spec describes.
 
     Regression and classification are synthesized from the prior;
     ``cox`` bins event times, either from ``events_file`` or the packaged
     coal-mining record. Bin centers double as the 1-D inputs so the same
-    kernel machinery applies.
+    kernel machinery applies. A key the spec's kind does not have is an
+    error: config specs enter here.
     """
-    kind = model_cfg.get("kind")
-    if kind == "regression":
-        kern = _model_kernel(model_cfg, kernel)
-        inputs, data, latents = generate_regression_dataset(
-            _coerce("n", model_cfg.get("n", 200), _COUNT),
-            _coerce("dims", model_cfg.get("dims", 1), _COUNT),
-            kern,
-            _coerce("noise_std", model_cfg.get("noise_std", 0.3), _NONNEGATIVE),
-            rng,
-        )
-        return Dataset(inputs, data, latents, kern, dict(model_cfg))
-    if kind == "classification":
-        kern = _model_kernel(model_cfg, CLASSIFICATION_KERNEL)
-        inputs, data, latents = generate_classification_dataset(
-            _coerce("n", model_cfg.get("n", 200), _COUNT),
-            _coerce("dims", model_cfg.get("dims", 1), _COUNT),
-            kern,
-            rng,
-            link=model_cfg.get("link", "logistic"),
-        )
-        return Dataset(inputs, data, latents, kern, dict(model_cfg))
+    kind, spec = _model_spec(model_cfg)
+    unknown = set(model_cfg) - set(spec) - {"kind"}
+    if unknown:
+        raise InvalidConfig(f"unknown {kind} model keys: {sorted(unknown)}")
+    kern = spec["kernel"] or kernel
     if kind == "cox":
-        kern = _model_kernel(model_cfg, COX_KERNEL)
-        return _cox_dataset(_cox_events(model_cfg), model_cfg, kern)
-    raise InvalidConfig(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+        events = _cox_events(spec["events_file"])
+        return _cox_dataset(events, spec["bin_width"], model_cfg, kern)
+    if kind == "regression":
+        inputs, data, latents = generate_regression_dataset(
+            spec["n"], spec["dims"], kern, spec["noise_std"], rng
+        )
+    else:
+        inputs, data, latents = generate_classification_dataset(
+            spec["n"], spec["dims"], kern, rng, link=spec["link"]
+        )
+    return Dataset(inputs, data, latents, kern, dict(model_cfg))
 
 
-def _cox_events(model_cfg: Mapping[str, Any]) -> np.ndarray:
-    """Event times of a cox spec: ``events_file``, else the coal-mining record."""
-    source = model_cfg.get("events_file")
+def _cox_events(source: str | None) -> np.ndarray:
+    """Event times from a cox spec's ``events_file``, else the coal-mining record."""
     if source is None:
         return np.asarray(mining_event_times())
     try:
@@ -292,10 +290,9 @@ def _read_events(path: str | Path) -> np.ndarray:
 
 
 def _cox_dataset(
-    events: np.ndarray, model_cfg: Mapping[str, Any], kernel: KernelConfig
+    events: np.ndarray, width: float, model_cfg: Mapping[str, Any], kernel: KernelConfig
 ) -> Dataset:
     """Bin events into counts; bin centers are the 1-D inputs."""
-    width = _coerce("bin_width", model_cfg.get("bin_width", COX_BIN_WIDTH), _POSITIVE)
     data = bin_events(events, width)
     centers = (np.arange(data.n) + 0.5) * width
     return Dataset(centers.reshape(-1, 1), data, None, kernel, dict(model_cfg))
@@ -351,22 +348,30 @@ def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _stamp(cfg: ExperimentConfig) -> dict[str, Any]:
+    """The keys every output carries to trace it back to its config."""
+    return {"config_hash": config_hash(cfg), "seed": cfg.seed}
+
+
 def _provenance(cfg: ExperimentConfig) -> str:
-    return f"config_hash={config_hash(cfg)} seed={cfg.seed}"
+    return " ".join(f"{key}={value}" for key, value in _stamp(cfg).items())
 
 
 def cli_generate(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
     """Write dataset directories described by the config's model section.
 
-    ``dims`` may be a list, in which case one subdirectory per dimension is
-    produced (``d01``, ``d02``, ...); otherwise files go straight into
-    ``out_dir``. Returns the directories written.
+    ``dims`` may be a list of distinct dimensions, in which case one
+    subdirectory per dimension is produced (``d01``, ``d02``, ...);
+    otherwise files go straight into ``out_dir``. Returns the directories
+    written.
     """
     if cfg.model is None:
         raise InvalidConfig("generate requires a 'model' section")
     dims = cfg.model.get("dims", 1)
     if isinstance(dims, (list, tuple)):
         dims = [_coerce("dims", d, _COUNT) for d in dims]
+        if len(set(dims)) < len(dims):
+            raise InvalidConfig(f"bad value for 'dims': {dims!r} repeats a dimension")
         variants = [dict(cfg.model, dims=d) for d in dims]
         dirs = [Path(out_dir) / f"d{d:02d}" for d in dims]
     else:
@@ -376,24 +381,24 @@ def cli_generate(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
     for idx, (model_cfg, target) in enumerate(zip(variants, dirs)):
         rng = chain_rng(cfg.seed, _STREAM_DATASET, idx)
         ds = build_dataset(model_cfg, cfg.kernel, rng)
+        kind, spec = _model_spec(model_cfg)
         target.mkdir(parents=True, exist_ok=True)
         note = _provenance(cfg)
         manifest = {
-            "config_hash": config_hash(cfg),
-            "seed": cfg.seed,
+            **_stamp(cfg),
             "model": ds.model_cfg,
             "kernel": dataclasses.asdict(ds.kernel),
             "n": ds.data.n,
         }
-        if ds.model_cfg["kind"] == "cox":
-            events = _cox_events(ds.model_cfg)
+        if kind == "cox":
+            events = _cox_events(spec["events_file"])
             (target / "events.txt").write_text(
                 "\n".join(repr(float(t)) for t in events) + "\n"
             )
             manifest["files"] = ["events.txt"]
         else:
             _write_matrix(target / "inputs.csv", ds.inputs, note)
-            obs = ds.data.y if ds.model_cfg["kind"] == "regression" else ds.data.labels
+            obs = ds.data.y if kind == "regression" else ds.data.labels
             _write_matrix(target / "observations.csv", obs, note)
             _write_matrix(target / "latents.csv", ds.latents, note)
             manifest["files"] = ["inputs.csv", "observations.csv", "latents.csv"]
@@ -416,11 +421,12 @@ def load_dataset(dataset_dir: str | Path) -> Dataset:
         manifest = json.loads(manifest_path.read_text())
         model_cfg = dict(manifest["model"])
         kernel = KernelConfig(**manifest["kernel"])
-        kind = model_cfg["kind"]
-    except (ValueError, TypeError, KeyError) as exc:
+        kind, spec = _model_spec(model_cfg)
+    except (ValueError, TypeError, KeyError, InvalidConfig) as exc:
         raise InvalidConfig(f"{manifest_path} is not a dataset manifest: {exc!r}") from None
     if kind == "cox":
-        return _cox_dataset(_read_events(dataset_dir / "events.txt"), model_cfg, kernel)
+        events = _read_events(dataset_dir / "events.txt")
+        return _cox_dataset(events, spec["bin_width"], model_cfg, kernel)
     inputs = _read_matrix(dataset_dir / "inputs.csv")
     obs = _read_matrix(dataset_dir / "observations.csv").ravel()
     latents = _read_matrix(dataset_dir / "latents.csv").ravel()
@@ -431,13 +437,10 @@ def load_dataset(dataset_dir: str | Path) -> Dataset:
         )
     try:
         if kind == "regression":
-            noise_std = _coerce("noise_std", model_cfg.get("noise_std", 0.3), _NONNEGATIVE)
-            data = RegressionData(y=obs, noise_variance=noise_std**2)
-        elif kind == "classification":
-            data = ClassificationData(labels=obs, link=model_cfg.get("link", "logistic"))
+            data = RegressionData(y=obs, noise_variance=spec["noise_std"] ** 2)
         else:
-            raise InvalidConfig(f"unknown model kind {kind!r} in manifest")
-    except (ValueError, InvalidConfig) as exc:
+            data = ClassificationData(labels=obs, link=spec["link"])
+    except ValueError as exc:
         raise InvalidConfig(f"{dataset_dir}: {exc}") from None
     return Dataset(inputs, data, latents, kernel, model_cfg)
 
@@ -472,21 +475,20 @@ def read_trace_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def _trace_row(fields: list[str]) -> tuple[float, int, bool]:
     _, ll, ev, acc = fields  # another width raises ValueError
-    return float(ll), int(ev), bool(int(acc))
+    log_lik = float(ll)
+    if not math.isfinite(log_lik):
+        raise ValueError("log-likelihood is not finite")
+    return log_lik, int(ev), bool(int(acc))
 
 
 def _report_dict(report: EssReport, cfg: ExperimentConfig, prior: GaussianPrior) -> dict[str, Any]:
-    payload = dataclasses.asdict(report)
-    payload["config_hash"] = config_hash(cfg)
-    payload["seed"] = cfg.seed
-    payload["prior_jitter"] = float(prior.jitter)
-    return payload
+    return {**dataclasses.asdict(report), **_stamp(cfg), "prior_jitter": float(prior.jitter)}
 
 
 def _step_fn(sampler_cfg: Mapping[str, Any]) -> StepFn:
     """The step function a sampler spec (``kind`` plus parameters) describes."""
     params = {k: v for k, v in sampler_cfg.items() if k != "kind"}
-    return make_operator(sampler_cfg.get("kind", "elliptical"), **params)
+    return make_operator(sampler_cfg.get("kind", _DEFAULT_SAMPLER), **params)
 
 
 def _run_one(
@@ -526,8 +528,7 @@ def cli_run(
     _write_json(
         out / "manifest.json",
         {
-            "config_hash": config_hash(cfg),
-            "seed": cfg.seed,
+            **_stamp(cfg),
             "config": cfg.as_dict(),
             "dataset": str(dataset_dir),
         },
@@ -570,8 +571,7 @@ def cli_tune_mh(
         _write_json(
             out / "tuning.json",
             {
-                "config_hash": config_hash(cfg),
-                "seed": cfg.seed,
+                **_stamp(cfg),
                 "best_epsilon": best_eps,
                 "results": results,
             },
@@ -584,14 +584,12 @@ def cli_tune_mh(
 
 
 def _model_tag(model_cfg: Mapping[str, Any]) -> str:
-    kind = model_cfg.get("kind", "?")
-    if kind in ("regression", "classification"):
-        return f"{kind}-d{int(model_cfg.get('dims', 1))}"
-    return str(kind)
+    kind, spec = _model_spec(model_cfg)
+    return f"{kind}-d{spec['dims']}" if "dims" in spec else kind
 
 
 def _sampler_tag(sampler_cfg: Mapping[str, Any]) -> str:
-    kind = sampler_cfg.get("kind", "?")
+    kind = sampler_cfg.get("kind", _DEFAULT_SAMPLER)
     if kind == "neal-mh" and "epsilon" in sampler_cfg:
         return f"{kind}-eps{sampler_cfg['epsilon']:g}"
     return str(kind)
@@ -652,11 +650,9 @@ def cli_benchmark(cfg: ExperimentConfig, out_dir: str | Path) -> dict[str, Any]:
                 "failures": failures,
             }
             cells.append(cell)
-            _write_json(cell_dir / "cell_summary.json",
-                        dict(cell, config_hash=config_hash(cfg), seed=cfg.seed))
+            _write_json(cell_dir / "cell_summary.json", dict(cell, **_stamp(cfg)))
     summary = {
-        "config_hash": config_hash(cfg),
-        "seed": cfg.seed,
+        **_stamp(cfg),
         "n_burn": cfg.n_burn,
         "n_keep": cfg.n_keep,
         "repeats": cfg.repeats,
@@ -684,5 +680,9 @@ def cli_diagnose(trace_path: str | Path) -> EssReport:
     summary.
     """
     log_lik, evals, _ = read_trace_csv(trace_path)
+    if log_lik.size < MIN_SERIES_LENGTH:
+        raise InvalidConfig(
+            f"{trace_path} has {log_lik.size} rows; ESS needs at least {MIN_SERIES_LENGTH}"
+        )
     report = effective_sample_size(log_lik)
     return dataclasses.replace(report, total_lik_evals=int(evals[-1]))

@@ -253,6 +253,19 @@ class TestBlockUpdateChecks:
         with pytest.raises(DimensionMismatch):
             self.update(state, make_partition(8, [0, 1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_complement_rejected(self, bad):
+        """The cached factor skips SciPy's finiteness scan, so a non-finite
+        complement value must still fail, through the conditional mean."""
+        part = make_partition(8, [0, 1])
+        self.update(self.state, part)  # the factors are cached from here on
+        f = self.state.f.copy()
+        f[5] = bad
+        with pytest.raises(ValueError):
+            self.update(SamplerState(f=f), part)
+        with pytest.raises(ValueError):
+            conditional_gaussian(self.prior.cov, part, f[part.complement])
+
     def test_complement_order_is_part_of_the_partition(self):
         """Partitions with one subset but differently ordered complements
         each get the conditional of their own ordering."""

@@ -49,6 +49,14 @@ def _append(text):
     return lambda path: path.write_text(path.read_text() + text)
 
 
+def _keep_rows(k):
+    """Keep the comment and header lines and the first ``k`` data rows."""
+    def corrupt(path):
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2 + k]))
+    return corrupt
+
+
 def _drop_last_line(path):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
 
@@ -160,6 +168,16 @@ class TestConfig:
         b = parse_config({"seed": 10})
         assert config_hash(a) != config_hash(b)
 
+    def test_readme_example_is_valid(self):
+        """The README's complete example keeps its config hash, and every
+        model entry in it builds."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("A complete example covering every recognized key:")[1]
+        cfg = parse_config(json.loads(example.split("```json")[1].split("```")[0]))
+        assert config_hash(cfg) == "641136259adb0a5ae4bb19707f4ca53838d78ea653f17dd3aa2442bd1f27b21d"
+        for mi, model in enumerate((cfg.model, *cfg.models)):
+            build_dataset(model, cfg.kernel, chain_rng(cfg.seed, 0, mi))
+
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
@@ -203,9 +221,20 @@ class TestBuildDataset:
         ("n", {"kind": "classification", "n": -3}),
         ("bin_width", {"kind": "cox", "bin_width": -5}),
         ("bin_width", {"kind": "cox", "bin_width": float("inf")}),
+        ("link", {"kind": "classification", "n": 5, "link": "cauchy"}),
+        ("events_file", {"kind": "cox", "events_file": 5}),
     ])
     def test_out_of_range_value_names_its_key(self, key, spec):
         with pytest.raises(InvalidConfig, match=f"'{key}'"):
+            build_dataset(spec, KernelConfig(), chain_rng(4))
+
+    @pytest.mark.parametrize("key, spec", [
+        ("nosie_std", {"kind": "regression", "n": 5, "nosie_std": 0.01}),
+        ("bin_width", {"kind": "regression", "n": 5, "bin_width": 10.0}),
+        ("noise_std", {"kind": "cox", "noise_std": 0.1}),
+    ])
+    def test_key_its_kind_lacks_is_named(self, key, spec):
+        with pytest.raises(InvalidConfig, match=f"unknown .* model keys.*'{key}'"):
             build_dataset(spec, KernelConfig(), chain_rng(4))
 
     def test_empty_events_file_names_its_key(self, tmp_path):
@@ -476,6 +505,12 @@ class TestBenchmark:
         assert crippled["failures"]
         assert "iteration" in crippled["failures"][0]["error"]
 
+    def test_sampler_without_kind_is_elliptical(self, tmp_path):
+        summary = cli_benchmark(self.matrix_cfg(repeats=1, samplers=[{}]), tmp_path)
+        assert [c["cell"] for c in summary["cells"]] == [
+            "cell00_elliptical_regression-d1", "cell01_elliptical_classification-d1"]
+        assert all(c["repeats_completed"] == 1 for c in summary["cells"])
+
     def test_summary_embeds_hash_and_seed(self, tmp_path):
         cfg = self.matrix_cfg(repeats=1)
         summary = cli_benchmark(cfg, tmp_path)
@@ -552,6 +587,8 @@ class TestCliMain:
         ("generate", {"model": {"kind": "regression", "n": 10, "dims": 0}}),
         ("generate", {"model": {"kind": "regression", "n": 10, "noise_std": -1}}),
         ("generate", {"model": {"kind": "classification", "n": -3}}),
+        pytest.param("generate", {"model": {"kind": "regression", "n": 10, "dims": [1, 1]}},
+                     id="generate-repeated-dims"),
     ])
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, command, raw):
         if callable(raw):
@@ -570,6 +607,25 @@ class TestCliMain:
         assert "error:" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key, model", [
+        ("generate", "nosie_std", {"kind": "regression", "n": 10, "nosie_std": 0.01}),
+        ("benchmark", "nosie_std", {"kind": "regression", "n": 10, "nosie_std": 0.01}),
+        ("generate", "link", {"kind": "classification", "n": 10, "link": "cauchy"}),
+        ("generate", "events_file", {"kind": "cox", "events_file": 5}),
+        ("generate", "dims", {"kind": "regression", "n": 10, "dims": [2, 1, 2]}),
+    ])
+    def test_bad_model_spec_exits_2_naming_its_key(self, tmp_path, capsys, command, key, model):
+        cfg = self.write_cfg(tmp_path, {
+            "seed": 14, "n_keep": 20, "model": model,
+            "models": [model], "samplers": [{"kind": "elliptical"}],
+        })
+        out = tmp_path / "out"
+        code = cli.main([command, "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"'{key}'" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, target, corrupt", [
         pytest.param("run", "ds/manifest.json", lambda p: p.write_text("{not json"),
                      id="manifest-not-json"),
@@ -586,6 +642,10 @@ class TestCliMain:
         pytest.param("diagnose", "run/trace.csv", _keep_columns(3), id="trace-3-columns"),
         pytest.param("diagnose", "run/trace.csv", _append("20,abc,99,1\n"),
                      id="trace-cell-not-numeric"),
+        pytest.param("diagnose", "run/trace.csv", _append("20,nan,99,1\n"),
+                     id="trace-log-likelihood-nan"),
+        pytest.param("diagnose", "run/trace.csv", _keep_rows(MIN_SERIES_LENGTH - 1),
+                     id="trace-too-short"),
     ])
     def test_malformed_input_file_exits_2(self, tmp_path, capsys, command, target, corrupt):
         cfg = self.write_cfg(tmp_path, {
