@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .gaussian import GaussianPrior, factorize
+from .gaussian import GaussianPrior, factorize, jittered_cholesky
 from .samplers import SamplerState, StepFn, StepResult
 
 
@@ -96,7 +96,7 @@ class _Conditional:
         if b.size == 0:
             return cls(None, None, cov_aa)
         cov_ab = cov[np.ix_(a, b)]
-        chol_bb = np.asfortranarray(factorize(cov[np.ix_(b, b)]).chol)
+        chol_bb = np.asfortranarray(jittered_cholesky(cov[np.ix_(b, b)])[0])
         schur = cov_aa - cov_ab @ scipy.linalg.cho_solve((chol_bb, True), cov_ab.T)
         return cls(cov_ab, chol_bb, 0.5 * (schur + schur.T))
 

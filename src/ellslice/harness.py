@@ -370,6 +370,8 @@ def cli_generate(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
     dims = cfg.model.get("dims", 1)
     if isinstance(dims, (list, tuple)):
         dims = [_coerce("dims", d, _COUNT) for d in dims]
+        if not dims:
+            raise InvalidConfig("bad value for 'dims': the list is empty")
         if len(set(dims)) < len(dims):
             raise InvalidConfig(f"bad value for 'dims': {dims!r} repeats a dimension")
         variants = [dict(cfg.model, dims=d) for d in dims]
@@ -482,7 +484,8 @@ def _trace_row(fields: list[str]) -> tuple[float, int, bool]:
 
 
 def _report_dict(report: EssReport, cfg: ExperimentConfig, prior: GaussianPrior) -> dict[str, Any]:
-    return {**dataclasses.asdict(report), **_stamp(cfg), "prior_jitter": float(prior.jitter)}
+    return {**dataclasses.asdict(report), **_stamp(cfg), "prior_backend": prior.backend,
+            "prior_rank": prior.rank, "prior_jitter": float(prior.jitter)}
 
 
 def _step_fn(sampler_cfg: Mapping[str, Any]) -> StepFn:

@@ -20,7 +20,9 @@ import scipy.linalg
 from scipy.special import gammaln, log_ndtr
 
 from .errors import DimensionMismatch
-from .gaussian import GaussianPrior, factorize
+# factorize is unused here but stays importable from this module:
+# perfbench/tracer.py patches models.factorize
+from .gaussian import GaussianPrior, factorize, jittered_cholesky
 from .kernels import KernelConfig, squared_exponential
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -115,6 +117,16 @@ class CoxData:
         return float(np.sum(self.counts * log_rate - rate - self._log_factorials))
 
 
+def _latent_draw(
+    inputs: np.ndarray, kernel: KernelConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """True latents: one draw from N(0, cov + jitter*I) through the dense
+    jittered Cholesky factor, so a seed gives the same dataset whichever
+    root :func:`~ellslice.gaussian.factorize` keeps for the chains."""
+    chol, _ = jittered_cholesky(squared_exponential(inputs, kernel))
+    return chol @ rng.standard_normal(inputs.shape[0])
+
+
 def generate_regression_dataset(
     n: int,
     dims: int,
@@ -133,8 +145,7 @@ def generate_regression_dataset(
     if noise_std < 0:
         raise ValueError("noise_std must be non-negative")
     inputs = rng.uniform(size=(n, dims))
-    prior = factorize(squared_exponential(inputs, kernel))
-    f_true = prior.sample(rng)
+    f_true = _latent_draw(inputs, kernel, rng)
     y = f_true + noise_std * rng.standard_normal(n)
     return inputs, RegressionData(y, noise_std**2), f_true
 
@@ -156,8 +167,7 @@ def generate_classification_dataset(
     if n < 1 or dims < 1:
         raise ValueError("n and dims must be >= 1")
     inputs = rng.uniform(size=(n, dims))
-    prior = factorize(squared_exponential(inputs, kernel))
-    f_true = prior.sample(rng)
+    f_true = _latent_draw(inputs, kernel, rng)
     if link == "logistic":
         p_plus = 1.0 / (1.0 + np.exp(-f_true))
     elif link == "probit":
@@ -181,9 +191,9 @@ def gp_regression_posterior_oracle(
     if data.n != prior.n:
         raise DimensionMismatch(f"data has {data.n} points, prior has {prior.n}")
     cov = prior.cov + prior.jitter * np.eye(prior.n)
-    gram = factorize(cov + data.noise_variance * np.eye(prior.n))
-    mean = cov @ scipy.linalg.cho_solve((gram.chol, True), data.y)
-    post_cov = cov - cov @ scipy.linalg.cho_solve((gram.chol, True), cov)
+    gram_chol, _ = jittered_cholesky(cov + data.noise_variance * np.eye(prior.n))
+    mean = cov @ scipy.linalg.cho_solve((gram_chol, True), data.y)
+    post_cov = cov - cov @ scipy.linalg.cho_solve((gram_chol, True), cov)
     return mean, 0.5 * (post_cov + post_cov.T)
 
 

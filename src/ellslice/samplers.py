@@ -289,10 +289,11 @@ def neal_mh_step(
 def _line_log_prior(
     prior: GaussianPrior, f: np.ndarray, z: np.ndarray
 ) -> Callable[[float], float]:
-    """The prior log-density at f + eps*nu as a function of eps, for nu = chol @ z.
+    """The prior log-density at f + eps*nu as a function of eps, for nu = A z
+    with A the prior's root.
 
-    In whitened coordinates the line is w + eps*z with w = chol^-1 f, so the
-    log-density is log_norm - (w.w + eps*(2 w.z + eps z.z))/2: one triangular
+    In whitened coordinates the line is w + eps*z with w = A^-1 f, so the
+    log-density is log_norm - (w.w + eps*(2 w.z + eps z.z))/2: one whitening
     solve and three dot products up front, then O(1) per eps.
     """
     w = prior.whiten(f)
@@ -311,7 +312,7 @@ def line_slice_step(
     The prior density does not cancel along a line the way it does around
     the ellipse, so the slice is taken through the full log posterior and
     every proposal evaluates the prior log-density on top of the
-    likelihood; :func:`_line_log_prior` makes that one triangular solve per
+    likelihood; :func:`_line_log_prior` makes that one whitening solve per
     step and O(1) per proposal. The initial bracket of width
     :data:`LINE_WIDTH` is positioned uniformly at random around eps = 0 and
     shrinks toward it.

@@ -347,6 +347,23 @@ class TestBenchmarkSize:
                 np.testing.assert_allclose(block_prior.cov, cond.cov, rtol=0, atol=1e-12)
                 state = res.new_state
 
+    def test_low_rank_prior_gives_conditionals_or_not_positive_definite(self):
+        """The d=1 prior keeps the low-rank root, which has no ``chol``. Its
+        150x150 complement blocks still factorize through the jittered
+        Cholesky, so each update either runs or raises NotPositiveDefinite
+        (ROADMAP item 2), never another error."""
+        cfg = {"kind": "regression", "n": 200, "dims": 1}
+        ds = harness.build_dataset(cfg, KernelConfig(), chain_rng(7, 0, 1))
+        prior = harness.build_prior(ds)
+        assert prior.backend == "low-rank"
+        state = SamplerState(f=np.zeros(200))
+        for part in self.parts:
+            try:
+                block_update(state, prior, ds.data, part, make_operator("elliptical"),
+                             chain_rng(12))
+            except NotPositiveDefinite:
+                pass
+
     def test_at_most_two_factorizations_per_partition(self, monkeypatch):
         calls = []
 

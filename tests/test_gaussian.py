@@ -14,7 +14,9 @@ from ellslice import (
     rotate,
     squared_exponential,
     KernelConfig,
+    chain_rng,
 )
+from ellslice.harness import build_dataset, build_prior
 
 
 def random_spd(rng, n):
@@ -149,6 +151,105 @@ class TestDrawAndWhiten:
         # a NumPy scalar, as it was when summed per call; its repr is pinned
         # through the line-slice log_threshold in tests/test_trace_digests.py
         assert type(prior.log_norm) is np.float64
+
+
+# the package's default cox prior (n=811, rank 15) and the regression
+# prior of the benchmark's d=1 dataset (n=200, rank 9): both need jitter
+BENCHMARK_PRIORS = {
+    "cox": {"kind": "cox"},
+    "regression": {"kind": "regression", "n": 200, "dims": 1},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BENCHMARK_PRIORS))
+def low_rank_prior(request):
+    spec = BENCHMARK_PRIORS[request.param]
+    return build_prior(build_dataset(spec, KernelConfig(), chain_rng(1)))
+
+
+def _root(prior):
+    """The low-rank prior's root A as a dense matrix, from its documented form."""
+    j = prior.jitter
+    scale = np.sqrt(prior.eig + j) - math.sqrt(j)
+    return math.sqrt(j) * np.eye(prior.n) + (prior.basis * scale) @ prior.basis.T
+
+
+class TestLowRankRoot:
+    def test_benchmark_priors_take_the_low_rank_root(self, low_rank_prior):
+        prior = low_rank_prior
+        assert prior.backend == "low-rank" and prior.chol is None
+        assert prior.jitter == 1e-10
+        assert 2 * prior.rank < prior.n
+        assert prior.basis.shape == (prior.n, prior.rank) and prior.eig.shape == (prior.rank,)
+
+    def test_whiten_inverts_the_draw(self, low_rank_prior):
+        prior = low_rank_prior
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            nu, z = prior.draw(rng)
+            np.testing.assert_allclose(prior.whiten(nu), z, rtol=0, atol=1e-8)
+
+    def test_draw_consumes_n_normals_and_returns_them(self, low_rank_prior):
+        prior = low_rank_prior
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        nu, z = prior.draw(a)
+        np.testing.assert_array_equal(z, b.standard_normal(prior.n))
+        np.testing.assert_allclose(nu, _root(prior) @ z, rtol=0, atol=1e-12)
+        assert a.uniform() == b.uniform()
+
+    def test_root_squares_to_the_jittered_covariance(self, low_rank_prior):
+        prior = low_rank_prior
+        root = _root(prior)
+        target = prior.cov + prior.jitter * np.eye(prior.n)
+        assert np.max(np.abs(root @ root.T - target)) <= 1e-3 * prior.jitter
+
+    def test_draws_have_the_target_covariance(self, low_rank_prior):
+        """2*10^4 draws land within 5% relative Frobenius error of cov + jitter*I."""
+        prior = low_rank_prior
+        rng = np.random.default_rng(5)
+        emp = np.zeros((prior.n, prior.n))
+        for _ in range(20):
+            draws = np.array([prior.sample(rng) for _ in range(1000)])
+            emp += draws.T @ draws
+        emp /= 20_000
+        target = prior.cov + prior.jitter * np.eye(prior.n)
+        assert np.linalg.norm(emp - target) / np.linalg.norm(target) < 0.05
+
+    def test_log_norm_is_minus_log_det_of_the_root(self, low_rank_prior):
+        prior = low_rank_prior
+        log_det = np.sum(np.log(np.linalg.eigvalsh(_root(prior))))
+        expected = -0.5 * prior.n * math.log(2 * math.pi) - log_det
+        assert prior.log_norm == pytest.approx(expected, rel=1e-10)
+        assert type(prior.log_norm) is np.float64
+        f, z = prior.draw(np.random.default_rng(9))
+        assert prior.log_density(f) == pytest.approx(prior.log_norm - 0.5 * z @ z, rel=1e-10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, low_rank_prior, bad):
+        f = np.zeros(low_rank_prior.n)
+        f[7] = bad
+        with pytest.raises(ValueError):
+            low_rank_prior.whiten(f)
+        with pytest.raises(DimensionMismatch):
+            low_rank_prior.whiten(np.zeros(low_rank_prior.n + 1))
+
+    def test_full_rank_prior_keeps_the_dense_root(self):
+        """The d=10 regression prior needs no jitter: it keeps ``chol`` and
+        draws exactly ``chol @ z``."""
+        spec = {"kind": "regression", "n": 200, "dims": 10}
+        prior = build_prior(build_dataset(spec, KernelConfig(), chain_rng(1)))
+        assert (prior.backend, prior.jitter, prior.rank) == ("dense", 0.0, 200)
+        assert prior.basis is None and prior.eig is None
+        nu, z = prior.draw(np.random.default_rng(4))
+        np.testing.assert_array_equal(nu, prior.chol @ z)
+
+    def test_jittered_prior_of_high_rank_stays_dense(self):
+        """Rank 18 of 20 fails the 2r < n cost rule: the dense factor stays."""
+        centers = ((np.arange(20) + 0.5) * 50.0).reshape(-1, 1)
+        prior = factorize(squared_exponential(centers, KernelConfig(lengthscale=200.0)))
+        assert (prior.backend, prior.rank) == ("dense", 18) and prior.jitter > 0.0
+        err = np.max(np.abs(prior.chol @ prior.chol.T - (prior.cov + prior.jitter * np.eye(20))))
+        assert err <= 1e-8 * np.max(np.diag(prior.cov))
 
 
 class TestLogDensity:

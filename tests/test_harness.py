@@ -375,7 +375,9 @@ class TestRunCommand:
         assert summary["n_kept"] == cfg.n_keep == report.n_kept
         assert summary["config_hash"] == config_hash(cfg)
         assert summary["seed"] == cfg.seed
-        assert summary["prior_jitter"] == build_prior(load_dataset(ds)).jitter > 0.0
+        prior = build_prior(load_dataset(ds))
+        assert summary["prior_jitter"] == prior.jitter > 0.0
+        assert (summary["prior_backend"], summary["prior_rank"]) == (prior.backend, prior.rank)
 
     def test_diagnose_matches_summary(self, tmp_path):
         cfg = small_regression_cfg(seed=10)
@@ -474,18 +476,23 @@ class TestBenchmark:
         assert ell["prior_evals_mean"] == 0.0
 
     def test_summaries_report_prior_jitter(self, tmp_path):
+        """Each summary names the prior's root, its rank and its jitter; the
+        two models of the matrix cover both roots."""
         cfg = self.matrix_cfg(repeats=1)
         summary = cli_benchmark(cfg, tmp_path)
-        jitters = [
+        priors = [
             build_prior(build_dataset(
-                m, cfg.kernel, chain_rng(cfg.seed, harness._STREAM_DATASET, mi))).jitter
+                m, cfg.kernel, chain_rng(cfg.seed, harness._STREAM_DATASET, mi)))
             for mi, m in enumerate(cfg.models)
         ]
-        assert jitters[0] != jitters[1]
+        assert priors[0].jitter != priors[1].jitter
+        assert [p.backend for p in priors] == ["dense", "low-rank"]
         for cell in summary["cells"]:
             rep = json.loads((tmp_path / cell["cell"] / "repeat00" / "summary.json").read_text())
-            model = 0 if cell["model"]["kind"] == "regression" else 1
-            assert rep["prior_jitter"] == jitters[model]
+            prior = priors[0 if cell["model"]["kind"] == "regression" else 1]
+            assert rep["prior_jitter"] == prior.jitter
+            assert rep["prior_backend"] == prior.backend
+            assert rep["prior_rank"] == prior.rank < prior.n
 
     def test_single_repeat_has_zero_std(self, tmp_path):
         summary = cli_benchmark(self.matrix_cfg(repeats=1), tmp_path)
@@ -589,6 +596,8 @@ class TestCliMain:
         ("generate", {"model": {"kind": "classification", "n": -3}}),
         pytest.param("generate", {"model": {"kind": "regression", "n": 10, "dims": [1, 1]}},
                      id="generate-repeated-dims"),
+        pytest.param("generate", {"model": {"kind": "regression", "n": 10, "dims": []}},
+                     id="generate-empty-dims"),
     ])
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, command, raw):
         if callable(raw):
@@ -613,6 +622,7 @@ class TestCliMain:
         ("generate", "link", {"kind": "classification", "n": 10, "link": "cauchy"}),
         ("generate", "events_file", {"kind": "cox", "events_file": 5}),
         ("generate", "dims", {"kind": "regression", "n": 10, "dims": [2, 1, 2]}),
+        ("generate", "dims", {"kind": "regression", "n": 10, "dims": []}),
     ])
     def test_bad_model_spec_exits_2_naming_its_key(self, tmp_path, capsys, command, key, model):
         cfg = self.write_cfg(tmp_path, {

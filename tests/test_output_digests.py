@@ -75,7 +75,7 @@ def output_digest(root: Path) -> str:
     return h.hexdigest()
 
 
-EXPECTED = 'a367dc5f828dcd1e145bdcd86ca804b125a11343b1ace71958eedc0f5d26c98b'
+EXPECTED = '1ae4cc40b4f1ad9a7365b832618764632ff1c73a3a6a5ff555476555a6025677'
 
 
 def test_harness_outputs_are_pinned(tmp_path, monkeypatch):

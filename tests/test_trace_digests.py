@@ -9,6 +9,8 @@ Any change in how random numbers are consumed shows up here.
 A change that alters the draws on purpose re-baselines the table: run
 ``PYTHONPATH=src python tests/test_trace_digests.py`` and paste its output.
 Priors stay small (n <= 40) so the digests depend little on the BLAS build.
+Each model's prior root is pinned too (:data:`ROOTS`), so a change in which
+root ``factorize`` picks fails by name before any digest does.
 """
 
 import hashlib
@@ -58,6 +60,20 @@ def _cox():
 
 
 MODELS = {"regression": _regression, "classification": _classification, "cox": _cox}
+
+# (backend, numerical rank, jitter) of each model's prior; cox needs jitter
+# but its rank 18 of 20 fails the 2r < n rule, so it keeps the dense root
+ROOTS = {
+    "regression": ("dense", 24, 0.0),
+    "classification": ("low-rank", 11, 4e-10),
+    "cox": ("dense", 18, 1e-10),
+}
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_prior_root_is_pinned(model):
+    prior, _ = MODELS[model]()
+    assert (prior.backend, prior.rank, prior.jitter) == ROOTS[model]
 
 
 def chain_digest(model: str, operator: str) -> str:
@@ -113,13 +129,13 @@ EXPECTED = {
     ('chain', 'regression', 'line-slice'):
         'd85f132bf6ade541d4541fc56fd36286b2ea5cdfe4386f23b89f88ebf9471a5f',
     ('chain', 'classification', 'elliptical'):
-        'fa5097f2be6502234bd8b64ea635a50ad28fdf54b441f972c573e27063a77a9e',
+        '9d6c88f1dc4fe3cbc5120ee838a93c907f09e74066dfab78635740c189bd8f77',
     ('chain', 'classification', 'elliptical-aux'):
-        '2b3f6eabab1cae4d4c66c155d958eef56e84613daa5d5f2ef8ac1631a8e4e760',
+        '4ce8c02069da68bc698e9558fe4baf1bc77ce04128a1f07afeb1854a990938d6',
     ('chain', 'classification', 'neal-mh'):
-        'b28bd96e46329ad6a9d65c2769e4abfe5a4b1e1f5a2a15ef78b31337a21829b1',
+        '30a05327ea61c3cb9880ff90708453b0a7f12a9ba0f20103851433b13a794001',
     ('chain', 'classification', 'line-slice'):
-        '16faa68d428ab9fc775b94f751e6f2c0d514bb855ca38753d3d9df5970256585',
+        '5e568388bdfea27e7577da7a2e106b5fb4441dd3a8abe1902b852ab9dc02d8a5',
     ('chain', 'cox', 'elliptical'):
         '3be603898da5c150248d0b3169c3bbed0556cdb7f36862b2440c276c878b1569',
     ('chain', 'cox', 'elliptical-aux'):
