@@ -76,7 +76,8 @@ _STREAM_BENCH = 3
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description.
+    """Validated experiment description; build it with :func:`parse_config`,
+    which checks every value and fills in the defaults of ``_CONFIG_KEYS``.
 
     ``model``/``sampler`` describe a single run; ``models``/``samplers`` a
     benchmark matrix. The seed must come from the config or the command
@@ -84,38 +85,15 @@ class ExperimentConfig:
     """
 
     seed: int
-    n_burn: int = DESK_BURN
-    n_keep: int = DESK_KEEP
-    repeats: int = 1
-    kernel: KernelConfig = KernelConfig()
-    model: Mapping[str, Any] | None = None
-    sampler: Mapping[str, Any] | None = None
-    models: tuple[Mapping[str, Any], ...] = ()
-    samplers: tuple[Mapping[str, Any], ...] = ()
-    tune_grid: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if not isinstance(self.seed, int):
-            raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
-        if self.n_keep < MIN_SERIES_LENGTH:
-            # every command summarizes its chains by ESS, which needs this many
-            raise InvalidConfig(
-                f"n_keep must be >= {MIN_SERIES_LENGTH}, got {self.n_keep}"
-            )
-        if self.n_burn < 0:
-            raise InvalidConfig(f"n_burn must be >= 0, got {self.n_burn}")
-        if self.repeats < 1:
-            raise InvalidConfig(f"repeats must be >= 1, got {self.repeats}")
-        for key in ("model", "sampler"):
-            spec = getattr(self, key)
-            if spec is not None and not isinstance(spec, Mapping):
-                raise InvalidConfig(f"{key!r} must be a JSON object, got {spec!r}")
-        for key in ("models", "samplers"):
-            for spec in getattr(self, key):
-                if not isinstance(spec, Mapping):
-                    raise InvalidConfig(
-                        f"every {key!r} entry must be a JSON object, got {spec!r}"
-                    )
+    n_burn: int
+    n_keep: int
+    repeats: int
+    kernel: KernelConfig
+    model: Mapping[str, Any] | None
+    sampler: Mapping[str, Any] | None
+    models: tuple[Mapping[str, Any], ...]
+    samplers: tuple[Mapping[str, Any], ...]
+    tune_grid: tuple[float, ...]
 
     def as_dict(self) -> dict[str, Any]:
         """Canonical plain-dict form, used for hashing and manifests."""
@@ -128,38 +106,11 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def parse_config(raw: Mapping[str, Any], overrides: Mapping[str, Any] | None = None) -> ExperimentConfig:
-    """Build an ExperimentConfig from a JSON-style dict plus CLI overrides."""
-    merged = dict(raw)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
-    if "seed" not in merged:
-        raise InvalidConfig("config must supply a seed (no wall-clock seeding)")
-    unknown = set(merged) - {field.name for field in dataclasses.fields(ExperimentConfig)}
-    if unknown:
-        raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-    return ExperimentConfig(
-        seed=merged["seed"],
-        n_burn=_coerce("n_burn", merged.get("n_burn", DESK_BURN), int),
-        n_keep=_coerce("n_keep", merged.get("n_keep", DESK_KEEP), int),
-        repeats=_coerce("repeats", merged.get("repeats", 1), int),
-        kernel=_coerce("kernel", merged.get("kernel", {}), _kernel),
-        model=merged.get("model"),
-        sampler=merged.get("sampler"),
-        models=_coerce("models", merged.get("models", ()), tuple),
-        samplers=_coerce("samplers", merged.get("samplers", ()), tuple),
-        tune_grid=_coerce(
-            "tune_grid", merged.get("tune_grid", ()), lambda gs: tuple(float(g) for g in gs)
-        ),
-    )
-
-
 def _coerce(key: str, value: Any, convert: Callable[[Any], Any]) -> Any:
     """``convert(value)``; a value it cannot convert raises InvalidConfig naming ``key``."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InvalidConfig) as exc:
         raise InvalidConfig(f"bad value for {key!r}: {value!r} ({exc})") from None
 
 
@@ -173,7 +124,6 @@ def _in_range(convert: Callable[[Any], Any], ok: Callable[[Any], bool], need: st
     return checked
 
 
-# model-spec values: sizes (n, dims), noise_std, bin_width, link, events_file
 _COUNT = _in_range(int, lambda x: x >= 1, ">= 1")
 _NONNEGATIVE = _in_range(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0")
 _POSITIVE = _in_range(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
@@ -185,11 +135,57 @@ def _kernel(fields: Any) -> KernelConfig:
     return KernelConfig(**fields)
 
 
+_SPEC = _in_range(lambda x: x, lambda x: x is None or isinstance(x, Mapping), "a JSON object")
+_SPECS = _in_range(tuple, lambda xs: all(isinstance(x, Mapping) for x in xs),
+                   "a list of JSON objects")
+
+_Keys = dict[str, tuple[Any, Callable[[Any], Any]]]  # key: (default, checked converter)
+
+# Each config key as (default, checked converter): the one place a config is
+# read. The seed has no default, as parse_config requires it.
+_CONFIG_KEYS: _Keys = {
+    "seed": (None, _in_range(lambda x: x, lambda x: type(x) is int and x >= 0, "an integer >= 0")),
+    "n_burn": (DESK_BURN, _in_range(int, lambda x: x >= 0, ">= 0")),
+    # every command summarizes its chains by ESS, which needs this many
+    "n_keep": (DESK_KEEP, _in_range(int, lambda x: x >= MIN_SERIES_LENGTH, f">= {MIN_SERIES_LENGTH}")),
+    "repeats": (1, _COUNT),
+    "kernel": (KernelConfig(), _kernel),
+    "model": (None, _SPEC),
+    "sampler": (None, _SPEC),
+    "models": ((), _SPECS),
+    "samplers": ((), _SPECS),
+    "tune_grid": ((), _in_range(lambda gs: tuple(float(g) for g in gs),
+                                lambda gs: all(0.0 < g <= 1.0 for g in gs), "values in (0, 1]")),
+}
+
+
+def parse_config(raw: Mapping[str, Any], overrides: Mapping[str, Any] | None = None) -> ExperimentConfig:
+    """Build an ExperimentConfig from a JSON-style dict plus CLI overrides."""
+    merged = dict(raw)
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            merged[key] = value
+    if "seed" not in merged:
+        raise InvalidConfig("config must supply a seed (no wall-clock seeding)")
+    unknown = set(merged) - set(_CONFIG_KEYS)
+    if unknown:
+        raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
+    return ExperimentConfig(**_read_keys(_CONFIG_KEYS, merged))
+
+
+def _read_keys(table: _Keys, spec: Mapping[str, Any]) -> dict[str, Any]:
+    """Each of ``table``'s keys: ``spec``'s value, checked, or the default."""
+    return {
+        key: _coerce(key, spec[key], convert) if key in spec else default
+        for key, (default, convert) in table.items()
+    }
+
+
 # Each model kind's keys besides "kind", as (default, checked converter): the
 # one place a model spec is read. A default of None stands for the config's
 # kernel (regression) or the coal-mining record (cox).
 _SIZES = {"n": (200, _COUNT), "dims": (1, _COUNT)}  # of a synthetic dataset
-_MODEL_KEYS: dict[str, dict[str, tuple[Any, Callable[[Any], Any]]]] = {
+_MODEL_KEYS: dict[str, _Keys] = {
     "regression": {**_SIZES, "noise_std": (0.3, _NONNEGATIVE), "kernel": (None, _kernel)},
     "classification": {
         **_SIZES, "link": ("logistic", _LINK), "kernel": (CLASSIFICATION_KERNEL, _kernel)
@@ -207,10 +203,7 @@ def _model_spec(model_cfg: Mapping[str, Any]) -> tuple[str, dict[str, Any]]:
     kind = model_cfg.get("kind")
     if kind not in tuple(_MODEL_KEYS):  # a tuple, as a JSON list kind is unhashable
         raise InvalidConfig(f"unknown model kind {kind!r}; expected one of {tuple(_MODEL_KEYS)}")
-    return kind, {
-        key: _coerce(key, model_cfg[key], convert) if key in model_cfg else default
-        for key, (default, convert) in _MODEL_KEYS[kind].items()
-    }
+    return kind, _read_keys(_MODEL_KEYS[kind], model_cfg)
 
 
 def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) -> ExperimentConfig:
@@ -237,7 +230,6 @@ class Dataset:
     data: Any
     latents: np.ndarray | None
     kernel: KernelConfig
-    model_cfg: dict[str, Any]
 
 
 def build_dataset(model_cfg: Mapping[str, Any], kernel: KernelConfig, rng: np.random.Generator) -> Dataset:
@@ -256,7 +248,7 @@ def build_dataset(model_cfg: Mapping[str, Any], kernel: KernelConfig, rng: np.ra
     kern = spec["kernel"] or kernel
     if kind == "cox":
         events = _cox_events(spec["events_file"])
-        return _cox_dataset(events, spec["bin_width"], model_cfg, kern)
+        return _cox_dataset(events, spec["bin_width"], kern)
     if kind == "regression":
         inputs, data, latents = generate_regression_dataset(
             spec["n"], spec["dims"], kern, spec["noise_std"], rng
@@ -265,7 +257,7 @@ def build_dataset(model_cfg: Mapping[str, Any], kernel: KernelConfig, rng: np.ra
         inputs, data, latents = generate_classification_dataset(
             spec["n"], spec["dims"], kern, rng, link=spec["link"]
         )
-    return Dataset(inputs, data, latents, kern, dict(model_cfg))
+    return Dataset(inputs, data, latents, kern)
 
 
 def _cox_events(source: str | None) -> np.ndarray:
@@ -289,22 +281,23 @@ def _read_events(path: str | Path) -> np.ndarray:
     return times
 
 
-def _cox_dataset(
-    events: np.ndarray, width: float, model_cfg: Mapping[str, Any], kernel: KernelConfig
-) -> Dataset:
+def _cox_dataset(events: np.ndarray, width: float, kernel: KernelConfig) -> Dataset:
     """Bin events into counts; bin centers are the 1-D inputs."""
     data = bin_events(events, width)
     centers = (np.arange(data.n) + 0.5) * width
-    return Dataset(centers.reshape(-1, 1), data, None, kernel, dict(model_cfg))
+    return Dataset(centers.reshape(-1, 1), data, None, kernel)
+
+
+def _write_csv(path: str | Path, comment: str, lines: list[str]) -> None:
+    """``lines`` under a ``#`` comment line, the one writer of every CSV."""
+    Path(path).write_text(f"# {comment}\n" + "\n".join(lines) + "\n")
 
 
 def _write_matrix(path: Path, arr: np.ndarray, comment: str) -> None:
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
     if arr.shape[0] == 1 and arr.size > 1:
         arr = arr.T
-    lines = [f"# {comment}"]
-    lines += [",".join(repr(float(v)) for v in row) for row in arr]
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, comment, [",".join(repr(float(v)) for v in row) for row in arr])
 
 
 def _read_rows(
@@ -344,13 +337,16 @@ def _read_matrix(path: Path) -> np.ndarray:
     return arr
 
 
-def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def _stamp(cfg: ExperimentConfig) -> dict[str, Any]:
     """The keys every output carries to trace it back to its config."""
     return {"config_hash": config_hash(cfg), "seed": cfg.seed}
+
+
+def _write_json(path: Path, cfg: ExperimentConfig, payload: Mapping[str, Any]) -> dict[str, Any]:
+    """Write ``payload`` with ``cfg``'s stamp added; returns what was written."""
+    stamped = {**payload, **_stamp(cfg)}
+    path.write_text(json.dumps(stamped, sort_keys=True, indent=2) + "\n")
+    return stamped
 
 
 def _provenance(cfg: ExperimentConfig) -> str:
@@ -387,8 +383,7 @@ def cli_generate(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
         target.mkdir(parents=True, exist_ok=True)
         note = _provenance(cfg)
         manifest = {
-            **_stamp(cfg),
-            "model": ds.model_cfg,
+            "model": model_cfg,
             "kernel": dataclasses.asdict(ds.kernel),
             "n": ds.data.n,
         }
@@ -404,7 +399,7 @@ def cli_generate(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
             _write_matrix(target / "observations.csv", obs, note)
             _write_matrix(target / "latents.csv", ds.latents, note)
             manifest["files"] = ["inputs.csv", "observations.csv", "latents.csv"]
-        _write_json(target / "manifest.json", manifest)
+        _write_json(target / "manifest.json", cfg, manifest)
         written.append(target)
     return written
 
@@ -428,7 +423,7 @@ def load_dataset(dataset_dir: str | Path) -> Dataset:
         raise InvalidConfig(f"{manifest_path} is not a dataset manifest: {exc!r}") from None
     if kind == "cox":
         events = _read_events(dataset_dir / "events.txt")
-        return _cox_dataset(events, spec["bin_width"], model_cfg, kernel)
+        return _cox_dataset(events, spec["bin_width"], kernel)
     inputs = _read_matrix(dataset_dir / "inputs.csv")
     obs = _read_matrix(dataset_dir / "observations.csv").ravel()
     latents = _read_matrix(dataset_dir / "latents.csv").ravel()
@@ -444,7 +439,7 @@ def load_dataset(dataset_dir: str | Path) -> Dataset:
             data = ClassificationData(labels=obs, link=spec["link"])
     except ValueError as exc:
         raise InvalidConfig(f"{dataset_dir}: {exc}") from None
-    return Dataset(inputs, data, latents, kernel, model_cfg)
+    return Dataset(inputs, data, latents, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -455,17 +450,28 @@ def build_prior(dataset: Dataset) -> GaussianPrior:
     return factorize(squared_exponential(dataset.inputs, dataset.kernel))
 
 
+def _chain_prior(dataset: Dataset) -> GaussianPrior:
+    """:func:`build_prior` of a dataset that chains can sample: ``generate``
+    writes noise-free regression data, but its likelihood is undefined."""
+    if isinstance(dataset.data, RegressionData) and dataset.data.noise_variance == 0.0:
+        raise InvalidConfig(
+            "bad value for 'noise_std': chains need a positive noise variance "
+            "(a noise_std that squares to 0 is only for generate)"
+        )
+    return build_prior(dataset)
+
+
 _TRACE_HEADER = "iteration,log_likelihood,cumulative_likelihood_evals,accepted"
 
 
 def write_trace_csv(path: str | Path, trace: ChainTrace, comment: str) -> None:
-    lines = [f"# {comment}", _TRACE_HEADER]
+    lines = [_TRACE_HEADER]
     for i in range(trace.n_kept):
         lines.append(
             f"{i},{repr(float(trace.log_lik[i]))},"
             f"{int(trace.lik_evals_cum[i])},{int(trace.accepted[i])}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, comment, lines)
 
 
 def read_trace_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -483,9 +489,15 @@ def _trace_row(fields: list[str]) -> tuple[float, int, bool]:
     return log_lik, int(ev), bool(int(acc))
 
 
-def _report_dict(report: EssReport, cfg: ExperimentConfig, prior: GaussianPrior) -> dict[str, Any]:
-    return {**dataclasses.asdict(report), **_stamp(cfg), "prior_backend": prior.backend,
-            "prior_rank": prior.rank, "prior_jitter": float(prior.jitter)}
+def _write_chain(
+    out: Path, cfg: ExperimentConfig, trace: ChainTrace, report: EssReport, prior: GaussianPrior
+) -> None:
+    """A chain's ``trace.csv`` and ``summary.json``."""
+    write_trace_csv(out / "trace.csv", trace, _provenance(cfg))
+    _write_json(out / "summary.json", cfg, {
+        **dataclasses.asdict(report), "prior_backend": prior.backend,
+        "prior_rank": prior.rank, "prior_jitter": float(prior.jitter),
+    })
 
 
 def _step_fn(sampler_cfg: Mapping[str, Any]) -> StepFn:
@@ -522,20 +534,12 @@ def cli_run(
         raise InvalidConfig("run requires a 'sampler' section")
     step_fn = _step_fn(cfg.sampler)
     dataset = load_dataset(dataset_dir)
-    prior = build_prior(dataset)
+    prior = _chain_prior(dataset)
     trace, report = _run_one(cfg, dataset, prior, step_fn, (_STREAM_RUN, 0))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(out / "trace.csv", trace, _provenance(cfg))
-    _write_json(out / "summary.json", _report_dict(report, cfg, prior))
-    _write_json(
-        out / "manifest.json",
-        {
-            **_stamp(cfg),
-            "config": cfg.as_dict(),
-            "dataset": str(dataset_dir),
-        },
-    )
+    _write_chain(out, cfg, trace, report, prior)
+    _write_json(out / "manifest.json", cfg, {"config": cfg.as_dict(), "dataset": str(dataset_dir)})
     return report
 
 
@@ -552,10 +556,8 @@ def cli_tune_mh(
     grid = cfg.tune_grid
     if not grid:
         raise InvalidConfig("tune-mh requires a non-empty 'tune_grid'")
-    if any(not 0.0 < eps <= 1.0 for eps in grid):
-        raise InvalidConfig(f"tune_grid values must be in (0, 1], got {list(grid)}")
     dataset = load_dataset(dataset_dir)
-    prior = build_prior(dataset)
+    prior = _chain_prior(dataset)
     results = []
     best_eps, best_ess = None, -np.inf
     for gi, eps in enumerate(sorted(grid)):
@@ -571,14 +573,7 @@ def cli_tune_mh(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_json(
-            out / "tuning.json",
-            {
-                **_stamp(cfg),
-                "best_epsilon": best_eps,
-                "results": results,
-            },
-        )
+        _write_json(out / "tuning.json", cfg, {"best_epsilon": best_eps, "results": results})
     return best_eps, results
 
 
@@ -613,7 +608,7 @@ def cli_benchmark(cfg: ExperimentConfig, out_dir: str | Path) -> dict[str, Any]:
     datasets = []
     for mi, model_cfg in enumerate(cfg.models):
         ds = build_dataset(model_cfg, cfg.kernel, chain_rng(cfg.seed, _STREAM_DATASET, mi))
-        datasets.append((ds, build_prior(ds)))
+        datasets.append((ds, _chain_prior(ds)))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells = []
@@ -636,8 +631,7 @@ def cli_benchmark(cfg: ExperimentConfig, out_dir: str | Path) -> dict[str, Any]:
                 except EllsliceError as exc:
                     failures.append({"repeat": rep, "error": str(exc)})
                     continue
-                write_trace_csv(rep_dir / "trace.csv", trace, _provenance(cfg))
-                _write_json(rep_dir / "summary.json", _report_dict(report, cfg, prior))
+                _write_chain(rep_dir, cfg, trace, report, prior)
                 reports.append(report)
             ess = np.array([r.ess for r in reports]) if reports else np.array([np.nan])
             cell = {
@@ -653,25 +647,17 @@ def cli_benchmark(cfg: ExperimentConfig, out_dir: str | Path) -> dict[str, Any]:
                 "failures": failures,
             }
             cells.append(cell)
-            _write_json(cell_dir / "cell_summary.json", dict(cell, **_stamp(cfg)))
-    summary = {
-        **_stamp(cfg),
-        "n_burn": cfg.n_burn,
-        "n_keep": cfg.n_keep,
-        "repeats": cfg.repeats,
-        "cells": cells,
-    }
-    _write_json(out / "benchmark_summary.json", summary)
+            _write_json(cell_dir / "cell_summary.json", cfg, cell)
+    summary = _write_json(out / "benchmark_summary.json", cfg, {
+        "n_burn": cfg.n_burn, "n_keep": cfg.n_keep, "repeats": cfg.repeats, "cells": cells,
+    })
     header = "cell,ess_mean,ess_std,seconds_mean,lik_evals_mean,prior_evals_mean,failures"
-    rows = [header] + [
+    _write_csv(out / "benchmark_summary.csv", _provenance(cfg), [header] + [
         f"{c['cell']},{repr(c['ess_mean'])},{repr(c['ess_std'])},"
         f"{repr(c['seconds_mean'])},{repr(c['lik_evals_mean'])},"
         f"{repr(c['prior_evals_mean'])},{len(c['failures'])}"
         for c in cells
-    ]
-    (out / "benchmark_summary.csv").write_text(
-        f"# {_provenance(cfg)}\n" + "\n".join(rows) + "\n"
-    )
+    ])
     return summary
 
 

@@ -22,6 +22,12 @@ class KernelConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise InvalidConfig(f"{name} must be positive and finite, got {v!r}")
+        scale = float(self.lengthscale)
+        if not 0.0 < scale * scale < math.inf:
+            # the kernel divides by the square, which must stay a positive float
+            raise InvalidConfig(
+                f"lengthscale squared must be positive and finite, got {self.lengthscale!r}"
+            )
 
 
 def squared_exponential(inputs: np.ndarray, cfg: KernelConfig) -> np.ndarray:

@@ -145,7 +145,10 @@ class TestConfig:
         # values that do not convert are errors naming their key
         for key, bad in [("n_burn", "abc"), ("n_keep", None), ("repeats", [2]),
                          ("tune_grid", ["wide"]), ("kernel", {"length": 1.0}),
-                         ("kernel", {"lengthscale": "long"}), ("kernel", 2.0)]:
+                         ("kernel", {"lengthscale": "long"}), ("kernel", 2.0),
+                         # a lengthscale whose square underflows or overflows
+                         ("kernel", {"lengthscale": 1e-200}), ("kernel", {"lengthscale": 1e200}),
+                         ("seed", -1), ("seed", True)]:
             with pytest.raises(InvalidConfig, match=key):
                 parse_config({"seed": 1, key: bad})
 
@@ -397,11 +400,11 @@ class TestTuneMh:
         with pytest.raises(InvalidConfig):
             cli_tune_mh(cfg, ds)
 
-    def test_out_of_range_grid_rejected(self, tmp_path):
-        cfg = small_regression_cfg(tune_grid=[0.5, 1.5])
-        (ds,) = cli_generate(cfg, tmp_path / "ds")
-        with pytest.raises(InvalidConfig):
-            cli_tune_mh(cfg, ds)
+    def test_out_of_range_grid_rejected(self):
+        # the (0, 1] range is checked with the rest of the config
+        for grid in ([0.5, 1.5], [0.0, 0.5], [float("nan")]):
+            with pytest.raises(InvalidConfig, match="tune_grid"):
+                small_regression_cfg(tune_grid=grid)
 
     def test_best_is_argmax_of_mean_ess(self, tmp_path):
         cfg = small_regression_cfg(
@@ -598,6 +601,8 @@ class TestCliMain:
                      id="generate-repeated-dims"),
         pytest.param("generate", {"model": {"kind": "regression", "n": 10, "dims": []}},
                      id="generate-empty-dims"),
+        pytest.param("generate", {"seed": -1}, id="generate-negative-seed"),
+        pytest.param("generate", {"seed": True}, id="generate-boolean-seed"),
     ])
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, command, raw):
         if callable(raw):
@@ -614,6 +619,37 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert code == 2
         assert "error:" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw_seed, flags", [(-1, []), (True, []), (14, ["--seed", "-1"])])
+    def test_bad_seed_exits_2_naming_it(self, tmp_path, capsys, raw_seed, flags):
+        cfg = self.write_cfg(tmp_path, {"seed": raw_seed, "model": {"kind": "regression", "n": 10}})
+        out = tmp_path / "out"
+        code = cli.main(["generate", "--config", cfg, "--out", str(out), *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'seed'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "tune-mh", "benchmark"])
+    def test_noise_free_regression_is_only_for_generate(self, tmp_path, capsys, command):
+        model = {"kind": "regression", "n": 10, "noise_std": 0}
+        cfg = self.write_cfg(tmp_path, {
+            "seed": 14, "n_keep": 20, "tune_grid": [0.5], "model": model,
+            "sampler": {"kind": "elliptical"}, "models": [model],
+            "samplers": [{"kind": "elliptical"}],
+        })
+        ds = tmp_path / "ds"
+        assert cli.main(["generate", "--config", cfg, "--out", str(ds)]) == 0
+        obs = np.loadtxt(ds / "observations.csv", delimiter=",")
+        np.testing.assert_array_equal(obs, np.loadtxt(ds / "latents.csv", delimiter=","))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        dataset = [] if command == "benchmark" else [str(ds)]
+        code = cli.main([command, *dataset, "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'noise_std'" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, key, model", [

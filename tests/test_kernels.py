@@ -13,7 +13,8 @@ class TestKernelConfig:
         cfg = KernelConfig()
         assert cfg.lengthscale == 1.0 and cfg.signal_variance == 1.0
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    # 1e-200 and 1e200 are finite, but their squares are not positive floats
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, 1e-200, 1e200])
     def test_rejects_bad_lengthscale(self, bad):
         with pytest.raises(InvalidConfig):
             KernelConfig(lengthscale=bad)

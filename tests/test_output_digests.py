@@ -9,22 +9,32 @@ stamped in each. The digest covers one tiny fixed-seed session of
 the wall-clock fields ``seconds`` and ``seconds_mean`` are stripped before
 hashing.
 
-A change that alters these outputs on purpose re-baselines the digest: run
+Each file's digest is pinned as well, so a mismatch names the files that
+moved. A change that alters these outputs on purpose re-baselines both: run
 ``PYTHONPATH=src python tests/test_output_digests.py`` and paste its output.
 Datasets stay small (n <= 24) so the digest depends little on the BLAS build.
+
+The session also checks the provenance stamp: every JSON output carries the
+``config_hash`` and ``seed`` of the config that wrote it, and every CSV starts
+with the ``# config_hash=... seed=...`` line. ``events.txt`` is the one file
+without it, as it doubles as a cox spec's ``events_file``.
 """
 
 import hashlib
 import os
 import re
+import json
 import tempfile
 from pathlib import Path
+
+import pytest
 
 from ellslice.harness import (
     cli_benchmark,
     cli_generate,
     cli_run,
     cli_tune_mh,
+    config_hash,
     parse_config,
 )
 
@@ -47,16 +57,25 @@ MATRIX = {
 _WALL_CLOCK = re.compile(r'^\s*"seconds(_mean)?": .*\n', re.MULTILINE)
 
 
-def run_session() -> None:
+def run_session() -> dict[Path, object]:
     """Every command once, writing under the working directory with relative
-    paths, so the run manifest's dataset path does not depend on it."""
+    paths, so the run manifest's dataset path does not depend on it.
+
+    Returns each command's output directory with the config it ran.
+    """
+    configs = {}
     for name, model in MODELS.items():
-        cli_generate(parse_config(dict(BASE, model=model)), Path("data", name))
+        configs[Path("data", name)] = parse_config(dict(BASE, model=model))
+        cli_generate(configs[Path("data", name)], Path("data", name))
     dataset = Path("data", "regression", "d01")
-    cfg = parse_config(dict(BASE, sampler={"kind": "elliptical"}))
+    cfg = configs[Path("run")] = configs[Path("tune")] = parse_config(
+        dict(BASE, sampler={"kind": "elliptical"})
+    )
     cli_run(cfg, dataset, Path("run"))
     cli_tune_mh(cfg, dataset, Path("tune"))
-    cli_benchmark(parse_config(dict(BASE, **MATRIX)), Path("bench"))
+    configs[Path("bench")] = parse_config(dict(BASE, **MATRIX))
+    cli_benchmark(configs[Path("bench")], Path("bench"))
+    return configs
 
 
 def _stripped(path: Path) -> bytes:
@@ -67,9 +86,21 @@ def _stripped(path: Path) -> bytes:
     return text.encode()
 
 
+def _files(root: Path) -> list[Path]:
+    return sorted(p for p in root.rglob("*") if p.is_file())
+
+
+def file_digests(root: Path) -> dict[str, str]:
+    """The first 16 hex digits of each file's digest, by relative path."""
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(_stripped(path)).hexdigest()[:16]
+        for path in _files(root)
+    }
+
+
 def output_digest(root: Path) -> str:
     h = hashlib.sha256()
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+    for path in _files(root):
         h.update(path.relative_to(root).as_posix().encode() + b"\0")
         h.update(_stripped(path) + b"\0")
     return h.hexdigest()
@@ -77,15 +108,124 @@ def output_digest(root: Path) -> str:
 
 EXPECTED = '1ae4cc40b4f1ad9a7365b832618764632ff1c73a3a6a5ff555476555a6025677'
 
+FILE_DIGESTS = {
+    'bench/benchmark_summary.csv': '6753dbf99b8ce392',
+    'bench/benchmark_summary.json': '62e7cb22a0e0cd81',
+    'bench/cell00_elliptical_regression-d2/cell_summary.json': '05e9b292d44beffd',
+    'bench/cell00_elliptical_regression-d2/repeat00/summary.json': 'e0a3ed99e89cd352',
+    'bench/cell00_elliptical_regression-d2/repeat00/trace.csv': 'f95d47001427f31d',
+    'bench/cell00_elliptical_regression-d2/repeat01/summary.json': '7b1ff825dc8e0ab2',
+    'bench/cell00_elliptical_regression-d2/repeat01/trace.csv': 'e63e681dc5f3370e',
+    'bench/cell01_elliptical_classification-d1/cell_summary.json': 'ac8b683673613213',
+    'bench/cell01_elliptical_classification-d1/repeat00/summary.json': '25dfba32caced31f',
+    'bench/cell01_elliptical_classification-d1/repeat00/trace.csv': 'd0890470cc5245b2',
+    'bench/cell01_elliptical_classification-d1/repeat01/summary.json': 'b81b9026eb110d5a',
+    'bench/cell01_elliptical_classification-d1/repeat01/trace.csv': '013221a34cc04633',
+    'bench/cell02_elliptical_cox/cell_summary.json': 'b695d301eeb5e288',
+    'bench/cell02_elliptical_cox/repeat00/summary.json': 'd111fa0e81add5e8',
+    'bench/cell02_elliptical_cox/repeat00/trace.csv': '215fbf34a940d7f6',
+    'bench/cell02_elliptical_cox/repeat01/summary.json': 'f3980515fabba638',
+    'bench/cell02_elliptical_cox/repeat01/trace.csv': '9830aee21b7e66eb',
+    'bench/cell03_neal-mh-eps0.3_regression-d2/cell_summary.json': 'c0677246558812a5',
+    'bench/cell03_neal-mh-eps0.3_regression-d2/repeat00/summary.json': 'e2bf274e585549de',
+    'bench/cell03_neal-mh-eps0.3_regression-d2/repeat00/trace.csv': '1d5ceba1f529f117',
+    'bench/cell03_neal-mh-eps0.3_regression-d2/repeat01/summary.json': 'e0052d957c2e410b',
+    'bench/cell03_neal-mh-eps0.3_regression-d2/repeat01/trace.csv': 'acf9c229990cf359',
+    'bench/cell04_neal-mh-eps0.3_classification-d1/cell_summary.json': '332777821025054f',
+    'bench/cell04_neal-mh-eps0.3_classification-d1/repeat00/summary.json': '9e7c2feadf7dc8b2',
+    'bench/cell04_neal-mh-eps0.3_classification-d1/repeat00/trace.csv': '8a4b6b166f3fa7d6',
+    'bench/cell04_neal-mh-eps0.3_classification-d1/repeat01/summary.json': 'bcf2522d05d6aeef',
+    'bench/cell04_neal-mh-eps0.3_classification-d1/repeat01/trace.csv': '6b38dc9f6c88585a',
+    'bench/cell05_neal-mh-eps0.3_cox/cell_summary.json': 'b30e6b701d7a3903',
+    'bench/cell05_neal-mh-eps0.3_cox/repeat00/summary.json': 'b2c20d9757cb8d83',
+    'bench/cell05_neal-mh-eps0.3_cox/repeat00/trace.csv': 'c31d8f2484444ac4',
+    'bench/cell05_neal-mh-eps0.3_cox/repeat01/summary.json': '42e4f1a849d8cba3',
+    'bench/cell05_neal-mh-eps0.3_cox/repeat01/trace.csv': '1b0fe11fc4d2a460',
+    'bench/cell06_line-slice_regression-d2/cell_summary.json': '80ea18e4f5e58fb6',
+    'bench/cell06_line-slice_regression-d2/repeat00/summary.json': '155c2c32536c432a',
+    'bench/cell06_line-slice_regression-d2/repeat00/trace.csv': '79a5dc140c3764f8',
+    'bench/cell06_line-slice_regression-d2/repeat01/summary.json': 'fe5ab133d0dceb34',
+    'bench/cell06_line-slice_regression-d2/repeat01/trace.csv': '155cbce183cea520',
+    'bench/cell07_line-slice_classification-d1/cell_summary.json': '5a2799740aeced79',
+    'bench/cell07_line-slice_classification-d1/repeat00/summary.json': '19d4870835b91a52',
+    'bench/cell07_line-slice_classification-d1/repeat00/trace.csv': '26125983142e227a',
+    'bench/cell07_line-slice_classification-d1/repeat01/summary.json': '4cc5682dd236c2e7',
+    'bench/cell07_line-slice_classification-d1/repeat01/trace.csv': '1cf2b560265ce6ae',
+    'bench/cell08_line-slice_cox/cell_summary.json': 'd862007458b7aa1f',
+    'bench/cell08_line-slice_cox/repeat00/summary.json': '14b3ab825c8dd61d',
+    'bench/cell08_line-slice_cox/repeat00/trace.csv': 'e386bf85e4702a03',
+    'bench/cell08_line-slice_cox/repeat01/summary.json': '1f385c2da0563eac',
+    'bench/cell08_line-slice_cox/repeat01/trace.csv': 'cf398f8f082c970f',
+    'data/classification/inputs.csv': '5d0ffd7b5b6fbdd1',
+    'data/classification/latents.csv': '30f93695a3f6e80f',
+    'data/classification/manifest.json': '41bcdb7c226d6fc2',
+    'data/classification/observations.csv': 'e5045b855b74d9a2',
+    'data/cox/events.txt': 'd984b4ccddbeda61',
+    'data/cox/manifest.json': 'daea967c1003dbac',
+    'data/regression/d01/inputs.csv': 'b7d7e1ec4e122ac5',
+    'data/regression/d01/latents.csv': '6950b2072ebd44b3',
+    'data/regression/d01/manifest.json': 'cbf655865954dae7',
+    'data/regression/d01/observations.csv': '45fa4773ba73d0fd',
+    'data/regression/d02/inputs.csv': 'c17c300b3d1ef014',
+    'data/regression/d02/latents.csv': '7096564585805b91',
+    'data/regression/d02/manifest.json': '545b4fd6d02dc9b3',
+    'data/regression/d02/observations.csv': 'a76a771e7b4afe7f',
+    'run/manifest.json': 'de0c6d077fa811e1',
+    'run/summary.json': '1e5606b03976a85e',
+    'run/trace.csv': '9c730dcc8cec3259',
+    'tune/tuning.json': 'd40d8acc78c0ab4d',
+}
 
-def test_harness_outputs_are_pinned(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    run_session()
-    assert output_digest(tmp_path) == EXPECTED
+
+@pytest.fixture(scope="module")
+def session(tmp_path_factory):
+    """(output root, configs by directory) of one session."""
+    root = tmp_path_factory.mktemp("session")
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        configs = run_session()
+    finally:
+        os.chdir(cwd)
+    return root, configs
+
+
+def test_harness_outputs_are_pinned(session):
+    root, _ = session
+    assert output_digest(root) == EXPECTED
+
+
+def test_each_output_file_is_pinned(session):
+    got = file_digests(session[0])
+    moved = sorted(name for name in got.keys() | FILE_DIGESTS.keys()
+                   if got.get(name) != FILE_DIGESTS.get(name))
+    assert not moved, f"outputs that moved, appeared or went missing: {moved}"
+
+
+def test_every_output_carries_its_config_stamp(session):
+    root, configs = session
+    unstamped = []
+    for path in _files(root):
+        rel = path.relative_to(root)
+        cfg = next(configs[d] for d in configs if d in rel.parents)
+        digest, seed = config_hash(cfg), cfg.seed
+        if path.suffix == ".json":
+            payload = json.loads(path.read_text())
+            stamped = (payload.get("config_hash"), payload.get("seed")) == (digest, seed)
+        else:
+            first = path.read_text().splitlines()[0]
+            stamped = first == f"# config_hash={digest} seed={seed}"
+        if not stamped:
+            unstamped.append(rel.as_posix())
+    assert unstamped == ["data/cox/events.txt"]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         run_session()
-        print(f"EXPECTED = {output_digest(Path(tmp))!r}")
+        print(f"EXPECTED = {output_digest(Path(tmp))!r}\n")
+        print("FILE_DIGESTS = {")
+        for name, digest in file_digests(Path(tmp)).items():
+            print(f"    {name!r}: {digest!r},")
+        print("}")
