@@ -4,13 +4,14 @@ File conventions, shared by the CLI and the test suite:
 
 * configs are JSON (a complete example lives in the README);
 * dataset directories hold ``manifest.json`` plus CSVs (``inputs.csv``,
-  ``observations.csv``, ``latents.csv``) or ``events.txt`` for count data;
+  ``observations.csv``, ``latents.csv``) or ``events.txt`` (one event time
+  per line) for count data;
 * run directories hold ``trace.csv`` (columns ``iteration, log_likelihood,
   cumulative_likelihood_evals, accepted``), ``summary.json`` and
   ``manifest.json``;
-* every CSV starts with a ``#`` comment carrying the config hash and seed,
-  and JSON outputs carry the same keys, so any output can be traced back to
-  the exact configuration that produced it.
+* every CSV and ``events.txt`` starts with a ``#`` comment carrying the
+  config hash and seed, and JSON outputs carry the same keys, so any output
+  can be traced back to the exact configuration that produced it.
 
 Floats are written with ``repr`` (shortest round-trip form), which makes
 rerunning a command with the same config and seed byte-identical, bar the
@@ -49,7 +50,6 @@ from .models import (
     generate_classification_dataset,
     generate_regression_dataset,
     mining_event_times,
-    read_event_times,
 )
 from .samplers import StepFn, chain_rng, make_operator, run_chain
 
@@ -124,8 +124,20 @@ def _in_range(convert: Callable[[Any], Any], ok: Callable[[Any], bool], need: st
     return checked
 
 
-_COUNT = _in_range(int, lambda x: x >= 1, ">= 1")
-_NONNEGATIVE = _in_range(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0")
+def _integer(low: int) -> Callable[[Any], int]:
+    """An integer >= ``low``: a bool or a float with a fractional part is an
+    error, not truncated."""
+    def convert(value: Any) -> int:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError("not an integer")
+        return int(value)
+    return _in_range(convert, lambda x: x >= low, f"an integer >= {low}")
+
+
+_COUNT = _integer(1)
+# generate_regression_dataset squares it, so the square must stay finite too
+_NOISE_STD = _in_range(float, lambda x: 0.0 <= x and x * x < math.inf,
+                       "finite and >= 0, with a finite square")
 _POSITIVE = _in_range(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
 _LINK = _in_range(lambda x: x, lambda x: x in ("logistic", "probit"), "'logistic' or 'probit'")
 _PATH = _in_range(lambda x: x, lambda x: isinstance(x, str), "a path string")
@@ -144,10 +156,10 @@ _Keys = dict[str, tuple[Any, Callable[[Any], Any]]]  # key: (default, checked co
 # Each config key as (default, checked converter): the one place a config is
 # read. The seed has no default, as parse_config requires it.
 _CONFIG_KEYS: _Keys = {
-    "seed": (None, _in_range(lambda x: x, lambda x: type(x) is int and x >= 0, "an integer >= 0")),
-    "n_burn": (DESK_BURN, _in_range(int, lambda x: x >= 0, ">= 0")),
+    "seed": (None, _integer(0)),
+    "n_burn": (DESK_BURN, _integer(0)),
     # every command summarizes its chains by ESS, which needs this many
-    "n_keep": (DESK_KEEP, _in_range(int, lambda x: x >= MIN_SERIES_LENGTH, f">= {MIN_SERIES_LENGTH}")),
+    "n_keep": (DESK_KEEP, _integer(MIN_SERIES_LENGTH)),
     "repeats": (1, _COUNT),
     "kernel": (KernelConfig(), _kernel),
     "model": (None, _SPEC),
@@ -186,7 +198,7 @@ def _read_keys(table: _Keys, spec: Mapping[str, Any]) -> dict[str, Any]:
 # kernel (regression) or the coal-mining record (cox).
 _SIZES = {"n": (200, _COUNT), "dims": (1, _COUNT)}  # of a synthetic dataset
 _MODEL_KEYS: dict[str, _Keys] = {
-    "regression": {**_SIZES, "noise_std": (0.3, _NONNEGATIVE), "kernel": (None, _kernel)},
+    "regression": {**_SIZES, "noise_std": (0.3, _NOISE_STD), "kernel": (None, _kernel)},
     "classification": {
         **_SIZES, "link": ("logistic", _LINK), "kernel": (CLASSIFICATION_KERNEL, _kernel)
     },
@@ -211,7 +223,7 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
     with open(path) as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not text at all
             raise InvalidConfig(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InvalidConfig(f"config {path} must be a JSON object")
@@ -263,27 +275,19 @@ def build_dataset(model_cfg: Mapping[str, Any], kernel: KernelConfig, rng: np.ra
 def _cox_events(source: str | None) -> np.ndarray:
     """Event times from a cox spec's ``events_file``, else the coal-mining record."""
     if source is None:
-        return np.asarray(mining_event_times())
+        return mining_event_times()
     try:
-        return _read_events(source)
+        return read_event_times(source)
     except InvalidConfig as exc:
         raise InvalidConfig(f"bad value for 'events_file': {exc}") from None
 
 
-def _read_events(path: str | Path) -> np.ndarray:
-    """:func:`read_event_times`, with a bad line or no events raising InvalidConfig."""
-    try:
-        times = read_event_times(path)
-    except ValueError as exc:
-        raise InvalidConfig(str(exc)) from None
-    if times.size == 0:
-        raise InvalidConfig(f"{path}: no event times")
-    return times
-
-
 def _cox_dataset(events: np.ndarray, width: float, kernel: KernelConfig) -> Dataset:
     """Bin events into counts; bin centers are the 1-D inputs."""
-    data = bin_events(events, width)
+    try:
+        data = bin_events(events, width)
+    except ValueError as exc:  # events and width are checked, so the bin index overflowed
+        raise InvalidConfig(f"bad value for 'bin_width': {exc}") from None
     centers = (np.arange(data.n) + 0.5) * width
     return Dataset(centers.reshape(-1, 1), data, None, kernel)
 
@@ -305,15 +309,20 @@ def _read_rows(
     convert: Callable[[list[str]], Any],
     header: str | None = None,
 ) -> list[Any]:
-    """``convert`` applied to the comma-split fields of each data row of a CSV.
+    """``convert`` applied to the comma-split fields of each data row of a
+    CSV, trace or events file.
 
     Blank lines, ``#`` comments and a ``header`` line are skipped. Every row
     must have as many fields as the first; a row that does not, or that
     ``convert`` rejects, raises InvalidConfig naming the file and line, as
-    does a file without rows.
+    does a file that is not text or has no rows.
     """
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"{path} cannot be decoded as text ({exc})") from None
     rows, width = [], None
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#") or line == header:
             continue
@@ -328,6 +337,20 @@ def _read_rows(
     if not rows:
         raise InvalidConfig(f"{path} contains no data rows")
     return rows
+
+
+def read_event_times(path: str | Path) -> np.ndarray:
+    """Event times (days since the first event) from an events file, one per
+    row, read like any CSV."""
+    return np.asarray(_read_rows(path, _event_time))
+
+
+def _event_time(fields: list[str]) -> float:
+    (text,) = fields  # another width raises ValueError
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError("an event time must be finite and >= 0")
+    return value
 
 
 def _read_matrix(path: Path) -> np.ndarray:
@@ -389,9 +412,7 @@ def cli_generate(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
         }
         if kind == "cox":
             events = _cox_events(spec["events_file"])
-            (target / "events.txt").write_text(
-                "\n".join(repr(float(t)) for t in events) + "\n"
-            )
+            _write_csv(target / "events.txt", note, [repr(float(t)) for t in events])
             manifest["files"] = ["events.txt"]
         else:
             _write_matrix(target / "inputs.csv", ds.inputs, note)
@@ -422,7 +443,7 @@ def load_dataset(dataset_dir: str | Path) -> Dataset:
     except (ValueError, TypeError, KeyError, InvalidConfig) as exc:
         raise InvalidConfig(f"{manifest_path} is not a dataset manifest: {exc!r}") from None
     if kind == "cox":
-        events = _read_events(dataset_dir / "events.txt")
+        events = read_event_times(dataset_dir / "events.txt")
         return _cox_dataset(events, spec["bin_width"], kernel)
     inputs = _read_matrix(dataset_dir / "inputs.csv")
     obs = _read_matrix(dataset_dir / "observations.csv").ravel()

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -209,28 +208,12 @@ def bin_events(event_times: np.ndarray, bin_width: float) -> CoxData:
         raise ValueError("bin_width must be positive")
     if times.size == 0:
         raise ValueError("no events: mean-rate offset log(0) is degenerate")
-    idx = np.floor((times - times.min()) / bin_width).astype(np.int64)
-    counts = np.bincount(idx)
+    scaled = (times - times.min()) / bin_width
+    if not scaled.max() < 2.0**63:  # checked before the cast, which would wrap around
+        raise ValueError(f"the last event falls in bin {scaled.max():.3g}, past what int64 indexes")
+    counts = np.bincount(np.floor(scaled).astype(np.int64))
     offset = math.log(times.size / counts.size)
     return CoxData(counts, offset)
-
-
-def read_event_times(path: str | Path) -> np.ndarray:
-    """One non-negative real per line (days since the first event); blank
-    lines ignored."""
-    times = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{path}:{line_no}: invalid event time {text!r}")
-        times.append(value)
-    return np.asarray(times, dtype=float)
 
 
 # Yearly counts of the classic British coal-mining disaster series

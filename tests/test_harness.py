@@ -89,6 +89,13 @@ def _labels_with(bad):
     return corrupt
 
 
+def _append_bytes(data):
+    return lambda path: path.write_bytes(path.read_bytes() + data)
+
+
+_NOT_UTF8 = b"\xff\xfe\n"
+
+
 def _cox_with_events(text):
     def corrupt(path):
         path.write_text(text)
@@ -99,6 +106,12 @@ def _cox_with_events(text):
 def _empty_file(directory):
     path = directory / "empty.txt"
     path.write_text("")
+    return str(path)
+
+
+def _events_file(directory, text):
+    path = directory / "events.txt"
+    path.write_text(text)
     return str(path)
 
 
@@ -148,7 +161,10 @@ class TestConfig:
                          ("kernel", {"lengthscale": "long"}), ("kernel", 2.0),
                          # a lengthscale whose square underflows or overflows
                          ("kernel", {"lengthscale": 1e-200}), ("kernel", {"lengthscale": 1e200}),
-                         ("seed", -1), ("seed", True)]:
+                         ("seed", -1), ("seed", True),
+                         # counts that are not integers are errors, not truncated
+                         ("n_keep", 20.7), ("repeats", 2.9), ("n_burn", True),
+                         ("n_burn", 2.5), ("seed", 7.5), ("n_keep", float("inf"))]:
             with pytest.raises(InvalidConfig, match=key):
                 parse_config({"seed": 1, key: bad})
 
@@ -189,6 +205,9 @@ class TestConfig:
         path.write_text("[1, 2, 3]")
         with pytest.raises(InvalidConfig):
             load_config(path)
+        path.write_bytes(b'{"seed": 1' + _NOT_UTF8 + b"}")
+        with pytest.raises(InvalidConfig):
+            load_config(path)
 
 
 class TestBuildDataset:
@@ -226,6 +245,11 @@ class TestBuildDataset:
         ("bin_width", {"kind": "cox", "bin_width": float("inf")}),
         ("link", {"kind": "classification", "n": 5, "link": "cauchy"}),
         ("events_file", {"kind": "cox", "events_file": 5}),
+        ("n", {"kind": "regression", "n": 20.7}),
+        ("dims", {"kind": "regression", "n": 5, "dims": True}),
+        ("n", {"kind": "classification", "n": 2.5}),
+        ("noise_std", {"kind": "regression", "n": 5, "noise_std": 1e200}),
+        ("bin_width", {"kind": "cox", "bin_width": 1e-300}),  # an index past int64
     ])
     def test_out_of_range_value_names_its_key(self, key, spec):
         with pytest.raises(InvalidConfig, match=f"'{key}'"):
@@ -242,8 +266,17 @@ class TestBuildDataset:
 
     def test_empty_events_file_names_its_key(self, tmp_path):
         spec = {"kind": "cox", "events_file": _empty_file(tmp_path)}
-        with pytest.raises(InvalidConfig, match="'events_file'.*no event times"):
+        with pytest.raises(InvalidConfig, match="'events_file'.*contains no data rows"):
             build_dataset(spec, KernelConfig(), chain_rng(5))
+
+    def test_events_file_skips_comments_and_blank_lines(self, tmp_path):
+        datasets = []
+        for text in ("0.0\n120.0\n130.5\n", "# three events\n0.0\n\n120.0\n# end\n130.5\n\n"):
+            spec = {"kind": "cox", "events_file": _events_file(tmp_path, text)}
+            datasets.append(build_dataset(spec, KernelConfig(), chain_rng(5)))
+        bare, commented = datasets
+        np.testing.assert_array_equal(commented.data.counts, bare.data.counts)
+        assert commented.data.offset == bare.data.offset
 
 
 class TestGenerateAndLoad:
@@ -283,6 +316,17 @@ class TestGenerateAndLoad:
             fresh = build_dataset(cfg.model, cfg.kernel, chain_rng(cfg.seed, 0, 0))
             assert np.array_equal(ds.data.counts, fresh.data.counts)
             assert np.array_equal(ds.inputs, fresh.inputs)
+
+    def test_generated_events_file_feeds_another_spec(self, tmp_path):
+        cfg = parse_config({"seed": 4, "model": {"kind": "cox", "bin_width": 100.0}})
+        (written,) = cli_generate(cfg, tmp_path / "cox")
+        events = written / "events.txt"
+        assert events.read_text().startswith(f"# config_hash={config_hash(cfg)} seed=4\n")
+        spec = {"kind": "cox", "bin_width": 100.0, "events_file": str(events)}
+        ds = build_dataset(spec, KernelConfig(), chain_rng(0))
+        fresh = build_dataset(cfg.model, cfg.kernel, chain_rng(0))
+        np.testing.assert_array_equal(ds.data.counts, fresh.data.counts)
+        assert ds.data.offset == fresh.data.offset
 
     def test_dims_list_writes_one_dir_per_dimension(self, tmp_path):
         cfg = parse_config(
@@ -603,6 +647,20 @@ class TestCliMain:
                      id="generate-empty-dims"),
         pytest.param("generate", {"seed": -1}, id="generate-negative-seed"),
         pytest.param("generate", {"seed": True}, id="generate-boolean-seed"),
+        pytest.param("generate", {"n_keep": 20.7}, id="generate-fractional-n-keep"),
+        pytest.param("generate", {"n_burn": True}, id="generate-boolean-n-burn"),
+        pytest.param("generate", {"model": {"kind": "regression", "n": 10.5}},
+                     id="generate-fractional-n"),
+        pytest.param("generate", {"model": {"kind": "regression", "n": 10, "dims": [1, 2.5]}},
+                     id="generate-fractional-dims-entry"),
+        pytest.param("generate", {"model": {"kind": "regression", "n": 10, "noise_std": 1e200}},
+                     id="generate-noise-std-square-overflows"),
+        pytest.param("generate", {"model": {"kind": "cox", "bin_width": 1e-300}},
+                     id="generate-bin-index-overflows"),
+        pytest.param("generate",
+                     lambda tmp: {"model": {"kind": "cox",
+                                            "events_file": _events_file(tmp, "0.0\n1e300\n")}},
+                     id="generate-event-bin-index-overflows"),
     ])
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, command, raw):
         if callable(raw):
@@ -685,6 +743,10 @@ class TestCliMain:
         pytest.param("run", "ds", _set_model(noise_std=-0.3), id="manifest-negative-noise-std"),
         pytest.param("run", "ds/events.txt", _cox_with_events("0.0\nsoon\n"),
                      id="event-not-numeric"),
+        pytest.param("run", "ds/inputs.csv", _append_bytes(_NOT_UTF8), id="inputs-not-utf8"),
+        pytest.param("run", "ds/events.txt",
+                     lambda p: (_cox_with_events("0.0\n")(p), _append_bytes(_NOT_UTF8)(p)),
+                     id="events-not-utf8"),
         pytest.param("diagnose", "run/trace.csv", _keep_columns(3), id="trace-3-columns"),
         pytest.param("diagnose", "run/trace.csv", _append("20,abc,99,1\n"),
                      id="trace-cell-not-numeric"),
@@ -692,6 +754,7 @@ class TestCliMain:
                      id="trace-log-likelihood-nan"),
         pytest.param("diagnose", "run/trace.csv", _keep_rows(MIN_SERIES_LENGTH - 1),
                      id="trace-too-short"),
+        pytest.param("diagnose", "run/trace.csv", _append_bytes(_NOT_UTF8), id="trace-not-utf8"),
     ])
     def test_malformed_input_file_exits_2(self, tmp_path, capsys, command, target, corrupt):
         cfg = self.write_cfg(tmp_path, {

@@ -11,6 +11,7 @@ from ellslice import (
     ConstantLikelihood,
     CoxData,
     DimensionMismatch,
+    InvalidConfig,
     KernelConfig,
     RegressionData,
     bin_events,
@@ -321,5 +322,5 @@ class TestReadEventTimes:
     def test_garbage_line_rejected(self, tmp_path):
         path = tmp_path / "events.txt"
         path.write_text("1.0\nnot-a-number\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             read_event_times(path)

@@ -16,8 +16,8 @@ Datasets stay small (n <= 24) so the digest depends little on the BLAS build.
 
 The session also checks the provenance stamp: every JSON output carries the
 ``config_hash`` and ``seed`` of the config that wrote it, and every CSV starts
-with the ``# config_hash=... seed=...`` line. ``events.txt`` is the one file
-without it, as it doubles as a cox spec's ``events_file``.
+with the ``# config_hash=... seed=...`` line, as does ``events.txt``, which a
+cox spec reads back as its ``events_file`` past that comment.
 """
 
 import hashlib
@@ -106,7 +106,7 @@ def output_digest(root: Path) -> str:
     return h.hexdigest()
 
 
-EXPECTED = '1ae4cc40b4f1ad9a7365b832618764632ff1c73a3a6a5ff555476555a6025677'
+EXPECTED = '8e5d5e96580e42ff5f7d8ec63d2633ba1efa352bea2d2c3998ebe809219cb61a'
 
 FILE_DIGESTS = {
     'bench/benchmark_summary.csv': '6753dbf99b8ce392',
@@ -160,7 +160,7 @@ FILE_DIGESTS = {
     'data/classification/latents.csv': '30f93695a3f6e80f',
     'data/classification/manifest.json': '41bcdb7c226d6fc2',
     'data/classification/observations.csv': 'e5045b855b74d9a2',
-    'data/cox/events.txt': 'd984b4ccddbeda61',
+    'data/cox/events.txt': '90b1a076fcb89291',
     'data/cox/manifest.json': 'daea967c1003dbac',
     'data/regression/d01/inputs.csv': 'b7d7e1ec4e122ac5',
     'data/regression/d01/latents.csv': '6950b2072ebd44b3',
@@ -217,7 +217,7 @@ def test_every_output_carries_its_config_stamp(session):
             stamped = first == f"# config_hash={digest} seed={seed}"
         if not stamped:
             unstamped.append(rel.as_posix())
-    assert unstamped == ["data/cox/events.txt"]
+    assert unstamped == []
 
 
 if __name__ == "__main__":
