@@ -17,8 +17,9 @@ class InvalidConfig(EllsliceError):
     """A configuration value is outside its allowed range."""
 
 
-class NonFiniteLikelihood(EllsliceError):
-    """A likelihood evaluation returned NaN."""
+class NonFiniteLikelihood(EllsliceError, ValueError):
+    """A likelihood evaluation returned NaN, or a chain starts where the
+    likelihood is zero (log L = -inf)."""
 
 
 class ShrinkLimitExceeded(EllsliceError):

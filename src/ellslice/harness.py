@@ -3,13 +3,13 @@
 File conventions, shared by the CLI and the test suite:
 
 * configs are JSON (a complete example lives in the README);
-* dataset directories hold ``manifest.json`` plus CSVs (``inputs.csv``,
-  ``observations.csv``, ``latents.csv``) or ``events.txt`` (one event time
-  per line) for count data;
+* dataset directories hold ``manifest.json`` plus the files ``_FILES``
+  names for the model kind: CSVs of inputs, observations and latents, or
+  one event time per line for count data;
 * run directories hold ``trace.csv`` (columns ``iteration, log_likelihood,
   cumulative_likelihood_evals, accepted``), ``summary.json`` and
   ``manifest.json``;
-* every CSV and ``events.txt`` starts with a ``#`` comment carrying the
+* every CSV and event file starts with a ``#`` comment carrying the
   config hash and seed, and JSON outputs carry the same keys, so any output
   can be traced back to the exact configuration that produced it.
 
@@ -134,11 +134,24 @@ def _integer(low: int) -> Callable[[Any], int]:
     return _in_range(convert, lambda x: x >= low, f"an integer >= {low}")
 
 
+def _real(value: Any) -> float:
+    """``float(value)``, but a bool is an error, not 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise ValueError("not a number")
+    return float(value)
+
+
+def _grid(values: Any) -> tuple[float, ...]:
+    if not isinstance(values, (list, tuple)):  # a string or object would be read item by item
+        raise ValueError("not a list")
+    return tuple(_real(v) for v in values)
+
+
 _COUNT = _integer(1)
 # generate_regression_dataset squares it, so the square must stay finite too
-_NOISE_STD = _in_range(float, lambda x: 0.0 <= x and x * x < math.inf,
+_NOISE_STD = _in_range(_real, lambda x: 0.0 <= x and x * x < math.inf,
                        "finite and >= 0, with a finite square")
-_POSITIVE = _in_range(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
+_POSITIVE = _in_range(_real, lambda x: 0.0 < x < math.inf, "finite and > 0")
 _LINK = _in_range(lambda x: x, lambda x: x in ("logistic", "probit"), "'logistic' or 'probit'")
 _PATH = _in_range(lambda x: x, lambda x: isinstance(x, str), "a path string")
 
@@ -150,6 +163,7 @@ def _kernel(fields: Any) -> KernelConfig:
 _SPEC = _in_range(lambda x: x, lambda x: x is None or isinstance(x, Mapping), "a JSON object")
 _SPECS = _in_range(tuple, lambda xs: all(isinstance(x, Mapping) for x in xs),
                    "a list of JSON objects")
+
 
 _Keys = dict[str, tuple[Any, Callable[[Any], Any]]]  # key: (default, checked converter)
 
@@ -166,8 +180,8 @@ _CONFIG_KEYS: _Keys = {
     "sampler": (None, _SPEC),
     "models": ((), _SPECS),
     "samplers": ((), _SPECS),
-    "tune_grid": ((), _in_range(lambda gs: tuple(float(g) for g in gs),
-                                lambda gs: all(0.0 < g <= 1.0 for g in gs), "values in (0, 1]")),
+    "tune_grid": ((), _in_range(_grid, lambda gs: all(0.0 < g <= 1.0 for g in gs),
+                                "values in (0, 1]")),
 }
 
 
@@ -242,6 +256,7 @@ class Dataset:
     data: Any
     latents: np.ndarray | None
     kernel: KernelConfig
+    files: Mapping[str, np.ndarray]  # the arrays it is written as, by their names in _FILES
 
 
 def build_dataset(model_cfg: Mapping[str, Any], kernel: KernelConfig, rng: np.random.Generator) -> Dataset:
@@ -249,9 +264,8 @@ def build_dataset(model_cfg: Mapping[str, Any], kernel: KernelConfig, rng: np.ra
 
     Regression and classification are synthesized from the prior;
     ``cox`` bins event times, either from ``events_file`` or the packaged
-    coal-mining record. Bin centers double as the 1-D inputs so the same
-    kernel machinery applies. A key the spec's kind does not have is an
-    error: config specs enter here.
+    coal-mining record. A key the spec's kind does not have is an error:
+    config specs enter here.
     """
     kind, spec = _model_spec(model_cfg)
     unknown = set(model_cfg) - set(spec) - {"kind"}
@@ -259,37 +273,40 @@ def build_dataset(model_cfg: Mapping[str, Any], kernel: KernelConfig, rng: np.ra
         raise InvalidConfig(f"unknown {kind} model keys: {sorted(unknown)}")
     kern = spec["kernel"] or kernel
     if kind == "cox":
-        events = _cox_events(spec["events_file"])
-        return _cox_dataset(events, spec["bin_width"], kern)
-    if kind == "regression":
+        source = spec["events_file"]
+        arrays = (mining_event_times() if source is None
+                  else _coerce("events_file", source, read_event_times),)
+    elif kind == "regression":
         inputs, data, latents = generate_regression_dataset(
             spec["n"], spec["dims"], kern, spec["noise_std"], rng
         )
+        arrays = (inputs, data.y, latents)
     else:
         inputs, data, latents = generate_classification_dataset(
             spec["n"], spec["dims"], kern, rng, link=spec["link"]
         )
-    return Dataset(inputs, data, latents, kern)
+        arrays = (inputs, data.labels, latents)
+    return _dataset(kind, spec, kern, dict(zip(_FILES[kind], arrays)))
 
 
-def _cox_events(source: str | None) -> np.ndarray:
-    """Event times from a cox spec's ``events_file``, else the coal-mining record."""
-    if source is None:
-        return mining_event_times()
-    try:
-        return read_event_times(source)
-    except InvalidConfig as exc:
-        raise InvalidConfig(f"bad value for 'events_file': {exc}") from None
-
-
-def _cox_dataset(events: np.ndarray, width: float, kernel: KernelConfig) -> Dataset:
-    """Bin events into counts; bin centers are the 1-D inputs."""
-    try:
-        data = bin_events(events, width)
-    except ValueError as exc:  # events and width are checked, so the bin index overflowed
-        raise InvalidConfig(f"bad value for 'bin_width': {exc}") from None
-    centers = (np.arange(data.n) + 0.5) * width
-    return Dataset(centers.reshape(-1, 1), data, None, kernel)
+def _dataset(kind: str, spec: Mapping[str, Any], kernel: KernelConfig,
+             files: Mapping[str, np.ndarray]) -> Dataset:
+    """The likelihood a model spec describes over a dataset's ``files``. Cox
+    events are binned into counts, and the bin centers are the 1-D inputs."""
+    arrays = [files[name] for name in _FILES[kind]]
+    if kind == "cox":
+        try:
+            data = bin_events(*arrays, spec["bin_width"])
+        except ValueError as exc:  # events and width are checked, so the bin index overflowed
+            raise InvalidConfig(f"bad value for 'bin_width': {exc}") from None
+        centers = (np.arange(data.n) + 0.5) * spec["bin_width"]
+        return Dataset(centers.reshape(-1, 1), data, None, kernel, files)
+    inputs, obs, latents = arrays
+    if kind == "regression":
+        data = RegressionData(y=obs, noise_variance=spec["noise_std"] ** 2)
+    else:  # labels read back from a file may be other than -1/+1: a ValueError
+        data = ClassificationData(labels=obs, link=spec["link"])
+    return Dataset(inputs, data, latents, kernel, files)
 
 
 def _write_csv(path: str | Path, comment: str, lines: list[str]) -> None:
@@ -298,10 +315,10 @@ def _write_csv(path: str | Path, comment: str, lines: list[str]) -> None:
 
 
 def _write_matrix(path: Path, arr: np.ndarray, comment: str) -> None:
-    arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    if arr.shape[0] == 1 and arr.size > 1:
-        arr = arr.T
-    _write_csv(path, comment, [",".join(repr(float(v)) for v in row) for row in arr])
+    """One row per entry of ``arr``'s first axis: a vector is one column."""
+    arr = np.asarray(arr, dtype=float)
+    rows = arr.reshape(len(arr), -1)
+    _write_csv(path, comment, [",".join(repr(float(v)) for v in row) for row in rows])
 
 
 def _read_rows(
@@ -360,6 +377,20 @@ def _read_matrix(path: Path) -> np.ndarray:
     return arr
 
 
+def _read_vector(path: Path) -> np.ndarray:
+    return _read_matrix(path).ravel()
+
+
+# Each model kind's dataset files with their readers, the one list of dataset
+# file names: generate writes a Dataset's files, load_dataset reads them back.
+_SYNTHETIC = {
+    "inputs.csv": _read_matrix, "observations.csv": _read_vector, "latents.csv": _read_vector
+}
+_FILES: dict[str, dict[str, Callable[[Path], np.ndarray]]] = {
+    "regression": _SYNTHETIC, "classification": _SYNTHETIC, "cox": {"events.txt": read_event_times},
+}
+
+
 def _stamp(cfg: ExperimentConfig) -> dict[str, Any]:
     """The keys every output carries to trace it back to its config."""
     return {"config_hash": config_hash(cfg), "seed": cfg.seed}
@@ -402,25 +433,15 @@ def cli_generate(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
     for idx, (model_cfg, target) in enumerate(zip(variants, dirs)):
         rng = chain_rng(cfg.seed, _STREAM_DATASET, idx)
         ds = build_dataset(model_cfg, cfg.kernel, rng)
-        kind, spec = _model_spec(model_cfg)
         target.mkdir(parents=True, exist_ok=True)
-        note = _provenance(cfg)
-        manifest = {
+        for name, arr in ds.files.items():
+            _write_matrix(target / name, arr, _provenance(cfg))
+        _write_json(target / "manifest.json", cfg, {
             "model": model_cfg,
             "kernel": dataclasses.asdict(ds.kernel),
             "n": ds.data.n,
-        }
-        if kind == "cox":
-            events = _cox_events(spec["events_file"])
-            _write_csv(target / "events.txt", note, [repr(float(t)) for t in events])
-            manifest["files"] = ["events.txt"]
-        else:
-            _write_matrix(target / "inputs.csv", ds.inputs, note)
-            obs = ds.data.y if kind == "regression" else ds.data.labels
-            _write_matrix(target / "observations.csv", obs, note)
-            _write_matrix(target / "latents.csv", ds.latents, note)
-            manifest["files"] = ["inputs.csv", "observations.csv", "latents.csv"]
-        _write_json(target / "manifest.json", cfg, manifest)
+            "files": list(ds.files),
+        })
         written.append(target)
     return written
 
@@ -442,25 +463,15 @@ def load_dataset(dataset_dir: str | Path) -> Dataset:
         kind, spec = _model_spec(model_cfg)
     except (ValueError, TypeError, KeyError, InvalidConfig) as exc:
         raise InvalidConfig(f"{manifest_path} is not a dataset manifest: {exc!r}") from None
-    if kind == "cox":
-        events = read_event_times(dataset_dir / "events.txt")
-        return _cox_dataset(events, spec["bin_width"], kernel)
-    inputs = _read_matrix(dataset_dir / "inputs.csv")
-    obs = _read_matrix(dataset_dir / "observations.csv").ravel()
-    latents = _read_matrix(dataset_dir / "latents.csv").ravel()
-    if not len(inputs) == obs.size == latents.size:
-        raise InvalidConfig(
-            f"{dataset_dir / 'observations.csv'} has {obs.size} values and "
-            f"latents.csv {latents.size}, but inputs.csv has {len(inputs)} rows"
-        )
+    files = {name: read(dataset_dir / name) for name, read in _FILES[kind].items()}
+    lengths = {dataset_dir / name: len(arr) for name, arr in files.items()}
+    if len(set(lengths.values())) > 1:
+        raise InvalidConfig("a dataset's files must have one row per data point: "
+                            + ", ".join(f"{path} has {n}" for path, n in lengths.items()))
     try:
-        if kind == "regression":
-            data = RegressionData(y=obs, noise_variance=spec["noise_std"] ** 2)
-        else:
-            data = ClassificationData(labels=obs, link=spec["link"])
-    except ValueError as exc:
+        return _dataset(kind, spec, kernel, files)
+    except (ValueError, InvalidConfig) as exc:
         raise InvalidConfig(f"{dataset_dir}: {exc}") from None
-    return Dataset(inputs, data, latents, kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ class KernelConfig:
     def __post_init__(self):
         for name in ("lengthscale", "signal_variance"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
+            if isinstance(v, bool) or not (math.isfinite(v) and v > 0):
                 raise InvalidConfig(f"{name} must be positive and finite, got {v!r}")
         scale = float(self.lengthscale)
         if not 0.0 < scale * scale < math.inf:

@@ -82,8 +82,9 @@ class MhConfig:
     epsilon: float = 0.5
 
     def __post_init__(self):
-        if not isinstance(self.epsilon, numbers.Real) or not abs(self.epsilon) <= 1.0:
-            raise InvalidConfig(f"epsilon must be a number in [-1, 1], got {self.epsilon!r}")
+        eps = self.epsilon
+        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not abs(eps) <= 1.0:
+            raise InvalidConfig(f"epsilon must be a number in [-1, 1], got {eps!r}")
 
 
 @dataclass
@@ -130,7 +131,7 @@ def _start(
     else:
         log_lik, evals = state.log_lik, 0
     if not math.isfinite(log_lik):
-        raise ValueError(
+        raise NonFiniteLikelihood(
             "initial state has zero likelihood (log L = -inf); "
             "start the chain from a point with non-zero likelihood"
         )

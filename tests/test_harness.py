@@ -30,6 +30,7 @@ from ellslice.harness import (
     load_config,
     load_dataset,
     parse_config,
+    read_event_times,
     read_trace_csv,
     write_trace_csv,
 )
@@ -164,7 +165,12 @@ class TestConfig:
                          ("seed", -1), ("seed", True),
                          # counts that are not integers are errors, not truncated
                          ("n_keep", 20.7), ("repeats", 2.9), ("n_burn", True),
-                         ("n_burn", 2.5), ("seed", 7.5), ("n_keep", float("inf"))]:
+                         ("n_burn", 2.5), ("seed", 7.5), ("n_keep", float("inf")),
+                         # a bool is not a real number
+                         ("tune_grid", [True]), ("kernel", {"lengthscale": True}),
+                         ("kernel", {"signal_variance": True}),
+                         # a grid that is not a list is not read item by item
+                         ("tune_grid", "1"), ("tune_grid", {"0.5": 0})]:
             with pytest.raises(InvalidConfig, match=key):
                 parse_config({"seed": 1, key: bad})
 
@@ -250,6 +256,8 @@ class TestBuildDataset:
         ("n", {"kind": "classification", "n": 2.5}),
         ("noise_std", {"kind": "regression", "n": 5, "noise_std": 1e200}),
         ("bin_width", {"kind": "cox", "bin_width": 1e-300}),  # an index past int64
+        ("noise_std", {"kind": "regression", "n": 5, "noise_std": True}),
+        ("bin_width", {"kind": "cox", "bin_width": True}),
     ])
     def test_out_of_range_value_names_its_key(self, key, spec):
         with pytest.raises(InvalidConfig, match=f"'{key}'"):
@@ -327,6 +335,38 @@ class TestGenerateAndLoad:
         fresh = build_dataset(cfg.model, cfg.kernel, chain_rng(0))
         np.testing.assert_array_equal(ds.data.counts, fresh.data.counts)
         assert ds.data.offset == fresh.data.offset
+
+    def test_events_file_is_read_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return read_event_times(path)
+
+        monkeypatch.setattr(harness, "read_event_times", counting)
+        source = _events_file(tmp_path, "0.0\n120.0\n130.5\n")
+        cfg = parse_config({"seed": 4, "model": {"kind": "cox", "events_file": source}})
+        (written,) = cli_generate(cfg, tmp_path / "cox")
+        assert calls == [source]
+        np.testing.assert_array_equal(load_dataset(written).data.counts, [1, 0, 2])
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "regression", "n": 6}, {"kind": "classification", "n": 6}, {"kind": "cox"},
+    ])
+    def test_dataset_directory_holds_its_kinds_files(self, tmp_path, model):
+        (written,) = cli_generate(parse_config({"seed": 4, "model": model}), tmp_path / "ds")
+        files = list(harness._FILES[model["kind"]])
+        assert sorted(p.name for p in written.iterdir()) == sorted(["manifest.json", *files])
+        assert json.loads((written / "manifest.json").read_text())["files"] == files
+
+    def test_single_point_keeps_its_input_row(self, tmp_path):
+        # a 1 x 2 input matrix is one row of two columns, not a column of two
+        cfg = parse_config({"seed": 4, "model": {"kind": "regression", "n": 1, "dims": 2}})
+        (written,) = cli_generate(cfg, tmp_path / "ds")
+        ds = load_dataset(written)
+        assert ds.inputs.shape == (1, 2)
+        np.testing.assert_array_equal(ds.inputs, build_dataset(cfg.model, cfg.kernel,
+                                                               chain_rng(4, 0, 0)).inputs)
 
     def test_dims_list_writes_one_dir_per_dimension(self, tmp_path):
         cfg = parse_config(
@@ -661,6 +701,17 @@ class TestCliMain:
                      lambda tmp: {"model": {"kind": "cox",
                                             "events_file": _events_file(tmp, "0.0\n1e300\n")}},
                      id="generate-event-bin-index-overflows"),
+        pytest.param("generate", {"model": {"kind": "regression", "n": 10, "noise_std": True}},
+                     id="generate-boolean-noise-std"),
+        pytest.param("generate", {"model": {"kind": "cox", "bin_width": True}},
+                     id="generate-boolean-bin-width"),
+        pytest.param("generate", {"kernel": {"lengthscale": True}},
+                     id="generate-boolean-lengthscale"),
+        pytest.param("generate", {"tune_grid": [True]}, id="generate-boolean-grid-entry"),
+        pytest.param("generate", {"tune_grid": "1"}, id="generate-string-grid"),
+        pytest.param("generate", {"tune_grid": {"0.5": 0}}, id="generate-object-grid"),
+        pytest.param("benchmark", {"samplers": [{"kind": "neal-mh", "epsilon": True}]},
+                     id="benchmark-boolean-epsilon"),
     ])
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, command, raw):
         if callable(raw):
@@ -678,6 +729,33 @@ class TestCliMain:
         assert code == 2
         assert "error:" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "benchmark"])
+    def test_zero_likelihood_start_is_a_chain_failure(self, tmp_path, capsys, command):
+        # the noise variance 1e-320 is positive, but log L at f = 0 is -inf
+        model = {"kind": "regression", "n": 10, "noise_std": 1e-160}
+        cfg = self.write_cfg(tmp_path, {
+            "seed": 14, "n_keep": 20, "repeats": 2, "model": model,
+            "sampler": {"kind": "elliptical"}, "models": [model],
+            "samplers": [{"kind": "elliptical"}],
+        })
+        ds, out = tmp_path / "ds", tmp_path / "out"
+        assert cli.main(["generate", "--config", cfg, "--out", str(ds)]) == 0
+        capsys.readouterr()
+        dataset = [] if command == "benchmark" else [str(ds)]
+        code = cli.main([command, *dataset, "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if command == "run":
+            assert code == 2
+            assert "iteration 0" in err and "zero likelihood" in err
+            assert not out.exists()
+        else:  # the failed repeats are recorded and the matrix completes
+            assert code == 0
+            (cell,) = json.loads((out / "benchmark_summary.json").read_text())["cells"]
+            assert cell["repeats_completed"] == 0
+            assert [f["repeat"] for f in cell["failures"]] == [0, 1]
+            assert all("iteration 0" in f["error"] for f in cell["failures"])
 
     @pytest.mark.parametrize("raw_seed, flags", [(-1, []), (True, []), (14, ["--seed", "-1"])])
     def test_bad_seed_exits_2_naming_it(self, tmp_path, capsys, raw_seed, flags):

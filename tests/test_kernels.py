@@ -14,12 +14,13 @@ class TestKernelConfig:
         assert cfg.lengthscale == 1.0 and cfg.signal_variance == 1.0
 
     # 1e-200 and 1e200 are finite, but their squares are not positive floats
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, 1e-200, 1e200])
+    # a bool is not a number, though True passes a range check as 1
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, 1e-200, 1e200, True])
     def test_rejects_bad_lengthscale(self, bad):
         with pytest.raises(InvalidConfig):
             KernelConfig(lengthscale=bad)
 
-    @pytest.mark.parametrize("bad", [0.0, -2.0, math.inf])
+    @pytest.mark.parametrize("bad", [0.0, -2.0, math.inf, True])
     def test_rejects_bad_signal_variance(self, bad):
         with pytest.raises(InvalidConfig):
             KernelConfig(signal_variance=bad)

@@ -4,7 +4,8 @@ A refactor of the harness must leave its outputs byte-identical: dataset
 files and manifests, the run's trace, summary and manifest, the tuning
 results, every benchmark trace and summary, and the config hash and seed
 stamped in each. The digest covers one tiny fixed-seed session of
-``generate`` (all three model kinds, one with a ``dims`` list), ``run``,
+``generate`` (all three model kinds, one with a ``dims`` list and one cox
+spec reading the ``events.txt`` another wrote as its ``events_file``), ``run``,
 ``tune-mh`` and ``benchmark`` (three samplers by three model kinds). Only
 the wall-clock fields ``seconds`` and ``seconds_mean`` are stripped before
 hashing.
@@ -43,6 +44,8 @@ MODELS = {
     "regression": {"kind": "regression", "n": 16, "dims": [1, 2], "noise_std": 0.2},
     "classification": {"kind": "classification", "n": 16, "link": "probit"},
     "cox": {"kind": "cox", "bin_width": 2000.0},  # 21 bins of the packaged record
+    # the record as the previous spec wrote it, read back as an events_file
+    "cox-events": {"kind": "cox", "bin_width": 1000.0, "events_file": "data/cox/events.txt"},
 }
 MATRIX = {
     "models": [
@@ -106,7 +109,7 @@ def output_digest(root: Path) -> str:
     return h.hexdigest()
 
 
-EXPECTED = '8e5d5e96580e42ff5f7d8ec63d2633ba1efa352bea2d2c3998ebe809219cb61a'
+EXPECTED = 'fcc68fe7623cc63eca3c8bc95f6001155d44a689d6565f03a68a9625d9646e12'
 
 FILE_DIGESTS = {
     'bench/benchmark_summary.csv': '6753dbf99b8ce392',
@@ -162,6 +165,8 @@ FILE_DIGESTS = {
     'data/classification/observations.csv': 'e5045b855b74d9a2',
     'data/cox/events.txt': '90b1a076fcb89291',
     'data/cox/manifest.json': 'daea967c1003dbac',
+    'data/cox-events/events.txt': '29ae68c6b499c39a',
+    'data/cox-events/manifest.json': 'd6398a2456b10a15',
     'data/regression/d01/inputs.csv': 'b7d7e1ec4e122ac5',
     'data/regression/d01/latents.csv': '6950b2072ebd44b3',
     'data/regression/d01/manifest.json': 'cbf655865954dae7',

@@ -65,7 +65,7 @@ class PoisonedLikelihood:
 
 
 class TestConfigs:
-    @pytest.mark.parametrize("bad", [1.5, -1.01])
+    @pytest.mark.parametrize("bad", [1.5, -1.01, True, False])
     def test_epsilon_bounds(self, bad):
         with pytest.raises(InvalidConfig):
             MhConfig(epsilon=bad)
