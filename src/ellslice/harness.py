@@ -450,7 +450,9 @@ def load_dataset(dataset_dir: str | Path) -> Dataset:
     """Rebuild a Dataset from a directory written by :func:`cli_generate`.
 
     The manifest is self-describing: model kind, parameters and kernel all
-    come from it, so a run only adds sampler and chain settings.
+    come from it, so a run only adds sampler and chain settings. Its
+    ``files`` must name the files of its model kind and its ``n`` the number
+    of data points built from them (for cox, the number of bins).
     """
     dataset_dir = Path(dataset_dir)
     manifest_path = dataset_dir / "manifest.json"
@@ -461,6 +463,7 @@ def load_dataset(dataset_dir: str | Path) -> Dataset:
         model_cfg = dict(manifest["model"])
         kernel = KernelConfig(**manifest["kernel"])
         kind, spec = _model_spec(model_cfg)
+        claimed = {"files": manifest["files"], "n": manifest["n"]}
     except (ValueError, TypeError, KeyError, InvalidConfig) as exc:
         raise InvalidConfig(f"{manifest_path} is not a dataset manifest: {exc!r}") from None
     files = {name: read(dataset_dir / name) for name, read in _FILES[kind].items()}
@@ -469,9 +472,14 @@ def load_dataset(dataset_dir: str | Path) -> Dataset:
         raise InvalidConfig("a dataset's files must have one row per data point: "
                             + ", ".join(f"{path} has {n}" for path, n in lengths.items()))
     try:
-        return _dataset(kind, spec, kernel, files)
+        dataset = _dataset(kind, spec, kernel, files)
     except (ValueError, InvalidConfig) as exc:
         raise InvalidConfig(f"{dataset_dir}: {exc}") from None
+    for key, actual in (("files", list(files)), ("n", dataset.data.n)):
+        if claimed[key] != actual:
+            raise InvalidConfig(f"{manifest_path}: bad value for '{key}': "
+                                f"{claimed[key]!r}, but the dataset has {actual!r}")
+    return dataset
 
 
 # ---------------------------------------------------------------------------

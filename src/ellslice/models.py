@@ -61,16 +61,20 @@ class RegressionData:
             raise ValueError(f"invalid noise_variance {noise_variance!r}")
         self.noise_variance = float(noise_variance)
         self.n = len(self.y)
+        # -n/2 log(2 pi v); undefined at v = 0, where log_lik raises
+        self._log_norm = (
+            -0.5 * self.n * (LOG_2PI + math.log(self.noise_variance))
+            if self.noise_variance > 0.0 else math.nan
+        )
 
     def log_lik(self, f: np.ndarray) -> float:
         if self.noise_variance == 0.0:
             raise ValueError("noise_variance must be positive to evaluate the likelihood")
         f = _check_length(f, self.n)
         resid = self.y - f
-        return float(
-            -0.5 * self.n * (LOG_2PI + math.log(self.noise_variance))
-            - 0.5 * (resid @ resid) / self.noise_variance
-        )
+        # Python floats: a subnormal variance overflows the quotient to inf
+        # (so log L = -inf) without NumPy's scalar overflow warning
+        return self._log_norm - 0.5 * float(resid @ resid) / self.noise_variance
 
 
 class ClassificationData:
@@ -90,8 +94,8 @@ class ClassificationData:
         a = self.labels * f
         if self.link == "logistic":
             # log(1 / (1 + e^-a)) = -log1p(e^-a), stable for any |a|
-            return float(-np.sum(np.logaddexp(0.0, -a)))
-        return float(np.sum(log_ndtr(a)))
+            return float(-np.logaddexp(0.0, -a).sum())
+        return float(log_ndtr(a).sum())
 
 
 class CoxData:
@@ -107,13 +111,15 @@ class CoxData:
         self.offset = float(offset)
         self.n = len(self.counts)
         self._log_factorials = gammaln(self.counts + 1.0)
+        # the product with log_rate converts the counts anyway; converting once saves it per call
+        self._float_counts = self.counts.astype(float)
 
     def log_lik(self, f: np.ndarray) -> float:
         f = _check_length(f, self.n)
         log_rate = f + self.offset
         with np.errstate(over="ignore"):
             rate = np.exp(log_rate)
-        return float(np.sum(self.counts * log_rate - rate - self._log_factorials))
+        return float((self._float_counts * log_rate - rate - self._log_factorials).sum())
 
 
 def _latent_draw(

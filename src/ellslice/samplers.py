@@ -24,6 +24,10 @@ the ellipse bracket is a full revolution, the line bracket has width
 Only Metropolis-Hastings takes a step size.
 
 Operators never mutate their inputs; each chain owns its RNG stream.
+Every uniform an operator draws is ``lo + (hi - lo) * rng.random()``
+(:func:`_uniform`), the arithmetic ``Generator.uniform(lo, hi)`` does on the
+same double, so traces recorded when the operators called
+``rng.uniform`` reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -147,8 +151,18 @@ def _advance(
     )
 
 
+def _uniform(rng: np.random.Generator, lo: float = 0.0, hi: float = 1.0) -> float:
+    """A draw from Uniform[lo, hi): ``lo + (hi - lo) * rng.random()``.
+
+    This is the arithmetic ``rng.uniform(lo, hi)`` does on the same double,
+    so the value and the stream position match it bit for bit, at a third of
+    the cost of that call.
+    """
+    return lo + (hi - lo) * rng.random()
+
+
 def _log_slice_height(log_target: float, rng: np.random.Generator) -> float:
-    u = rng.uniform()
+    u = _uniform(rng)
     return log_target + (math.log(u) if u > 0.0 else -math.inf)
 
 
@@ -183,7 +197,7 @@ def _slice_shrink(
         else:
             hi = x
         assert lo <= 0.0 <= hi, "bracket lost the current state"
-        x = rng.uniform(lo, hi)
+        x = _uniform(rng, lo, hi)
     raise ShrinkLimitExceeded(f"no acceptable point after {MAX_SHRINKS} bracket shrinks")
 
 
@@ -220,7 +234,7 @@ def elliptical_slice_step(
         log_lik = _eval_log_lik(model, f_prop)
         return f_prop, log_lik, log_lik
 
-    theta = rng.uniform(0.0, TWO_PI)
+    theta = _uniform(rng, 0.0, TWO_PI)
     angles, f_new, log_lik = _slice_shrink(propose, log_y, theta, theta - TWO_PI, theta, rng)
     new_state = _advance(state, f_new, log_lik, evals + len(angles))
     return StepResult(new_state, True, angles, log_y)
@@ -244,7 +258,7 @@ def elliptical_slice_aux_step(
     retained so the equivalence is testable.
     """
     cur_log_lik, evals = _start(state, model, rng)
-    theta0 = rng.uniform(0.0, TWO_PI)
+    theta0 = _uniform(rng, 0.0, TWO_PI)
     nu0, nu1 = rotate(prior.sample(rng), state.f, theta0)
     # the current angle theta0 reproduces the current state, so its cached
     # likelihood seeds the slice threshold
@@ -256,7 +270,7 @@ def elliptical_slice_aux_step(
         log_lik = _eval_log_lik(model, f_prop)
         return f_prop, log_lik, log_lik
 
-    offset = rng.uniform(0.0, TWO_PI)
+    offset = _uniform(rng, 0.0, TWO_PI)
     offsets, f_new, log_lik = _slice_shrink(propose, log_y, offset, offset - TWO_PI, offset, rng)
     new_state = _advance(state, f_new, log_lik, evals + len(offsets))
     return StepResult(new_state, True, [theta0 + o for o in offsets], log_y)
@@ -282,7 +296,7 @@ def neal_mh_step(
     f_prop = math.sqrt(1.0 - eps * eps) * state.f + eps * nu
     prop_log_lik = _eval_log_lik(model, f_prop)
 
-    accepted = rng.uniform() < math.exp(min(prop_log_lik - cur_log_lik, 0.0))
+    accepted = _uniform(rng) < math.exp(min(prop_log_lik - cur_log_lik, 0.0))
     f_new, log_lik = (f_prop, prop_log_lik) if accepted else (state.f.copy(), cur_log_lik)
     return StepResult(_advance(state, f_new, log_lik, evals + 1), accepted)
 
@@ -329,9 +343,9 @@ def line_slice_step(
         log_lik = _eval_log_lik(model, f_prop)
         return f_prop, log_lik, log_prior(eps) + log_lik
 
-    u = rng.uniform()
+    u = _uniform(rng)
     eps_min, eps_max = -LINE_WIDTH * u, LINE_WIDTH * (1.0 - u)
-    eps = rng.uniform(eps_min, eps_max)
+    eps = _uniform(rng, eps_min, eps_max)
     steps, f_new, log_lik = _slice_shrink(propose, log_y, eps, eps_min, eps_max, rng)
     new_state = _advance(state, f_new, log_lik, evals + len(steps), 1 + len(steps))
     return StepResult(new_state, True, steps, log_y)

@@ -856,6 +856,29 @@ class TestCliMain:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["regression", "cox"])
+    @pytest.mark.parametrize("key, claim", [("n", 999), ("files", ["nothing.csv"])])
+    def test_manifest_n_and_files_must_match_the_dataset(self, tmp_path, capsys, kind, key, claim):
+        model = {"kind": "regression", "n": 5} if kind == "regression" else {
+            "kind": "cox", "bin_width": 1.0,
+            "events_file": _events_file(tmp_path, "0.0\n1.5\n2.5\n3.5\n4.5\n"),
+        }
+        cfg = self.write_cfg(tmp_path, {"seed": 14, "n_keep": 20, "model": model,
+                                        "sampler": {"kind": "elliptical"}})
+        ds = tmp_path / "ds"
+        assert cli.main(["generate", "--config", cfg, "--out", str(ds)]) == 0
+        assert load_dataset(ds).data.n == 5
+        _edit_manifest(lambda m: m.update({key: claim}))(ds / "manifest.json")
+        with pytest.raises(InvalidConfig, match=f"'{key}'"):
+            load_dataset(ds)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert cli.main(["run", str(ds), "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(ds / "manifest.json") in err and f"'{key}'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_diagnose_writes_json(self, tmp_path, capsys):
         cfg = self.write_cfg(
             tmp_path,

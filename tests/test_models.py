@@ -1,9 +1,11 @@
 """Likelihood models, dataset generators, the conjugate oracle, and binning."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, log_ndtr
 
 from ellslice import (
     CLASSIFICATION_KERNEL,
@@ -153,6 +155,59 @@ class TestCoxLikelihood:
     def test_huge_latent_does_not_overflow(self):
         data = CoxData(counts=np.array([3]), offset=0.0)
         assert data.log_lik(np.array([800.0])) == -math.inf
+
+
+def _reference_log_lik(data, f):
+    """Each likelihood's expression with every constant, conversion and
+    reduction evaluated afresh in NumPy: ``log_lik`` must equal it bit for bit."""
+    with np.errstate(over="ignore"):
+        if isinstance(data, RegressionData):
+            resid = data.y - f
+            return float(-0.5 * data.n * (LOG_2PI + math.log(data.noise_variance))
+                         - 0.5 * (resid @ resid) / data.noise_variance)
+        if isinstance(data, CoxData):
+            log_rate = f + data.offset
+            return float(np.sum(data.counts * log_rate - np.exp(log_rate)
+                                - gammaln(data.counts + 1.0)))
+        a = data.labels * f
+        if data.link == "logistic":
+            return float(-np.sum(np.logaddexp(0.0, -a)))
+        return float(np.sum(log_ndtr(a)))
+
+
+def _random_labels(rng, link):
+    return ClassificationData(np.where(rng.uniform(size=200) < 0.5, -1.0, 1.0), link)
+
+
+class TestLogLikIsTheReferenceExpression:
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda rng: RegressionData(rng.standard_normal(200), 0.3), id="regression"),
+        pytest.param(lambda rng: CoxData(rng.poisson(2.0, size=811), -0.4), id="cox"),
+        pytest.param(lambda rng: _random_labels(rng, "logistic"), id="logistic"),
+        pytest.param(lambda rng: _random_labels(rng, "probit"), id="probit"),
+    ])
+    def test_bit_identical_on_random_latents(self, make):
+        rng = np.random.default_rng(14)
+        data = make(rng)
+        for scale in (0.1, 1.0, 10.0):
+            for _ in range(30):
+                f = scale * rng.standard_normal(data.n)
+                assert data.log_lik(f) == _reference_log_lik(data, f)
+
+    def test_cox_overflow_is_minus_inf_without_a_warning(self):
+        data = CoxData(counts=np.array([3, 0]), offset=0.0)
+        f = np.array([800.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert data.log_lik(f) == -math.inf
+        assert _reference_log_lik(data, f) == -math.inf
+
+    def test_subnormal_noise_variance_is_minus_inf_at_zero(self):
+        data = RegressionData(y=np.array([0.5, -1.0, 2.0]), noise_variance=1e-320)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert data.log_lik(np.zeros(3)) == -math.inf
+        assert _reference_log_lik(data, np.zeros(3)) == -math.inf
 
 
 class TestConstantLikelihood:

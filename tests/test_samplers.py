@@ -26,7 +26,7 @@ from ellslice import (
     run_chain,
 )
 from ellslice.harness import build_dataset, build_prior
-from ellslice.samplers import LINE_WIDTH, _line_log_prior
+from ellslice.samplers import LINE_WIDTH, _line_log_prior, _uniform
 
 TWO_PI = 2.0 * math.pi
 
@@ -378,6 +378,35 @@ class TestChainRng:
         a = chain_rng(5, 1, 2).standard_normal(4)
         b = chain_rng(5, 1, 3).standard_normal(4)
         assert not np.array_equal(a, b)
+
+
+class TestUniformDraws:
+    def test_helper_matches_generator_uniform_bit_for_bit(self):
+        """The operators draw every uniform through ``_uniform``; its value and
+        the stream after it must be ``Generator.uniform``'s, or recorded
+        traces would no longer reproduce."""
+        ours, numpys = np.random.default_rng(2010), np.random.default_rng(2010)
+
+        def draw(lo=None, hi=None):
+            if lo is None:
+                x, y = _uniform(ours), numpys.uniform()
+            else:
+                x, y = _uniform(ours, lo, hi), numpys.uniform(lo, hi)
+            assert x == y and type(x) is type(y)
+            return x
+
+        for _ in range(200):
+            draw()
+            draw(0.0, TWO_PI)
+            theta = draw(0.0, TWO_PI)
+            lo, hi = theta - TWO_PI, theta
+            while hi - lo > 1e-12:  # shrink toward 0 as the slice loop does
+                x = draw(lo, hi)
+                if x < 0.0:
+                    lo = x
+                else:
+                    hi = x
+        assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 class TestRunChain:
