@@ -44,7 +44,10 @@ class BlockPartition:
 
 def make_partition(n: int, subset) -> BlockPartition:
     """Partition with the complement derived from the subset (kept sorted)."""
-    subset = np.asarray(subset, dtype=np.int64)
+    subset = np.asarray(subset)
+    if subset.size and subset.dtype.kind not in "iu":  # a mask or floats would be misread
+        raise ValueError(f"subset must hold integer indices, not {subset.dtype}")
+    subset = subset.astype(np.int64)
     if subset.size and (subset.min() < 0 or subset.max() >= n):
         raise ValueError(f"subset indices must lie in 0..{n - 1}")
     unique = np.unique(subset)

@@ -85,7 +85,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "tune-mh":
             best, results = harness.cli_tune_mh(_load(args), args.dataset, args.out)
             for row in results:
-                print(f"epsilon={row['epsilon']:g} ess_mean={row['ess_mean']:.1f}")
+                print(f"epsilon={row['epsilon']:g} ess_mean={row['ess_mean']:.1f} "
+                      f"failures={len(row['failures'])}")
             print(f"best_epsilon={best:g}")
         elif args.command == "benchmark":
             summary = harness.cli_benchmark(_load(args), args.out)
@@ -101,10 +102,7 @@ def main(argv: list[str] | None = None) -> int:
                 with open(args.out, "w") as fh:
                     fh.write(payload + "\n")
             print(payload)
-    except EllsliceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (EllsliceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -311,6 +311,7 @@ def _dataset(kind: str, spec: Mapping[str, Any], kernel: KernelConfig,
 
 def _write_csv(path: str | Path, comment: str, lines: list[str]) -> None:
     """``lines`` under a ``#`` comment line, the one writer of every CSV."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(f"# {comment}\n" + "\n".join(lines) + "\n")
 
 
@@ -399,6 +400,7 @@ def _stamp(cfg: ExperimentConfig) -> dict[str, Any]:
 def _write_json(path: Path, cfg: ExperimentConfig, payload: Mapping[str, Any]) -> dict[str, Any]:
     """Write ``payload`` with ``cfg``'s stamp added; returns what was written."""
     stamped = {**payload, **_stamp(cfg)}
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(stamped, sort_keys=True, indent=2) + "\n")
     return stamped
 
@@ -433,7 +435,6 @@ def cli_generate(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
     for idx, (model_cfg, target) in enumerate(zip(variants, dirs)):
         rng = chain_rng(cfg.seed, _STREAM_DATASET, idx)
         ds = build_dataset(model_cfg, cfg.kernel, rng)
-        target.mkdir(parents=True, exist_ok=True)
         for name, arr in ds.files.items():
             _write_matrix(target / name, arr, _provenance(cfg))
         _write_json(target / "manifest.json", cfg, {
@@ -546,24 +547,32 @@ def _step_fn(sampler_cfg: Mapping[str, Any]) -> StepFn:
     return make_operator(sampler_cfg.get("kind", _DEFAULT_SAMPLER), **params)
 
 
-def _run_one(
-    cfg: ExperimentConfig,
-    dataset: Dataset,
-    prior: GaussianPrior,
-    step_fn: StepFn,
+def _run_group(
+    cfg: ExperimentConfig, dataset: Dataset, prior: GaussianPrior, step_fn: StepFn,
     stream: tuple[int, ...],
-) -> tuple[ChainTrace, EssReport]:
-    rng = chain_rng(cfg.seed, *stream)
-    trace = run_chain(
-        np.zeros(dataset.data.n),
-        step_fn,
-        prior,
-        dataset.data,
-        n_burn=cfg.n_burn,
-        n_keep=cfg.n_keep,
-        rng=rng,
-    )
-    return trace, summarize(trace)
+) -> tuple[list[tuple[int, ChainTrace, EssReport]], list[dict[str, Any]]]:
+    """``cfg.repeats`` chains from f = 0, repeat r on stream ``(*stream, r)``.
+
+    Returns (repeat, trace, report) of each chain that finished and a failure
+    entry of each that raised: its repeat, the ``ChainError`` iteration (None
+    if only the summary failed), the wrapped error's type and the message.
+    """
+    runs, failures = [], []
+    for rep in range(cfg.repeats):
+        try:
+            trace = run_chain(np.zeros(dataset.data.n), step_fn, prior, dataset.data,
+                              n_burn=cfg.n_burn, n_keep=cfg.n_keep,
+                              rng=chain_rng(cfg.seed, *stream, rep))
+            runs.append((rep, trace, summarize(trace)))
+        except EllsliceError as exc:
+            failures.append({"repeat": rep, "iteration": getattr(exc, "iteration", None),
+                             "type": type(exc.__cause__ or exc).__name__, "error": str(exc)})
+    return runs, failures
+
+
+def _group_stat(values: list[float], stat: Callable[[list[float]], Any] = np.mean) -> float:
+    """``stat`` over a group's finished chains; NaN when none finished."""
+    return float(stat(values)) if values else math.nan
 
 
 def cli_run(
@@ -575,9 +584,12 @@ def cli_run(
     step_fn = _step_fn(cfg.sampler)
     dataset = load_dataset(dataset_dir)
     prior = _chain_prior(dataset)
-    trace, report = _run_one(cfg, dataset, prior, step_fn, (_STREAM_RUN, 0))
+    one = dataclasses.replace(cfg, repeats=1)
+    runs, failures = _run_group(one, dataset, prior, step_fn, (_STREAM_RUN,))
+    if failures:
+        raise EllsliceError(failures[0]["error"])
+    ((_, trace, report),) = runs
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _write_chain(out, cfg, trace, report, prior)
     _write_json(out / "manifest.json", cfg, {"config": cfg.as_dict(), "dataset": str(dataset_dir)})
     return report
@@ -590,8 +602,9 @@ def cli_tune_mh(
 ) -> tuple[float, list[dict[str, Any]]]:
     """Grid-search the M-H step size, maximizing mean ESS over repeats.
 
-    Each grid value gets ``cfg.repeats`` chains; ties break toward the
-    larger step size. Returns (best epsilon, per-epsilon results).
+    Each grid value gets ``cfg.repeats`` chains; ties break toward the larger
+    step size. A value with a failed chain is never chosen, and a grid where
+    every value has one is an error. Returns (best epsilon, per-epsilon results).
     """
     grid = cfg.tune_grid
     if not grid:
@@ -599,21 +612,20 @@ def cli_tune_mh(
     dataset = load_dataset(dataset_dir)
     prior = _chain_prior(dataset)
     results = []
-    best_eps, best_ess = None, -np.inf
     for gi, eps in enumerate(sorted(grid)):
         step_fn = _step_fn({"kind": "neal-mh", "epsilon": eps})
-        esses = []
-        for rep in range(cfg.repeats):
-            _, report = _run_one(cfg, dataset, prior, step_fn, (_STREAM_TUNE, gi, rep))
-            esses.append(report.ess)
-        mean_ess = float(np.mean(esses))
-        results.append({"epsilon": eps, "ess_mean": mean_ess, "ess": esses})
-        if mean_ess >= best_ess:
-            best_eps, best_ess = eps, mean_ess
+        runs, failures = _run_group(cfg, dataset, prior, step_fn, (_STREAM_TUNE, gi))
+        esses = [report.ess for _, _, report in runs]
+        results.append({"epsilon": eps, "ess_mean": _group_stat(esses), "ess": esses,
+                        "failures": failures})
+    ranked = [row for row in results if not row["failures"]]
+    if not ranked:
+        raise EllsliceError(f"every tune_grid value has a failed chain, the first: "
+                            f"{results[0]['failures'][0]['error']}")
+    best_eps = max(ranked, key=lambda row: (row["ess_mean"], row["epsilon"]))["epsilon"]
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "tuning.json", cfg, {"best_epsilon": best_eps, "results": results})
+        _write_json(Path(out_dir) / "tuning.json", cfg,
+                    {"best_epsilon": best_eps, "results": results})
     return best_eps, results
 
 
@@ -650,7 +662,6 @@ def cli_benchmark(cfg: ExperimentConfig, out_dir: str | Path) -> dict[str, Any]:
         ds = build_dataset(model_cfg, cfg.kernel, chain_rng(cfg.seed, _STREAM_DATASET, mi))
         datasets.append((ds, _chain_prior(ds)))
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cells = []
     for si, sampler_cfg in enumerate(cfg.samplers):
         for mi, model_cfg in enumerate(cfg.models):
@@ -658,32 +669,20 @@ def cli_benchmark(cfg: ExperimentConfig, out_dir: str | Path) -> dict[str, Any]:
             dataset, prior = datasets[mi]
             tag = f"cell{cell_index:02d}_{_sampler_tag(sampler_cfg)}_{_model_tag(model_cfg)}"
             cell_dir = out / tag
-            cell_dir.mkdir(parents=True, exist_ok=True)
-            reports, failures = [], []
-            for rep in range(cfg.repeats):
-                rep_dir = cell_dir / f"repeat{rep:02d}"
-                rep_dir.mkdir(parents=True, exist_ok=True)
-                try:
-                    trace, report = _run_one(
-                        cfg, dataset, prior, step_fns[si],
-                        (_STREAM_BENCH, cell_index, rep),
-                    )
-                except EllsliceError as exc:
-                    failures.append({"repeat": rep, "error": str(exc)})
-                    continue
-                _write_chain(rep_dir, cfg, trace, report, prior)
-                reports.append(report)
-            ess = np.array([r.ess for r in reports]) if reports else np.array([np.nan])
+            runs, failures = _run_group(
+                cfg, dataset, prior, step_fns[si], (_STREAM_BENCH, cell_index))
+            for rep, trace, report in runs:
+                _write_chain(cell_dir / f"repeat{rep:02d}", cfg, trace, report, prior)
             cell = {
                 "cell": tag,
                 "sampler": dict(sampler_cfg),
                 "model": dict(model_cfg),
-                "repeats_completed": len(reports),
-                "ess_mean": float(ess.mean()),
-                "ess_std": float(ess.std()) if reports else float("nan"),
-                "seconds_mean": float(np.mean([r.seconds for r in reports])) if reports else float("nan"),
-                "lik_evals_mean": float(np.mean([r.total_lik_evals for r in reports])) if reports else float("nan"),
-                "prior_evals_mean": float(np.mean([r.total_prior_evals for r in reports])) if reports else float("nan"),
+                "repeats_completed": len(runs),
+                "ess_mean": _group_stat([r.ess for _, _, r in runs]),
+                "ess_std": _group_stat([r.ess for _, _, r in runs], np.std),
+                "seconds_mean": _group_stat([r.seconds for _, _, r in runs]),
+                "lik_evals_mean": _group_stat([r.total_lik_evals for _, _, r in runs]),
+                "prior_evals_mean": _group_stat([r.total_prior_evals for _, _, r in runs]),
                 "failures": failures,
             }
             cells.append(cell)

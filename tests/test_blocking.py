@@ -46,6 +46,13 @@ class TestPartitions:
         with pytest.raises(ValueError):
             make_partition(4, [1, 1])
 
+    @pytest.mark.parametrize("subset", [[True, False], [0.9, 2.7]])
+    def test_non_integer_subset_rejected(self, subset):
+        # a boolean mask would be read as the indices 1 and 0, and floats
+        # would be truncated
+        with pytest.raises(ValueError, match="integer"):
+            make_partition(5, subset)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             make_partition(4, [4])

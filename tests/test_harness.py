@@ -508,12 +508,32 @@ class TestTuneMh:
         # with identical ESS everywhere the selection must return the top
         # of the grid, per the documented tie rule
         flat = EssReport(n_kept=10, ess=42.0, lag1_autocorr=0.0)
-        monkeypatch.setattr(harness, "_run_one", lambda *a, **k: (None, flat))
+        monkeypatch.setattr(harness, "summarize", lambda trace: flat)
         cfg = small_regression_cfg(seed=12, tune_grid=[0.9, 0.2, 0.5])
         (ds,) = cli_generate(cfg, tmp_path / "ds")
         best, results = cli_tune_mh(cfg, ds)
         assert best == 0.9
         assert [r["ess_mean"] for r in results] == [42.0, 42.0, 42.0]
+
+    def test_failed_chain_rules_its_epsilon_out(self, tmp_path):
+        # an epsilon=1.0 chain never moves in its kept part, so its summary
+        # fails on a constant series; the grid goes on and picks 0.05
+        cfg = parse_config({
+            "seed": 0, "n_burn": 100, "n_keep": 20, "repeats": 2, "tune_grid": [0.05, 1.0],
+            "model": {"kind": "regression", "n": 50, "dims": 1, "noise_std": 0.01},
+        })
+        (ds,) = cli_generate(cfg, tmp_path / "ds")
+        best, results = cli_tune_mh(cfg, ds, tmp_path / "tune")
+        assert best == 0.05
+        assert [r["epsilon"] for r in results] == [0.05, 1.0]
+        assert results[0]["failures"] == []
+        failure = results[1]["failures"][0]
+        assert failure["type"] == "DegenerateSeries" and failure["iteration"] is None
+        assert "series is constant" in failure["error"]
+        assert len(results[1]["ess"]) == cfg.repeats - len(results[1]["failures"])
+        saved = json.loads((tmp_path / "tune" / "tuning.json").read_text())
+        assert saved["best_epsilon"] == 0.05
+        assert saved["results"][1]["failures"] == results[1]["failures"]
 
 
 class TestBenchmark:
@@ -597,7 +617,10 @@ class TestBenchmark:
         assert healthy["repeats_completed"] == 2 and not healthy["failures"]
         assert crippled["repeats_completed"] < 2
         assert crippled["failures"]
-        assert "iteration" in crippled["failures"][0]["error"]
+        failure = crippled["failures"][0]
+        assert failure["type"] == "ShrinkLimitExceeded"
+        assert isinstance(failure["iteration"], int)
+        assert f"iteration {failure['iteration']}:" in failure["error"]
 
     def test_sampler_without_kind_is_elliptical(self, tmp_path):
         summary = cli_benchmark(self.matrix_cfg(repeats=1, samplers=[{}]), tmp_path)
@@ -730,14 +753,14 @@ class TestCliMain:
         assert "error:" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run", "benchmark"])
+    @pytest.mark.parametrize("command", ["run", "tune-mh", "benchmark"])
     def test_zero_likelihood_start_is_a_chain_failure(self, tmp_path, capsys, command):
         # the noise variance 1e-320 is positive, but log L at f = 0 is -inf
         model = {"kind": "regression", "n": 10, "noise_std": 1e-160}
         cfg = self.write_cfg(tmp_path, {
             "seed": 14, "n_keep": 20, "repeats": 2, "model": model,
             "sampler": {"kind": "elliptical"}, "models": [model],
-            "samplers": [{"kind": "elliptical"}],
+            "samplers": [{"kind": "elliptical"}], "tune_grid": [0.1, 0.5],
         })
         ds, out = tmp_path / "ds", tmp_path / "out"
         assert cli.main(["generate", "--config", cfg, "--out", str(ds)]) == 0
@@ -746,7 +769,7 @@ class TestCliMain:
         code = cli.main([command, *dataset, "--config", cfg, "--out", str(out)])
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        if command == "run":
+        if command != "benchmark":  # run's one chain, or every chain of the grid
             assert code == 2
             assert "iteration 0" in err and "zero likelihood" in err
             assert not out.exists()
@@ -756,6 +779,8 @@ class TestCliMain:
             assert cell["repeats_completed"] == 0
             assert [f["repeat"] for f in cell["failures"]] == [0, 1]
             assert all("iteration 0" in f["error"] for f in cell["failures"])
+            assert all((f["iteration"], f["type"]) == (0, "NonFiniteLikelihood")
+                       for f in cell["failures"])
 
     @pytest.mark.parametrize("raw_seed, flags", [(-1, []), (True, []), (14, ["--seed", "-1"])])
     def test_bad_seed_exits_2_naming_it(self, tmp_path, capsys, raw_seed, flags):

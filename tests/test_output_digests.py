@@ -109,7 +109,7 @@ def output_digest(root: Path) -> str:
     return h.hexdigest()
 
 
-EXPECTED = 'fcc68fe7623cc63eca3c8bc95f6001155d44a689d6565f03a68a9625d9646e12'
+EXPECTED = '2b38d2f6edd9517001758141ba34de65adb69245abeb9d5173058b3b6441ce4d'
 
 FILE_DIGESTS = {
     'bench/benchmark_summary.csv': '6753dbf99b8ce392',
@@ -178,7 +178,7 @@ FILE_DIGESTS = {
     'run/manifest.json': 'de0c6d077fa811e1',
     'run/summary.json': '1e5606b03976a85e',
     'run/trace.csv': '9c730dcc8cec3259',
-    'tune/tuning.json': 'd40d8acc78c0ab4d',
+    'tune/tuning.json': 'fa72f9b21be1d7a8',
 }
 
 
