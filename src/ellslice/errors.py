@@ -35,6 +35,12 @@ class DegenerateSeries(EllsliceError):
 class ChainError(EllsliceError):
     """Wraps an operator error raised mid-chain with the iteration index."""
 
-    def __init__(self, iteration: int, cause: Exception):
+    def __init__(self, iteration: int, cause: Exception | str):
         super().__init__(f"sampler failed at chain iteration {iteration}: {cause}")
         self.iteration = iteration
+        self._cause_text = str(cause)
+
+    def __reduce__(self):
+        # rebuilt from the cause's text, so a pickled copy (say, from a
+        # worker process) keeps the iteration and the message
+        return type(self), (self.iteration, self._cause_text)

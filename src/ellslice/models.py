@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -25,6 +26,8 @@ from .gaussian import GaussianPrior, factorize, jittered_cholesky
 from .kernels import KernelConfig, squared_exponential
 
 LOG_2PI = math.log(2.0 * math.pi)
+# unit roundoff of float64, 2^-53
+_EPS = 2.0**-53
 
 
 def _check_length(f: np.ndarray, n: int) -> np.ndarray:
@@ -66,15 +69,70 @@ class RegressionData:
             -0.5 * self.n * (LOG_2PI + math.log(self.noise_variance))
             if self.noise_variance > 0.0 else math.nan
         )
+        self._yy = float(self.y.dot(self.y))
 
-    def log_lik(self, f: np.ndarray) -> float:
+    def _check_variance(self) -> None:
         if self.noise_variance == 0.0:
             raise ValueError("noise_variance must be positive to evaluate the likelihood")
+
+    def log_lik(self, f: np.ndarray) -> float:
+        self._check_variance()
         f = _check_length(f, self.n)
         resid = self.y - f
         # Python floats: a subnormal variance overflows the quotient to inf
         # (so log L = -inf) without NumPy's scalar overflow warning
         return self._log_norm - 0.5 * float(resid @ resid) / self.noise_variance
+
+    def on_plane(
+        self, u: np.ndarray, v: np.ndarray
+    ) -> tuple[Callable[[float, float], float], Callable[[float, float], float]]:
+        """``(score, bound)`` for log L on the plane of ``u`` and ``v``.
+
+        ``score(a, b)`` is log L(a*u + b*v) from the expansion
+        ||y - a u - b v||^2 = yy - 2a yu - 2b yv + a^2 uu + 2ab uv + b^2 vv,
+        so after the five dot products taken here (yy is taken once, at
+        construction) each score is O(1). ``bound(a, b)`` bounds
+        |score(a, b) - log_lik(a*u + b*v)| in float64, wherever the point is
+        formed as ``u * a + v * b`` (or ``u + b * v`` at a = 1).
+
+        Derivation, with e = 2^-53 and m_i = |y_i| + |a u_i| + |b v_i|, whose
+        squares sum to at most M^2 for M = |y| + |a| |u| + |b| |v| (Euclidean
+        norms): a float64 dot product of length n errs by at most n e times
+        the sum of its absolute products, in any summation order. Forming
+        the point and the residual adds at most 3 e m_i per element, so the
+        direct sum of squares errs by at most (n + 6) e M^2. Each expanded
+        term passes through at most 7 roundings after its dot product, and
+        the absolute terms sum to at most M^2, so the expansion errs by at
+        most (n + 7) e M^2. Scaling by 1/(2v) and subtracting from the
+        constant c adds 2 e (M^2/(2v) + |c|) per value. The bound is twice
+        that first-order sum, e ((2n + 17) M^2 / v + 8 |c|); the factor two
+        covers the second-order terms and the roundings of comparing a
+        score with a threshold.
+
+        Where a dot product overflows, ``score`` is -inf (never NaN) and
+        ``bound`` is inf, so a caller re-scores with :meth:`log_lik`.
+        """
+        self._check_variance()
+        u, v = _check_length(u, self.n), _check_length(v, self.n)
+        y, var, c = self.y, self.noise_variance, self._log_norm
+        # ndarray.dot: a third of the call overhead of @ on short vectors
+        yy, uu, vv = self._yy, float(u.dot(u)), float(v.dot(v))
+        yu2, yv2, uv2 = 2.0 * float(y.dot(u)), 2.0 * float(y.dot(v)), 2.0 * float(u.dot(v))
+
+        def score(a: float, b: float) -> float:
+            s = yy - a * yu2 - b * yv2 + a * a * uu + a * b * uv2 + b * b * vv
+            # an overflowed product gives inf - inf = NaN; bound is then inf
+            return c - 0.5 * s / var if s == s else -math.inf
+
+        norm_y, norm_u, norm_v = math.sqrt(yy), math.sqrt(uu), math.sqrt(vv)
+        scale, floor = _EPS * (2 * self.n + 17) / var, 8.0 * _EPS * abs(c)
+
+        def bound(a: float, b: float) -> float:
+            m = norm_y + abs(a) * norm_u + abs(b) * norm_v
+            err = scale * m * m + floor
+            return err if err == err else math.inf  # 0 * inf at a = 0 or b = 0
+
+        return score, bound
 
 
 class ClassificationData:

@@ -23,6 +23,18 @@ the ellipse bracket is a full revolution, the line bracket has width
 :data:`LINE_WIDTH`, and :data:`MAX_SHRINKS` is a safety bound, not a knob.
 Only Metropolis-Hastings takes a step size.
 
+Every proposal of the elliptical and line-slice operators lies in the plane
+of the current state f and the draw nu: a*f + b*nu. A model may define
+``on_plane(u, v)``, returning a scorer of log L(a*u + b*v) that costs O(1)
+per proposal and a float64 bound on its rounding error
+(:meth:`~ellslice.models.RegressionData.on_plane`). :func:`_plane_proposer`
+then scores proposals on the plane, re-scores with ``log_lik`` any whose
+target is non-finite or within the bound of the slice height, and forms and
+evaluates only the accepted point, so every decision, state and trace is bit
+for bit the one of evaluating each point directly. Models without the
+method, the angle-offset variant and Metropolis-Hastings evaluate every
+point. ``lik_evals`` counts proposals either way.
+
 Operators never mutate their inputs; each chain owns its RNG stream.
 Every uniform an operator draws is ``lo + (hi - lo) * rng.random()``
 (:func:`_uniform`), the arithmetic ``Generator.uniform(lo, hi)`` does on the
@@ -58,7 +70,11 @@ MAX_SHRINKS = 1000
 
 
 class LikelihoodModel(Protocol):
-    """Anything mapping a latent vector to a log-likelihood."""
+    """Anything mapping a latent vector to a log-likelihood.
+
+    A model may also define ``on_plane(u, v)`` (see :func:`_plane_proposer`);
+    the slice operators then score proposals without forming them.
+    """
 
     n: int
 
@@ -177,7 +193,8 @@ def _slice_shrink(
     """Shrink the bracket [lo, hi] around 0 until a proposal clears the slice.
 
     ``propose(x)`` returns ``(point, log_lik, log_target)`` for position
-    ``x``; position 0 is the current state, so the bracket always keeps it.
+    ``x`` (point and log_lik may be None for a rejected position); position
+    0 is the current state, so the bracket always keeps it.
     ``x`` is the first position, already drawn by the caller. Returns the
     positions tried in order, the accepted point and its log-likelihood.
 
@@ -199,6 +216,50 @@ def _slice_shrink(
         assert lo <= 0.0 <= hi, "bracket lost the current state"
         x = _uniform(rng, lo, hi)
     raise ShrinkLimitExceeded(f"no acceptable point after {MAX_SHRINKS} bracket shrinks")
+
+
+def _plane_proposer(
+    model: LikelihoodModel,
+    u: np.ndarray,
+    v: np.ndarray,
+    coeffs: Callable[[float], tuple[float, float]],
+    point: Callable[[float, float], np.ndarray],
+    log_y: float,
+    log_prior: Callable[[float], float] | None = None,
+) -> Callable[[float], tuple[np.ndarray | None, float | None, float]]:
+    """``propose(x)`` for :func:`_slice_shrink` over points a*u + b*v.
+
+    ``coeffs(x)`` gives (a, b) at position ``x``, ``point(a, b)`` forms the
+    proposal, and ``log_prior(x)``, if given, is added to log L to make the
+    target. With the model's ``on_plane``, a scored target decides only when
+    it is finite and farther from ``log_y`` than the scorer's bound plus the
+    rounding of adding the prior term; any other proposal is re-scored with
+    ``log_lik``, and a rejected point is never formed.
+    """
+    def direct(x):
+        f_prop = point(*coeffs(x))
+        log_lik = _eval_log_lik(model, f_prop)
+        return f_prop, log_lik, log_lik if log_prior is None else log_prior(x) + log_lik
+
+    on_plane = getattr(model, "on_plane", None)
+    if on_plane is None:
+        return direct
+    score, bound = on_plane(u, v)
+
+    def propose(x):
+        a, b = coeffs(x)
+        log_target = score(a, b) if log_prior is None else log_prior(x) + score(a, b)
+        if not (
+            math.isfinite(log_target)
+            and abs(log_target - log_y) > bound(a, b) + 4.0 * math.ulp(log_target)
+        ):
+            return direct(x)
+        if log_target < log_y:
+            return None, None, log_target
+        f_prop = point(a, b)
+        return f_prop, _eval_log_lik(model, f_prop), log_target
+
+    return propose
 
 
 def elliptical_slice_step(
@@ -229,11 +290,11 @@ def elliptical_slice_step(
     nu = prior.sample(rng)
     log_y = _log_slice_height(cur_log_lik, rng)
 
-    def propose(theta):
-        f_prop = state.f * math.cos(theta) + nu * math.sin(theta)
-        log_lik = _eval_log_lik(model, f_prop)
-        return f_prop, log_lik, log_lik
-
+    f = state.f
+    propose = _plane_proposer(
+        model, f, nu, lambda theta: (math.cos(theta), math.sin(theta)),
+        lambda a, b: f * a + nu * b, log_y,
+    )
     theta = _uniform(rng, 0.0, TWO_PI)
     angles, f_new, log_lik = _slice_shrink(propose, log_y, theta, theta - TWO_PI, theta, rng)
     new_state = _advance(state, f_new, log_lik, evals + len(angles))
@@ -338,11 +399,10 @@ def line_slice_step(
     # the current state's prior density seeds the threshold: one prior eval
     log_y = _log_slice_height(log_prior(0.0) + cur_log_lik, rng)
 
-    def propose(eps):
-        f_prop = state.f + eps * nu
-        log_lik = _eval_log_lik(model, f_prop)
-        return f_prop, log_lik, log_prior(eps) + log_lik
-
+    f = state.f
+    propose = _plane_proposer(
+        model, f, nu, lambda eps: (1.0, eps), lambda a, b: f + b * nu, log_y, log_prior
+    )
     u = _uniform(rng)
     eps_min, eps_max = -LINE_WIDTH * u, LINE_WIDTH * (1.0 - u)
     eps = _uniform(rng, eps_min, eps_max)

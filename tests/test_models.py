@@ -26,6 +26,7 @@ from ellslice import (
     read_event_times,
     squared_exponential,
 )
+from ellslice.harness import build_dataset, build_prior
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -208,6 +209,91 @@ class TestLogLikIsTheReferenceExpression:
             warnings.simplefilter("error")
             assert data.log_lik(np.zeros(3)) == -math.inf
         assert _reference_log_lik(data, np.zeros(3)) == -math.inf
+
+
+def _plane_pairs(rng):
+    """Coefficients (a, b) the slice operators score: ellipse pairs
+    (cos t, sin t) and line pairs (1, eps) with |eps| <= pi."""
+    ellipse = [(math.cos(t), math.sin(t)) for t in rng.uniform(0.0, 2 * math.pi, size=40)]
+    line = [(1.0, e) for e in rng.uniform(-math.pi, math.pi, size=40)]
+    return ellipse + line + [(1.0, 0.0), (0.0, 1.0), (1.0, math.pi), (1.0, -math.pi)]
+
+
+def _on_point(data, u, v, a, b):
+    """log L at the point formed as the operators form it."""
+    return data.log_lik(u + b * v if a == 1.0 else u * a + v * b)
+
+
+@pytest.fixture(scope="module")
+def benchmark_regression():
+    """The benchmark's regression dataset (n=200, d=1) and its low-rank prior."""
+    ds = build_dataset({"kind": "regression", "n": 200, "dims": 1}, KernelConfig(), chain_rng(1))
+    return ds.data, build_prior(ds)
+
+
+class TestRegressionPlane:
+    def _planes(self, data, prior, rng):
+        """Planes through prior draws, and through states near the data,
+        where the expansion cancels most."""
+        for _ in range(5):
+            yield prior.sample(rng), prior.sample(rng)
+            yield data.y + 0.05 * rng.standard_normal(data.n), prior.sample(rng)
+
+    def _check_within_bound(self, data, prior, rng):
+        for u, v in self._planes(data, prior, rng):
+            score, bound = data.on_plane(u, v)
+            for a, b in _plane_pairs(rng):
+                gap = abs(score(a, b) - _on_point(data, u, v, a, b))
+                assert gap <= bound(a, b), (a, b, gap, bound(a, b))
+
+    def test_within_bound_on_small_data(self):
+        rng = np.random.default_rng(160)
+        inputs, data, _ = generate_regression_dataset(24, 1, KernelConfig(), 0.1, rng)
+        self._check_within_bound(data, factorize(squared_exponential(inputs, KernelConfig())), rng)
+
+    def test_within_bound_at_benchmark_size(self, benchmark_regression):
+        data, prior = benchmark_regression
+        assert (data.n, prior.rank) == (200, 9)
+        self._check_within_bound(data, prior, np.random.default_rng(161))
+
+    def test_bound_is_tight_enough_to_decide(self, benchmark_regression):
+        """At benchmark size the bound is far below the spread of slice
+        heights (order 1), so almost no proposal needs a direct re-score."""
+        data, prior = benchmark_regression
+        rng = np.random.default_rng(162)
+        _, bound = data.on_plane(prior.sample(rng), prior.sample(rng))
+        assert all(bound(a, b) < 1e-6 for a, b in _plane_pairs(rng))
+
+    def test_zero_noise_variance_raises_like_log_lik(self):
+        data = RegressionData(y=np.array([0.5, -1.0]), noise_variance=0.0)
+        with pytest.raises(ValueError, match="noise_variance must be positive") as direct:
+            data.log_lik(np.zeros(2))
+        with pytest.raises(ValueError) as plane:
+            data.on_plane(np.zeros(2), np.ones(2))
+        assert str(plane.value) == str(direct.value)
+
+    def test_wrong_length_rejected(self):
+        data = RegressionData(y=np.zeros(3), noise_variance=1.0)
+        with pytest.raises(DimensionMismatch):
+            data.on_plane(np.zeros(2), np.zeros(3))
+        with pytest.raises(DimensionMismatch):
+            data.on_plane(np.zeros(3), np.zeros(4))
+
+    def test_huge_latent_scores_minus_inf_never_nan(self):
+        rng = np.random.default_rng(163)
+        data = RegressionData(y=rng.standard_normal(5), noise_variance=0.5)
+        u, v = np.full(5, 1e200), rng.standard_normal(5)
+        # the dot products overflow, and NumPy says so, as it does in log_lik
+        with np.errstate(over="ignore"):
+            score, bound = data.on_plane(u, v)
+            for a, b in _plane_pairs(rng):
+                value = score(a, b)
+                assert not math.isnan(value) and not math.isnan(bound(a, b))
+                if a != 0.0:
+                    assert value == -math.inf == _on_point(data, u, v, a, b)
+        # at a = 0 the point is finite but the expansion overflowed: the
+        # bound is inf, so an operator re-scores it directly
+        assert score(0.0, 1.0) == -math.inf and bound(0.0, 1.0) == math.inf
 
 
 class TestConstantLikelihood:

@@ -1,6 +1,7 @@
 """Transition-operator contracts: slice invariants, M-H limits, accounting."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from ellslice import (
     run_chain,
 )
 from ellslice.harness import build_dataset, build_prior
-from ellslice.samplers import LINE_WIDTH, _line_log_prior, _uniform
+from ellslice.samplers import LINE_WIDTH, _line_log_prior, _plane_proposer, _uniform
 
 TWO_PI = 2.0 * math.pi
 
@@ -62,6 +63,39 @@ class PoisonedLikelihood:
         if self.calls > self.poison_after:
             return math.nan
         return 0.0
+
+
+class DirectOnly:
+    """A model seen only through ``log_lik``: its plane method is hidden, so
+    the operators evaluate every proposal directly."""
+
+    def __init__(self, model):
+        self.n = model.n
+        self.log_lik = model.log_lik
+
+
+class CountedPlane:
+    """Forwards a model's plane method and counts its direct evaluations."""
+
+    def __init__(self, model):
+        self.n = model.n
+        self.on_plane = model.on_plane
+        self._model = model
+        self.calls = 0
+
+    def log_lik(self, f):
+        self.calls += 1
+        return self._model.log_lik(f)
+
+
+# (coeffs, point, log_prior) of each plane operator's proposals, built as
+# elliptical_slice_step and line_slice_step build them
+PLANE_CURVES = {
+    "elliptical": (lambda t: (math.cos(t), math.sin(t)),
+                   lambda u, v: lambda a, b: u * a + v * b, None),
+    "line-slice": (lambda e: (1.0, e), lambda u, v: lambda a, b: u + b * v,
+                   lambda e: 3.7 - 0.5 * e * e),
+}
 
 
 class TestConfigs:
@@ -341,6 +375,60 @@ class TestLineSlice:
                 assert log_prior(eps) == pytest.approx(direct, rel=1e-9)
 
 
+class TestPlaneScoring:
+    @pytest.mark.parametrize("kind", sorted(PLANE_CURVES))
+    def test_near_threshold_decision_is_the_direct_one(self, kind):
+        """A threshold between a proposal's expanded target and its direct
+        one: the expansion alone would decide wrongly, the operators must
+        re-score and decide as the direct evaluation does."""
+        coeffs, make_point, log_prior = PLANE_CURVES[kind]
+        target = (lambda x, ll: ll) if log_prior is None else (lambda x, ll: log_prior(x) + ll)
+        rng = np.random.default_rng(164)
+        data = RegressionData(rng.standard_normal(24), 0.05)
+        u, v = data.y + 0.1 * rng.standard_normal(24), rng.standard_normal(24)
+        point = make_point(u, v)
+        score, _ = data.on_plane(u, v)
+        seen = set()
+        for x in rng.uniform(-math.pi, math.pi, size=2000):
+            expanded = target(x, score(*coeffs(x)))
+            direct = target(x, data.log_lik(point(*coeffs(x))))
+            if expanded == direct or (expanded > direct) in seen:
+                continue
+            seen.add(expanded > direct)
+            log_y = expanded if expanded < direct else math.nextafter(expanded, -math.inf)
+            assert (expanded > log_y) != (direct > log_y)
+            f_prop, log_lik, decided = _plane_proposer(
+                data, u, v, coeffs, point, log_y, log_prior)(x)
+            assert (decided > log_y) == (direct > log_y)
+            if direct > log_y:
+                assert f_prop.tobytes() == point(*coeffs(x)).tobytes()
+                assert log_lik == data.log_lik(f_prop)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("kind", sorted(PLANE_CURVES))
+    def test_bit_identical_to_direct_path_at_benchmark_size(self, kind):
+        """Chains on the benchmark's regression data (n=200, d=1, low-rank
+        root) are the same bits whether proposals are scored on the plane or
+        evaluated directly; the plane path evaluates directly only at the
+        start, once per accepted point and for rare re-scores."""
+        ds = build_dataset({"kind": "regression", "n": 200, "dims": 1}, KernelConfig(), chain_rng(1))
+        prior = build_prior(ds)
+        assert prior.rank == 9
+        counted = CountedPlane(ds.data)
+        kwargs = dict(n_burn=300, n_keep=2000, thin=1)
+        traces = [
+            run_chain(np.zeros(200), make_operator(kind), prior, model,
+                      rng=chain_rng(165), **kwargs)
+            for model in (counted, DirectOnly(ds.data))
+        ]
+        for name in ("log_lik", "lik_evals_cum", "prior_evals_cum", "accepted", "snapshots"):
+            fast, direct = (getattr(t, name) for t in traces)
+            assert fast.tobytes() == direct.tobytes(), name
+        steps = 2300
+        assert steps + 1 <= counted.calls < 1 + 1.01 * steps
+        assert traces[0].lik_evals_cum[-1] > 1.5 * steps
+
+
 class TestMakeOperator:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -472,6 +560,13 @@ class TestRunChain:
         # first iteration costs 2 evals (threshold + proposal), then 1 each
         assert info.value.iteration == 5
         assert "iteration 5" in str(info.value)
+
+    def test_chain_error_survives_pickling(self):
+        error = ChainError(12, NonFiniteLikelihood("log-likelihood returned NaN"))
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is ChainError
+        assert copy.iteration == 12
+        assert str(copy) == "sampler failed at chain iteration 12: log-likelihood returned NaN"
 
     def test_invalid_lengths_rejected(self):
         with pytest.raises(ValueError):
