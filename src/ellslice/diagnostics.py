@@ -25,7 +25,11 @@ class ChainTrace:
     """Per-iteration record of a chain after burn-in.
 
     ``lik_evals_cum`` / ``prior_evals_cum`` are cumulative totals since the
-    chain started (burn-in included), one entry per kept iteration.
+    chain started (burn-in included), one entry per kept iteration, of the
+    state's ``lik_evals`` and ``prior_evals``
+    (:class:`~ellslice.samplers.SamplerState`): the prior column counts the
+    line-slice operator's O(1) prior terms, one per proposal and one per
+    step, and stays 0 for the elliptical and Metropolis-Hastings operators.
     ``snapshots`` holds the latent vector every ``thin`` kept iterations
     (None when thinning was disabled).
     """

@@ -214,20 +214,3 @@ def factorize(cov: np.ndarray) -> GaussianPrior:
     factor[piv - 1] = np.tril(piv_chol[:, :rank])
     basis, sing, _ = np.linalg.svd(factor, full_matrices=False)
     return GaussianPrior(cov=cov, chol=None, jitter=jitter, rank=rank, basis=basis, eig=sing**2)
-
-
-def rotate(
-    f: np.ndarray, nu: np.ndarray, theta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate the pair (f, nu) by angle theta in their shared plane.
-
-    Returns ``(nu*sin(theta) + f*cos(theta), nu*cos(theta) - f*sin(theta))``.
-    The map has unit Jacobian and leaves the joint N(0, cov) density of the
-    pair unchanged for any theta.
-    """
-    f = np.asarray(f, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if f.shape != nu.shape:
-        raise DimensionMismatch(f"shape mismatch: {f.shape} vs {nu.shape}")
-    c, s = math.cos(theta), math.sin(theta)
-    return nu * s + f * c, nu * c - f * s

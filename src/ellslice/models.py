@@ -81,7 +81,7 @@ class RegressionData:
         resid = self.y - f
         # Python floats: a subnormal variance overflows the quotient to inf
         # (so log L = -inf) without NumPy's scalar overflow warning
-        return self._log_norm - 0.5 * float(resid @ resid) / self.noise_variance
+        return self._log_norm - 0.5 * float(resid.dot(resid)) / self.noise_variance
 
     def on_plane(
         self, u: np.ndarray, v: np.ndarray

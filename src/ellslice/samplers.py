@@ -1,22 +1,19 @@
 """MCMC transition operators for targets of the form N(f; 0, cov) * L(f).
 
-Four operators share one contract: step(state, prior, model, rng) returns a
+Three operators share one contract: step(state, prior, model, rng) returns a
 :class:`StepResult` with the new state and per-step diagnostics. All of them
 propose moves built from a single auxiliary draw nu ~ N(0, cov):
 
 * :func:`elliptical_slice_step` -- rejection-free slice sampling on the
   ellipse f*cos(t) + nu*sin(t), with bracket shrinkage toward the current
   state (the recommended operator).
-* :func:`elliptical_slice_aux_step` -- the two-stage augmented-model variant
-  (resample the ellipse parameterization, then slice-sample the angle);
-  equivalent in distribution, kept as a reference implementation.
 * :func:`neal_mh_step` -- Metropolis-Hastings with proposal
   sqrt(1-eps^2)*f + eps*nu and a fixed step size eps.
 * :func:`line_slice_step` -- slice sampling along the straight line
   f + eps*nu, which (unlike the ellipse) must evaluate the prior density at
   every proposal; in whitened coordinates that costs O(1) per proposal.
 
-The three slice operators differ only in their curve, their first draw and
+The two slice operators differ only in their curve, their first draw and
 bracket, and (for the line) the prior term of the target; they share one
 bracket-shrink loop, :func:`_slice_shrink`. They have no free parameters:
 the ellipse bracket is a full revolution, the line bracket has width
@@ -32,8 +29,8 @@ then scores proposals on the plane, re-scores with ``log_lik`` any whose
 target is non-finite or within the bound of the slice height, and forms and
 evaluates only the accepted point, so every decision, state and trace is bit
 for bit the one of evaluating each point directly. Models without the
-method, the angle-offset variant and Metropolis-Hastings evaluate every
-point. ``lik_evals`` counts proposals either way.
+method and Metropolis-Hastings evaluate every point. ``lik_evals`` counts
+proposals either way.
 
 Operators never mutate their inputs; each chain owns its RNG stream.
 Every uniform an operator draws is ``lo + (hi - lo) * rng.random()``
@@ -60,7 +57,7 @@ from .errors import (
     NonFiniteLikelihood,
     ShrinkLimitExceeded,
 )
-from .gaussian import GaussianPrior, rotate
+from .gaussian import GaussianPrior
 
 TWO_PI = 2.0 * math.pi
 # width of the line-slice bracket in units of the prior draw nu
@@ -86,7 +83,12 @@ class SamplerState:
     """Current latent vector with its cached log-likelihood and counters.
 
     ``log_lik`` may be None for a freshly constructed state; the first step
-    then computes it (and counts the evaluation).
+    then computes it (and counts the evaluation). ``lik_evals`` counts
+    likelihood evaluations: one per proposal, plus that one. ``prior_evals``
+    counts prior log-density terms: a line-slice step adds one for its slice
+    height and one per proposal, each O(1) after the step's one whitening
+    solve; the elliptical and Metropolis-Hastings steps add none, as the
+    prior cancels on their proposals.
     """
 
     f: np.ndarray
@@ -301,42 +303,6 @@ def elliptical_slice_step(
     return StepResult(new_state, True, angles, log_y)
 
 
-def elliptical_slice_aux_step(
-    state: SamplerState,
-    prior: GaussianPrior,
-    model: LikelihoodModel,
-    rng: np.random.Generator | None = None,
-) -> StepResult:
-    """The two-stage augmented-model form of the elliptical update.
-
-    Stage one resamples the ellipse parameterization (nu0, nu1, theta)
-    holding the current state fixed: theta ~ Uniform[0, 2*pi), nu ~ N(0, cov),
-    (nu0, nu1) = :func:`~ellslice.gaussian.rotate` (nu, f, theta), so that
-    nu0*sin(theta) + nu1*cos(theta) reproduces f exactly. Stage two
-    slice-samples the angle against L(nu0*sin + nu1*cos) with the same
-    shrink rule as :func:`elliptical_slice_step`, the bracket re-centered at
-    the entry angle. Statistically equivalent to the one-stage operator;
-    retained so the equivalence is testable.
-    """
-    cur_log_lik, evals = _start(state, model, rng)
-    theta0 = _uniform(rng, 0.0, TWO_PI)
-    nu0, nu1 = rotate(prior.sample(rng), state.f, theta0)
-    # the current angle theta0 reproduces the current state, so its cached
-    # likelihood seeds the slice threshold
-    log_y = _log_slice_height(cur_log_lik, rng)
-
-    def propose(offset):
-        theta = theta0 + offset
-        f_prop = nu0 * math.sin(theta) + nu1 * math.cos(theta)
-        log_lik = _eval_log_lik(model, f_prop)
-        return f_prop, log_lik, log_lik
-
-    offset = _uniform(rng, 0.0, TWO_PI)
-    offsets, f_new, log_lik = _slice_shrink(propose, log_y, offset, offset - TWO_PI, offset, rng)
-    new_state = _advance(state, f_new, log_lik, evals + len(offsets))
-    return StepResult(new_state, True, [theta0 + o for o in offsets], log_y)
-
-
 def neal_mh_step(
     state: SamplerState,
     prior: GaussianPrior,
@@ -373,7 +339,7 @@ def _line_log_prior(
     solve and three dot products up front, then O(1) per eps.
     """
     w = prior.whiten(f)
-    c, ww, wz2, zz = prior.log_norm, float(w @ w), 2.0 * float(w @ z), float(z @ z)
+    c, ww, wz2, zz = prior.log_norm, float(w.dot(w)), 2.0 * float(w.dot(z)), float(z.dot(z))
     return lambda eps: c - 0.5 * (ww + eps * (wz2 + eps * zz))
 
 
@@ -411,13 +377,13 @@ def line_slice_step(
     return StepResult(new_state, True, steps, log_y)
 
 
-OPERATOR_KINDS = ("elliptical", "elliptical-aux", "neal-mh", "line-slice")
-
-_PARAMETER_FREE = {
+# every sampler kind and its step function; neal-mh's also takes its MhConfig
+_OPERATORS = {
     "elliptical": elliptical_slice_step,
-    "elliptical-aux": elliptical_slice_aux_step,
+    "neal-mh": neal_mh_step,
     "line-slice": line_slice_step,
 }
+OPERATOR_KINDS = tuple(_OPERATORS)
 
 
 def make_operator(kind: str, **params) -> StepFn:
@@ -428,14 +394,15 @@ def make_operator(kind: str, **params) -> StepFn:
     """
     if kind not in OPERATOR_KINDS:
         raise InvalidConfig(f"unknown sampler kind {kind!r}; expected one of {OPERATOR_KINDS}")
+    step = _OPERATORS[kind]
     if kind == "neal-mh":
         if set(params) - {"epsilon"}:
             raise InvalidConfig(f"neal-mh takes only 'epsilon', got {sorted(params)}")
         cfg = MhConfig(**params)
-        return lambda state, prior, model, rng: neal_mh_step(state, prior, model, cfg, rng)
+        return lambda state, prior, model, rng: step(state, prior, model, cfg, rng)
     if params:
         raise InvalidConfig(f"{kind} takes no parameters, got {sorted(params)}")
-    return _PARAMETER_FREE[kind]
+    return step
 
 
 def chain_rng(master_seed: int, *stream: int) -> np.random.Generator:

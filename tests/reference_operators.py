@@ -1,0 +1,82 @@
+"""Reference forms the tests check the shipped operators against.
+
+The paper derives the elliptical slice update from an augmented model: a
+pair (nu0, nu1) of prior draws and an angle theta with
+f = nu0*sin(theta) + nu1*cos(theta). :func:`elliptical_slice_aux_step` runs
+that two-stage form literally. It is equivalent in distribution to
+:func:`ellslice.samplers.elliptical_slice_step`, which acceptance 5 checks,
+and its pinned trace digests live with the others in
+``test_trace_digests.py``. Neither it nor :func:`rotate` is part of the
+package.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from ellslice import DimensionMismatch, GaussianPrior, SamplerState, StepResult
+from ellslice.samplers import (
+    TWO_PI,
+    LikelihoodModel,
+    _advance,
+    _eval_log_lik,
+    _log_slice_height,
+    _slice_shrink,
+    _start,
+    _uniform,
+)
+
+
+def rotate(
+    f: np.ndarray, nu: np.ndarray, theta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate the pair (f, nu) by angle theta in their shared plane.
+
+    Returns ``(nu*sin(theta) + f*cos(theta), nu*cos(theta) - f*sin(theta))``.
+    The map has unit Jacobian and leaves the joint N(0, cov) density of the
+    pair unchanged for any theta.
+    """
+    f = np.asarray(f, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    if f.shape != nu.shape:
+        raise DimensionMismatch(f"shape mismatch: {f.shape} vs {nu.shape}")
+    c, s = math.cos(theta), math.sin(theta)
+    return nu * s + f * c, nu * c - f * s
+
+
+def elliptical_slice_aux_step(
+    state: SamplerState,
+    prior: GaussianPrior,
+    model: LikelihoodModel,
+    rng: np.random.Generator | None = None,
+) -> StepResult:
+    """The two-stage augmented-model form of the elliptical update.
+
+    Stage one resamples the ellipse parameterization (nu0, nu1, theta)
+    holding the current state fixed: theta ~ Uniform[0, 2*pi), nu ~ N(0, cov),
+    (nu0, nu1) = :func:`rotate` (nu, f, theta), so that
+    nu0*sin(theta) + nu1*cos(theta) reproduces f exactly. Stage two
+    slice-samples the angle against L(nu0*sin + nu1*cos) with the same
+    shrink rule as :func:`~ellslice.samplers.elliptical_slice_step`, the
+    bracket re-centered at the entry angle. Every proposal is evaluated
+    directly.
+    """
+    cur_log_lik, evals = _start(state, model, rng)
+    theta0 = _uniform(rng, 0.0, TWO_PI)
+    nu0, nu1 = rotate(prior.sample(rng), state.f, theta0)
+    # the current angle theta0 reproduces the current state, so its cached
+    # likelihood seeds the slice threshold
+    log_y = _log_slice_height(cur_log_lik, rng)
+
+    def propose(offset):
+        theta = theta0 + offset
+        f_prop = nu0 * math.sin(theta) + nu1 * math.cos(theta)
+        log_lik = _eval_log_lik(model, f_prop)
+        return f_prop, log_lik, log_lik
+
+    offset = _uniform(rng, 0.0, TWO_PI)
+    offsets, f_new, log_lik = _slice_shrink(propose, log_y, offset, offset - TWO_PI, offset, rng)
+    new_state = _advance(state, f_new, log_lik, evals + len(offsets))
+    return StepResult(new_state, True, [theta0 + o for o in offsets], log_y)

@@ -27,7 +27,6 @@ from ellslice import (
     contiguous_partitions,
     effective_sample_size,
     elliptical_slice_step,
-    elliptical_slice_aux_step,
     factorize,
     gp_regression_posterior_oracle,
     make_operator,
@@ -49,6 +48,7 @@ from ellslice.models import (
     generate_regression_dataset,
     mining_event_times,
 )
+from reference_operators import elliptical_slice_aux_step
 
 
 @contextmanager

@@ -11,12 +11,12 @@ from ellslice import (
     NotPositiveDefinite,
     check_covariance,
     factorize,
-    rotate,
     squared_exponential,
     KernelConfig,
     chain_rng,
 )
 from ellslice.harness import build_dataset, build_prior
+from reference_operators import rotate
 
 
 def random_spd(rng, n):

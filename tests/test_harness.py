@@ -735,6 +735,9 @@ class TestCliMain:
         pytest.param("generate", {"tune_grid": {"0.5": 0}}, id="generate-object-grid"),
         pytest.param("benchmark", {"samplers": [{"kind": "neal-mh", "epsilon": True}]},
                      id="benchmark-boolean-epsilon"),
+        # the augmented-model elliptical form is a test reference, not a kind
+        pytest.param("benchmark", {"samplers": [{"kind": "elliptical-aux"}]},
+                     id="benchmark-augmented-form-kind"),
     ])
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, command, raw):
         if callable(raw):

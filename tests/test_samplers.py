@@ -18,7 +18,6 @@ from ellslice import (
     ShrinkLimitExceeded,
     chain_rng,
     effective_sample_size,
-    elliptical_slice_aux_step,
     elliptical_slice_step,
     factorize,
     line_slice_step,
@@ -28,6 +27,7 @@ from ellslice import (
 )
 from ellslice.harness import build_dataset, build_prior
 from ellslice.samplers import LINE_WIDTH, _line_log_prior, _plane_proposer, _uniform
+from reference_operators import elliptical_slice_aux_step
 
 TWO_PI = 2.0 * math.pi
 
@@ -218,7 +218,7 @@ class TestAuxiliaryVariant:
         cov = np.array([[1.0, 0.4], [0.4, 0.8]])
         prior = factorize(cov)
         trace = run_chain(
-            np.zeros(2), make_operator("elliptical-aux"), prior,
+            np.zeros(2), elliptical_slice_aux_step, prior,
             ConstantLikelihood(2), n_burn=100, n_keep=10_000, thin=1,
             rng=chain_rng(17),
         )
@@ -434,9 +434,11 @@ class TestMakeOperator:
         with pytest.raises(InvalidConfig):
             make_operator("hamiltonian")
 
-    def test_aux_variant_takes_no_params(self):
-        with pytest.raises(InvalidConfig):
-            make_operator("elliptical-aux", bracket_width=1.0)
+    def test_augmented_form_is_an_unknown_kind(self):
+        """The augmented-model form is a test reference, not a sampler kind."""
+        with pytest.raises(InvalidConfig, match="unknown sampler kind 'elliptical-aux'") as err:
+            make_operator("elliptical-aux")
+        assert "('elliptical', 'neal-mh', 'line-slice')" in str(err.value)
 
     def test_params_forwarded(self):
         step = make_operator("neal-mh", epsilon=0.0)

@@ -8,6 +8,9 @@ Any change in how random numbers are consumed shows up here.
 
 A change that alters the draws on purpose re-baselines the table: run
 ``PYTHONPATH=src python tests/test_trace_digests.py`` and paste its output.
+The ``elliptical-aux`` entries pin the augmented-model reference form
+(``reference_operators.elliptical_slice_aux_step``), which the package does
+not ship; every other entry builds its step function with ``make_operator``.
 Priors stay small (n <= 40) so the digests depend little on the BLAS build.
 Each model's prior root is pinned too (:data:`ROOTS`), so a change in which
 root ``factorize`` picks fails by name before any digest does.
@@ -32,12 +35,13 @@ from ellslice import (
     run_chain,
     squared_exponential,
 )
+from reference_operators import elliptical_slice_aux_step
 
 OPERATORS = {
-    "elliptical": ("elliptical", {}),
-    "elliptical-aux": ("elliptical-aux", {}),
-    "neal-mh": ("neal-mh", {"epsilon": 0.3}),
-    "line-slice": ("line-slice", {}),
+    "elliptical": make_operator("elliptical"),
+    "elliptical-aux": elliptical_slice_aux_step,
+    "neal-mh": make_operator("neal-mh", epsilon=0.3),
+    "line-slice": make_operator("line-slice"),
 }
 
 
@@ -78,9 +82,8 @@ def test_prior_root_is_pinned(model):
 
 def chain_digest(model: str, operator: str) -> str:
     prior, data = MODELS[model]()
-    kind, params = OPERATORS[operator]
     trace = run_chain(
-        np.zeros(data.n), make_operator(kind, **params), prior, data,
+        np.zeros(data.n), OPERATORS[operator], prior, data,
         n_burn=20, n_keep=100, thin=1, rng=chain_rng(11, 3),
     )
     h = hashlib.sha256()
@@ -92,8 +95,7 @@ def chain_digest(model: str, operator: str) -> str:
 
 def block_sweep_digest(operator: str, sweeps: int = 5) -> str:
     prior, data = _regression()
-    kind, params = OPERATORS[operator]
-    step_fn = make_operator(kind, **params)
+    step_fn = OPERATORS[operator]
     parts = contiguous_partitions(data.n, 4)
     rng = chain_rng(13, 4)
     state = SamplerState(f=np.zeros(data.n))
