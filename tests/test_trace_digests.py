@@ -11,11 +11,14 @@ A change that alters the draws on purpose re-baselines the table: run
 The ``elliptical-aux`` entries pin the augmented-model reference form
 (``reference_operators.elliptical_slice_aux_step``), which the package does
 not ship; every other entry builds its step function with ``make_operator``.
-Priors stay small (n <= 40) so the digests depend little on the BLAS build.
-Each model's prior root is pinned too (:data:`ROOTS`), so a change in which
+Priors stay small (n <= 40) so the digests depend little on the BLAS build,
+except ``cox-mining``: the packaged coal-mining data (n=811) with its
+low-rank root, the one cox path the benchmark runs, pinned for the two
+operators that score proposals on a plane. Each model's prior root is pinned too (:data:`ROOTS`), so a change in which
 root ``factorize`` picks fails by name before any digest does.
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -35,6 +38,7 @@ from ellslice import (
     run_chain,
     squared_exponential,
 )
+from ellslice.harness import build_dataset, build_prior
 from reference_operators import elliptical_slice_aux_step
 
 OPERATORS = {
@@ -63,7 +67,14 @@ def _cox():
     return factorize(squared_exponential(centers, KernelConfig(lengthscale=200.0))), data
 
 
-MODELS = {"regression": _regression, "classification": _classification, "cox": _cox}
+@functools.cache  # an n=811 root takes most of a second to build
+def _cox_mining():
+    ds = build_dataset({"kind": "cox"}, KernelConfig(), chain_rng(5, 3))
+    return build_prior(ds), ds.data
+
+
+MODELS = {"regression": _regression, "classification": _classification, "cox": _cox,
+          "cox-mining": _cox_mining}
 
 # (backend, numerical rank, jitter) of each model's prior; cox needs jitter
 # but its rank 18 of 20 fails the 2r < n rule, so it keeps the dense root
@@ -71,6 +82,7 @@ ROOTS = {
     "regression": ("dense", 24, 0.0),
     "classification": ("low-rank", 11, 4e-10),
     "cox": ("dense", 18, 1e-10),
+    "cox-mining": ("low-rank", 15, 1e-10),
 }
 
 
@@ -111,9 +123,9 @@ def block_sweep_digest(operator: str, sweeps: int = 5) -> str:
     return h.hexdigest()
 
 
-CASES = [("chain", m, op) for m in MODELS for op in OPERATORS] + [
-    ("block", "regression", op) for op in OPERATORS
-]
+CASES = [("chain", m, op) for m in MODELS if m != "cox-mining" for op in OPERATORS] + [
+    ("chain", "cox-mining", op) for op in ("elliptical", "line-slice")
+] + [("block", "regression", op) for op in OPERATORS]
 
 
 def digest(case) -> str:
@@ -146,6 +158,10 @@ EXPECTED = {
         '28c55e1c1b75f4ecb4aa368f080953d64631e42147f85a9908374fb705555da6',
     ('chain', 'cox', 'line-slice'):
         'd1ef5377c6261ed0dc1c0c228da5db6f7e6606f3b9bcabf940fc3fd70fbdd240',
+    ('chain', 'cox-mining', 'elliptical'):
+        '54f04731864ab765036ff79a61e2126ddb6da373a92acb456e49748241495c75',
+    ('chain', 'cox-mining', 'line-slice'):
+        '8ff6fdc3c17c27f2320b0b70b0ee5e2de8e5002c86a0720341a9816d286c55a3',
     ('block', 'regression', 'elliptical'):
         'd09864d8fffd71473310e5879ec8b507c2c182a9030c505e44a78d934f7889f7',
     ('block', 'regression', 'elliptical-aux'):
