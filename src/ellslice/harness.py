@@ -26,6 +26,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -148,9 +149,13 @@ def _grid(values: Any) -> tuple[float, ...]:
 
 
 _COUNT = _integer(1)
-# generate_regression_dataset squares it, so the square must stay finite too
-_NOISE_STD = _in_range(_real, lambda x: 0.0 <= x and x * x < math.inf,
-                       "finite and >= 0, with a finite square")
+# generate_regression_dataset squares it into the noise variance: the square
+# must be finite, and a positive one must not be subnormal, as no chain can
+# start on data that precise (log L = -inf at f = 0); 0 is noise-free data
+_NOISE_STD = _in_range(
+    _real, lambda x: x == 0.0 or (0.0 < x and sys.float_info.min <= x * x < math.inf),
+    f"0, or > 0 with a finite square of at least {sys.float_info.min:.4g}",
+)
 _POSITIVE = _in_range(_real, lambda x: 0.0 < x < math.inf, "finite and > 0")
 _LINK = _in_range(lambda x: x, lambda x: x in ("logistic", "probit"), "'logistic' or 'probit'")
 _PATH = _in_range(lambda x: x, lambda x: isinstance(x, str), "a path string")

@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import ddot as _ddot, dnrm2 as _dnrm2
 from scipy.special import gammaln, log_ndtr
 
 from .errors import DimensionMismatch
@@ -28,6 +29,10 @@ from .kernels import KernelConfig, squared_exponential
 LOG_2PI = math.log(2.0 * math.pi)
 # unit roundoff of float64, 2^-53
 _EPS = 2.0**-53
+
+
+# score(a, b) -> (log L(a*u + b*v), bound on its float64 rounding error)
+PlaneScore = Callable[[float, float], tuple[float, float]]
 
 
 def _check_length(f: np.ndarray, n: int) -> np.ndarray:
@@ -83,16 +88,15 @@ class RegressionData:
         # (so log L = -inf) without NumPy's scalar overflow warning
         return self._log_norm - 0.5 * float(resid.dot(resid)) / self.noise_variance
 
-    def on_plane(
-        self, u: np.ndarray, v: np.ndarray
-    ) -> tuple[Callable[[float, float], float], Callable[[float, float], float]]:
-        """``(score, bound)`` for log L on the plane of ``u`` and ``v``.
+    def on_plane(self, u: np.ndarray, v: np.ndarray) -> PlaneScore:
+        """``score`` for log L on the plane of ``u`` and ``v``.
 
-        ``score(a, b)`` is log L(a*u + b*v) from the expansion
+        ``score(a, b)`` returns ``(log_lik, bound)``. ``log_lik`` is
+        log L(a*u + b*v) from the expansion
         ||y - a u - b v||^2 = yy - 2a yu - 2b yv + a^2 uu + 2ab uv + b^2 vv,
         so after the five dot products taken here (yy is taken once, at
-        construction) each score is O(1). ``bound(a, b)`` bounds
-        |score(a, b) - log_lik(a*u + b*v)| in float64, wherever the point is
+        construction) each score is O(1). ``bound`` bounds
+        |log_lik - self.log_lik(a*u + b*v)| in float64, wherever the point is
         formed as ``u * a + v * b`` (or ``u + b * v`` at a = 1).
 
         Derivation, with e = 2^-53 and m_i = |y_i| + |a u_i| + |b v_i|, whose
@@ -109,8 +113,8 @@ class RegressionData:
         covers the second-order terms and the roundings of comparing a
         score with a threshold.
 
-        Where a dot product overflows, ``score`` is -inf (never NaN) and
-        ``bound`` is inf, so a caller re-scores with :meth:`log_lik`.
+        Where a dot product overflows, ``score`` returns (-inf, inf), never
+        NaN, so a caller re-scores with :meth:`log_lik`.
         """
         self._check_variance()
         u, v = _check_length(u, self.n), _check_length(v, self.n)
@@ -119,20 +123,19 @@ class RegressionData:
         yy, uu, vv = self._yy, float(u.dot(u)), float(v.dot(v))
         yu2, yv2, uv2 = 2.0 * float(y.dot(u)), 2.0 * float(y.dot(v)), 2.0 * float(u.dot(v))
 
-        def score(a: float, b: float) -> float:
-            s = yy - a * yu2 - b * yv2 + a * a * uu + a * b * uv2 + b * b * vv
-            # an overflowed product gives inf - inf = NaN; bound is then inf
-            return c - 0.5 * s / var if s == s else -math.inf
-
         norm_y, norm_u, norm_v = math.sqrt(yy), math.sqrt(uu), math.sqrt(vv)
         scale, floor = _EPS * (2 * self.n + 17) / var, 8.0 * _EPS * abs(c)
 
-        def bound(a: float, b: float) -> float:
+        def score(a: float, b: float) -> tuple[float, float]:
+            s = yy - a * yu2 - b * yv2 + a * a * uu + a * b * uv2 + b * b * vv
             m = norm_y + abs(a) * norm_u + abs(b) * norm_v
             err = scale * m * m + floor
-            return err if err == err else math.inf  # 0 * inf at a = 0 or b = 0
+            # an overflowed product gives inf - inf = NaN, or 0 * inf at a = 0 or b = 0
+            if s != s or err != err:
+                return -math.inf, math.inf
+            return c - 0.5 * s / var, err
 
-        return score, bound
+        return score
 
 
 class ClassificationData:
@@ -163,6 +166,11 @@ class CoxData:
         self.counts = np.asarray(counts)
         if self.counts.ndim != 1 or np.any(self.counts < 0):
             raise ValueError("counts must be a vector of non-negative integers")
+        # checked before the cast, which would turn inf or 2^63 into a negative count
+        in_range = (self.counts <= np.iinfo(np.int64).max if self.counts.dtype.kind in "biu"
+                    else self.counts < 2.0**63)
+        if not np.all(in_range):
+            raise ValueError("counts must be finite and below 2^63")
         if np.any(self.counts != np.floor(self.counts)):
             raise ValueError("counts must be integers")
         self.counts = self.counts.astype(np.int64)
@@ -171,6 +179,14 @@ class CoxData:
         self._log_factorials = gammaln(self.counts + 1.0)
         # the product with log_rate converts the counts anyway; converting once saves it per call
         self._float_counts = self.counts.astype(float)
+        self._sum_counts = float(self._float_counts.sum())
+        self._sum_log_factorials = float(self._log_factorials.sum())
+        self._count_const = self.offset * self._sum_counts - self._sum_log_factorials
+        # exp(x_i) <= e^M, so n of them sum below e^700 for M under this
+        self._exp_limit = 700.0 - math.log(max(self.n, 1))
+        # sum(exp(x_i)) = e^offset . exp(a u + b v); past the limit no plane
+        # scores, so a larger offset only needs to keep math.exp from raising
+        self._offset_weights = np.full(self.n, math.exp(min(self.offset, 700.0)))
 
     def log_lik(self, f: np.ndarray) -> float:
         f = _check_length(f, self.n)
@@ -178,6 +194,81 @@ class CoxData:
         with np.errstate(over="ignore"):
             rate = np.exp(log_rate)
         return float((self._float_counts * log_rate - rate - self._log_factorials).sum())
+
+    def on_plane(self, u: np.ndarray, v: np.ndarray) -> PlaneScore:
+        """``score`` for log L on the plane of ``u`` and ``v``.
+
+        ``score(a, b)`` returns ``(log_lik, bound)``: log L(a*u + b*v), and a
+        bound on |log_lik - self.log_lik(a*u + b*v)| in float64, wherever the
+        point is formed as ``u * a + v * b`` (or ``u + b * v`` at a = 1).
+        With c the counts and x = a u + b v + offset the log-intensity,
+        log L = a c.u + b c.v + offset sum(c) - sum(exp(x_i)) - sum(log c_i!),
+        so after the two dot products taken here the count term is O(1).
+        Only sum(exp(x_i)) stays O(n): one matrix-vector product of the
+        stacked (u, v) with (a, b) into a buffer, exp in place and a dot with
+        weights e^offset.
+
+        Derivation, with e = 2^-53, m_i = |a u_i| + |b v_i| + |offset|, which
+        is at most M = |a| |u| + |b| |v| + |offset| (Euclidean norms), S the
+        sum of exp(x_i) as computed, G = sum(log c_i!) and
+        A = M sum(c) + S + G. As the counts are >= 0, A bounds the sum of the
+        absolute values of every term, |c_i x_i| <= c_i m_i included. NumPy's
+        exp and SciPy's gammaln are assumed within 4 ULP, a relative error of
+        8 e; against 40-digit references on x86-64 (NumPy 2.4, SciPy 1.17)
+        they measured at most 0.68 ULP and 2.0 ULP. A float64 sum or dot
+        product of length n errs by at most n e times the sum of its absolute
+        terms, in any order.
+
+        - The score: c.u, c.v and sum(c) err by at most n e M sum(c) in all,
+          and sum(log c_i!) by (n + 8) e G with gammaln's error; with the
+          rounding of the constant offset sum(c) - G that is at most
+          (n + 9) e (M sum(c) + G). Each a u_i + b v_i errs by at most
+          2 e m_i, so its exp by a relative (2M + 8) e; the weight e^offset
+          errs by a relative 8 e, and the dot product of positive terms
+          adds (n + 1) e S: (n + 2M + 17) e S for the sum. The five
+          roundings that combine the terms add 5 e A: (n + 2M + 22) e A in
+          all.
+        - The direct value: forming the point either way and adding the
+          offset errs by 3 e m_i, so c_i x_i by 4 e c_i m_i and exp(x_i) by
+          a relative (3M + 8) e; gammaln adds 8 e G, the two subtractions
+          per bin 2 e A and the sum of n terms n e A: (n + 3M + 10) e A.
+
+        The bound is twice the sum, 2 e (2n + 5M + 32) A. The factor two
+        covers the second-order terms and the roundings of comparing a score
+        with a threshold. Each of the two first-order sums also bounds its
+        value's distance from the exact log L at a*u + b*v + offset.
+
+        Where M >= 700 - log(n), an exp or their sum could overflow:
+        ``score`` returns (-inf, inf) without calling exp, so a caller
+        re-scores with :meth:`log_lik`, and NumPy warns of nothing. Below
+        that each exp(a u_i + b v_i) and each term e^offset exp(a u_i + b v_i)
+        is at most e^M, and their sum below e^700. A plane whose c.u or c.v
+        overflows scores (-inf, inf) everywhere.
+        """
+        u, v = _check_length(u, self.n), _check_length(v, self.n)
+        # BLAS called directly: a huge latent overflows c.u without NumPy's
+        # warning, and the scaled dnrm2 overflows only past the largest float
+        cu, cv = _ddot(self._float_counts, u), _ddot(self._float_counts, v)
+        norm_u, norm_v = _dnrm2(u), _dnrm2(v)
+        if not math.isfinite(cu + cv):  # no count term to score, even at a = 0 or b = 0
+            return lambda a, b: (-math.inf, math.inf)
+        const, sum_counts, sum_lf = self._count_const, self._sum_counts, self._sum_log_factorials
+        # u and v as the columns of an (n, 2) matrix: BLAS's plain gemv
+        uv, coeffs, x = np.array((u, v)).T, np.empty(2), np.empty(self.n)
+        weights, abs_offset = self._offset_weights, abs(self.offset)
+        limit, size, scale = self._exp_limit, 2 * self.n + 32, 2.0 * _EPS
+
+        def score(a: float, b: float) -> tuple[float, float]:
+            m = abs(a) * norm_u + abs(b) * norm_v + abs_offset
+            if not m < limit:  # also NaN, from 0 * inf
+                return -math.inf, math.inf
+            coeffs[0], coeffs[1] = a, b
+            np.dot(uv, coeffs, out=x)
+            np.exp(x, out=x)
+            s = float(x.dot(weights))
+            return a * cu + b * cv + const - s, scale * (size + 5.0 * m) * (m * sum_counts + s + sum_lf)
+
+        return score
 
 
 def _latent_draw(

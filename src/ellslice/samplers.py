@@ -22,15 +22,18 @@ Only Metropolis-Hastings takes a step size.
 
 Every proposal of the elliptical and line-slice operators lies in the plane
 of the current state f and the draw nu: a*f + b*nu. A model may define
-``on_plane(u, v)``, returning a scorer of log L(a*u + b*v) that costs O(1)
-per proposal and a float64 bound on its rounding error
-(:meth:`~ellslice.models.RegressionData.on_plane`). :func:`_plane_proposer`
-then scores proposals on the plane, re-scores with ``log_lik`` any whose
-target is non-finite or within the bound of the slice height, and forms and
+``on_plane(u, v)``, returning one function ``score(a, b) -> (log_lik,
+bound)``: log L(a*u + b*v) scored without forming the point, and a float64
+bound on its rounding error. Gaussian regression scores in O(1)
+(:meth:`~ellslice.models.RegressionData.on_plane`); the Cox model's count
+term is O(1) and its sum of intensities one fused O(n) pass
+(:meth:`~ellslice.models.CoxData.on_plane`). :func:`_plane_proposer` then
+scores proposals on the plane, re-scores with ``log_lik`` any whose target
+is non-finite or within the bound of the slice height, and forms and
 evaluates only the accepted point, so every decision, state and trace is bit
-for bit the one of evaluating each point directly. Models without the
-method and Metropolis-Hastings evaluate every point. ``lik_evals`` counts
-proposals either way.
+for bit the one of evaluating each point directly. Classification, block
+likelihoods and Metropolis-Hastings evaluate every point. ``lik_evals``
+counts proposals either way.
 
 Operators never mutate their inputs; each chain owns its RNG stream.
 Every uniform an operator draws is ``lo + (hi - lo) * rng.random()``
@@ -69,8 +72,11 @@ MAX_SHRINKS = 1000
 class LikelihoodModel(Protocol):
     """Anything mapping a latent vector to a log-likelihood.
 
-    A model may also define ``on_plane(u, v)`` (see :func:`_plane_proposer`);
-    the slice operators then score proposals without forming them.
+    A model may also define ``on_plane(u, v)``, returning
+    ``score(a, b) -> (log_lik, bound)``: log L at a*u + b*v and a bound on
+    its float64 distance from ``log_lik`` at the point as the operators form
+    it, inf where it cannot bound it (see :func:`_plane_proposer`). The
+    slice operators then score proposals without forming them.
     """
 
     n: int
@@ -233,10 +239,11 @@ def _plane_proposer(
 
     ``coeffs(x)`` gives (a, b) at position ``x``, ``point(a, b)`` forms the
     proposal, and ``log_prior(x)``, if given, is added to log L to make the
-    target. With the model's ``on_plane``, a scored target decides only when
-    it is finite and farther from ``log_y`` than the scorer's bound plus the
-    rounding of adding the prior term; any other proposal is re-scored with
-    ``log_lik``, and a rejected point is never formed.
+    target. With the model's ``on_plane``, whose ``score(a, b)`` returns log L
+    and its rounding bound in one call, a scored target decides only when it
+    is finite and farther from ``log_y`` than that bound plus the rounding of
+    adding the prior term; any other proposal is re-scored with ``log_lik``,
+    and a rejected point is never formed.
     """
     def direct(x):
         f_prop = point(*coeffs(x))
@@ -246,14 +253,15 @@ def _plane_proposer(
     on_plane = getattr(model, "on_plane", None)
     if on_plane is None:
         return direct
-    score, bound = on_plane(u, v)
+    score = on_plane(u, v)
 
     def propose(x):
         a, b = coeffs(x)
-        log_target = score(a, b) if log_prior is None else log_prior(x) + score(a, b)
+        log_lik, bound = score(a, b)
+        log_target = log_lik if log_prior is None else log_prior(x) + log_lik
         if not (
             math.isfinite(log_target)
-            and abs(log_target - log_y) > bound(a, b) + 4.0 * math.ulp(log_target)
+            and abs(log_target - log_y) > bound + 4.0 * math.ulp(log_target)
         ):
             return direct(x)
         if log_target < log_y:

@@ -314,9 +314,15 @@ class TestRotate:
         np.testing.assert_allclose(step1[1], direct[1], atol=1e-10)
 
     def test_unit_jacobian_at_sampled_angles(self):
+        """``rotate`` is linear in (f, nu): its 2n x 2n matrix, built column
+        by column from basis vectors, has determinant 1."""
         rng = np.random.default_rng(17)
+        n = 3
+        basis = np.eye(2 * n)
         for theta in rng.uniform(-2 * math.pi, 2 * math.pi, size=100):
-            assert abs(math.cos(theta) ** 2 + math.sin(theta) ** 2 - 1.0) < 1e-12
+            jacobian = np.column_stack(
+                [np.concatenate(rotate(e[:n], e[n:], theta)) for e in basis])
+            assert abs(np.linalg.det(jacobian) - 1.0) < 1e-12
 
     def test_joint_prior_density_invariant(self):
         """Rotating (f, nu) by any angle preserves the joint prior density."""

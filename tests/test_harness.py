@@ -758,8 +758,8 @@ class TestCliMain:
 
     @pytest.mark.parametrize("command", ["run", "tune-mh", "benchmark"])
     def test_zero_likelihood_start_is_a_chain_failure(self, tmp_path, capsys, command):
-        # the noise variance 1e-320 is positive, but log L at f = 0 is -inf
-        model = {"kind": "regression", "n": 10, "noise_std": 1e-160}
+        # the noise variance 2.25e-308 is a normal float, but log L at f = 0 is -inf
+        model = {"kind": "regression", "n": 10, "noise_std": 1.5e-154}
         cfg = self.write_cfg(tmp_path, {
             "seed": 14, "n_keep": 20, "repeats": 2, "model": model,
             "sampler": {"kind": "elliptical"}, "models": [model],
@@ -784,6 +784,18 @@ class TestCliMain:
             assert all("iteration 0" in f["error"] for f in cell["failures"])
             assert all((f["iteration"], f["type"]) == (0, "NonFiniteLikelihood")
                        for f in cell["failures"])
+
+    @pytest.mark.parametrize("noise_std", [1e-160, 5e-324])
+    def test_subnormal_noise_variance_exits_2_at_generate(self, tmp_path, capsys, noise_std):
+        # the squares 1e-320 and 0 (underflowed) are below the smallest normal float
+        cfg = self.write_cfg(tmp_path, {
+            "seed": 14, "model": {"kind": "regression", "n": 10, "noise_std": noise_std}})
+        out = tmp_path / "out"
+        code = cli.main(["generate", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'noise_std'" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("raw_seed, flags", [(-1, []), (True, []), (14, ["--seed", "-1"])])
     def test_bad_seed_exits_2_naming_it(self, tmp_path, capsys, raw_seed, flags):

@@ -153,6 +153,22 @@ class TestCoxLikelihood:
         with pytest.raises(ValueError):
             CoxData(counts=np.array([1.5]), offset=0.0)
 
+    @pytest.mark.parametrize("counts", [
+        pytest.param(np.array([np.inf, 1.0]), id="inf"),
+        pytest.param(np.array([np.nan, 1.0]), id="nan"),
+        pytest.param(np.array([2.0**63, 1.0]), id="float-2^63"),
+        pytest.param(np.array([2**63, 1], dtype=np.uint64), id="uint64-2^63"),
+    ])
+    def test_counts_past_int64_rejected_before_the_cast(self, counts):
+        # the int64 cast would turn each into a negative count
+        with pytest.raises(ValueError, match="counts must be"):
+            CoxData(counts=counts, offset=0.0)
+
+    def test_largest_int64_count_accepted(self):
+        top = np.iinfo(np.int64).max
+        for counts in (np.array([top, 0]), np.array([top, 0], dtype=np.uint64)):
+            assert CoxData(counts=counts, offset=0.0).counts[0] == top
+
     def test_huge_latent_does_not_overflow(self):
         data = CoxData(counts=np.array([3]), offset=0.0)
         assert data.log_lik(np.array([800.0])) == -math.inf
@@ -241,10 +257,11 @@ class TestRegressionPlane:
 
     def _check_within_bound(self, data, prior, rng):
         for u, v in self._planes(data, prior, rng):
-            score, bound = data.on_plane(u, v)
+            score = data.on_plane(u, v)
             for a, b in _plane_pairs(rng):
-                gap = abs(score(a, b) - _on_point(data, u, v, a, b))
-                assert gap <= bound(a, b), (a, b, gap, bound(a, b))
+                value, bound = score(a, b)
+                gap = abs(value - _on_point(data, u, v, a, b))
+                assert gap <= bound, (a, b, gap, bound)
 
     def test_within_bound_on_small_data(self):
         rng = np.random.default_rng(160)
@@ -261,8 +278,8 @@ class TestRegressionPlane:
         heights (order 1), so almost no proposal needs a direct re-score."""
         data, prior = benchmark_regression
         rng = np.random.default_rng(162)
-        _, bound = data.on_plane(prior.sample(rng), prior.sample(rng))
-        assert all(bound(a, b) < 1e-6 for a, b in _plane_pairs(rng))
+        score = data.on_plane(prior.sample(rng), prior.sample(rng))
+        assert all(score(a, b)[1] < 1e-6 for a, b in _plane_pairs(rng))
 
     def test_zero_noise_variance_raises_like_log_lik(self):
         data = RegressionData(y=np.array([0.5, -1.0]), noise_variance=0.0)
@@ -285,15 +302,126 @@ class TestRegressionPlane:
         u, v = np.full(5, 1e200), rng.standard_normal(5)
         # the dot products overflow, and NumPy says so, as it does in log_lik
         with np.errstate(over="ignore"):
-            score, bound = data.on_plane(u, v)
+            score = data.on_plane(u, v)
             for a, b in _plane_pairs(rng):
-                value = score(a, b)
-                assert not math.isnan(value) and not math.isnan(bound(a, b))
+                value, bound = score(a, b)
+                assert not math.isnan(value) and not math.isnan(bound)
                 if a != 0.0:
                     assert value == -math.inf == _on_point(data, u, v, a, b)
         # at a = 0 the point is finite but the expansion overflowed: the
         # bound is inf, so an operator re-scores it directly
-        assert score(0.0, 1.0) == -math.inf and bound(0.0, 1.0) == math.inf
+        assert score(0.0, 1.0) == (-math.inf, math.inf)
+
+
+def _small_cox():
+    """20 bins of 60 uniform events and their dense squared-exponential prior."""
+    events = np.sort(chain_rng(5, 2).uniform(0.0, 1000.0, size=60))
+    data = bin_events(events, 50.0)
+    centers = ((np.arange(data.n) + 0.5) * 50.0).reshape(-1, 1)
+    return data, factorize(squared_exponential(centers, KernelConfig(lengthscale=200.0)))
+
+
+@pytest.fixture(scope="module")
+def mining_cox():
+    """The packaged coal-mining data (n=811) and its low-rank prior, as the
+    benchmark builds them."""
+    ds = build_dataset({"kind": "cox"}, KernelConfig(), chain_rng(1))
+    return ds.data, build_prior(ds)
+
+
+def _exact_cox_log_lik(data, u, v, a, b):
+    """log L at the exact point a*u + b*v, to 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        mpf = mpmath.mpf
+        total = mpf(0)
+        for c, ui, vi in zip(data.counts.tolist(), u.tolist(), v.tolist()):
+            x = mpf(a) * mpf(ui) + mpf(b) * mpf(vi) + mpf(data.offset)
+            total += c * x - mpmath.exp(x) - mpmath.loggamma(c + 1)
+        return total
+
+
+class TestCoxPlane:
+    def _planes(self, data, prior, rng):
+        """Planes through prior draws, and through states near the log counts,
+        where the count and intensity terms nearly balance."""
+        near = np.log(data.counts + 0.5) - data.offset
+        for _ in range(5):
+            yield prior.sample(rng), prior.sample(rng)
+            yield near + 0.05 * rng.standard_normal(data.n), prior.sample(rng)
+
+    def _check_within_bound(self, data, prior, rng):
+        for u, v in self._planes(data, prior, rng):
+            score = data.on_plane(u, v)
+            for a, b in _plane_pairs(rng):
+                value, bound = score(a, b)
+                gap = abs(value - _on_point(data, u, v, a, b))
+                assert gap <= bound, (a, b, gap, bound)
+
+    def test_within_bound_on_small_data(self):
+        data, prior = _small_cox()
+        assert (data.n, prior.backend) == (20, "dense")
+        self._check_within_bound(data, prior, np.random.default_rng(170))
+
+    def test_within_bound_at_benchmark_size(self, mining_cox):
+        data, prior = mining_cox
+        assert (data.n, prior.rank) == (811, 15)
+        self._check_within_bound(data, prior, np.random.default_rng(171))
+
+    @pytest.mark.parametrize("size", ["small", "benchmark"])
+    def test_score_and_log_lik_within_bound_of_exact(self, size, mining_cox):
+        """Against a 50-digit reference at the exact point, both the score
+        and the direct value lie within the bound."""
+        data, prior = _small_cox() if size == "small" else mining_cox
+        rng = np.random.default_rng(172)
+        planes = list(self._planes(data, prior, rng))[:2]
+        pairs = _plane_pairs(rng)
+        pairs = pairs if size == "small" else pairs[::10]
+        for u, v in planes:
+            score = data.on_plane(u, v)
+            for a, b in pairs:
+                value, bound = score(a, b)
+                exact = _exact_cox_log_lik(data, u, v, a, b)
+                assert abs(value - exact) <= bound, (a, b)
+                assert abs(_on_point(data, u, v, a, b) - exact) <= bound, (a, b)
+
+    def test_bound_is_tight_enough_to_decide(self, mining_cox):
+        """At benchmark size the bound is far below the spread of slice
+        heights (order 1), so almost no proposal needs a direct re-score."""
+        data, prior = mining_cox
+        rng = np.random.default_rng(173)
+        for u, v in self._planes(data, prior, rng):
+            score = data.on_plane(u, v)
+            assert all(score(a, b)[1] < 1e-6 for a, b in _plane_pairs(rng))
+
+    @pytest.mark.parametrize("scale", [1000.0, 1e200, 1e308])
+    def test_huge_latent_is_minus_inf_with_infinite_bound(self, scale):
+        """Where exp could overflow, the score is -inf with bound inf, so an
+        operator re-scores directly; no NumPy warning is raised on the way."""
+        rng = np.random.default_rng(174)
+        data = CoxData(counts=rng.poisson(2.0, size=5), offset=0.3)
+        u, v = np.full(5, scale), rng.standard_normal(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            score = data.on_plane(u, v)
+            for a, b in _plane_pairs(rng):
+                value, bound = score(a, b)
+                assert not math.isnan(value) and not math.isnan(bound)
+                if abs(a) * scale >= 700.0:
+                    assert (value, bound) == (-math.inf, math.inf), (a, b)
+                else:  # nearer the small direction the plane may score as usual
+                    assert abs(value - _on_point(data, u, v, a, b)) <= bound
+        if scale == 1e308:  # c.u overflows: the point is finite, but no count term is
+            assert score(0.0, 1.0) == (-math.inf, math.inf)
+        else:
+            assert score(0.0, 1.0)[1] < 1e-10
+
+    def test_wrong_length_rejected(self):
+        data = CoxData(counts=np.array([1, 0, 2]), offset=0.0)
+        with pytest.raises(DimensionMismatch):
+            data.on_plane(np.zeros(2), np.zeros(3))
+        with pytest.raises(DimensionMismatch):
+            data.on_plane(np.zeros(3), np.zeros(4))
 
 
 class TestConstantLikelihood:

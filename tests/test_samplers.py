@@ -9,6 +9,7 @@ import pytest
 from ellslice import (
     ChainError,
     ConstantLikelihood,
+    CoxData,
     InvalidConfig,
     KernelConfig,
     MhConfig,
@@ -375,22 +376,49 @@ class TestLineSlice:
                 assert log_prior(eps) == pytest.approx(direct, rel=1e-9)
 
 
+def _near_data_regression(rng):
+    """Small regression data and a plane through a state near the data,
+    where the expansion cancels most."""
+    data = RegressionData(rng.standard_normal(24), 0.05)
+    return data, data.y + 0.1 * rng.standard_normal(24), rng.standard_normal(24)
+
+
+def _near_data_cox(rng):
+    """Small cox data and a plane through a state near its log counts."""
+    counts = rng.poisson(3.0, size=24)
+    data = CoxData(counts, 1.0)
+    return data, np.log(counts + 0.5) - 1.0, rng.standard_normal(24)
+
+
+NEAR_DATA = {"regression": _near_data_regression, "cox": _near_data_cox}
+
+# (dataset spec, prior rank) of each benchmark model: both take the low-rank root
+BENCHMARK_MODELS = {
+    "regression": ({"kind": "regression", "n": 200, "dims": 1}, 9),
+    "cox": ({"kind": "cox"}, 15),
+}
+
+PLANE_CASES = [
+    pytest.param(model, kind, id=kind if model == "regression" else f"{model}-{kind}")
+    for model in sorted(NEAR_DATA) for kind in sorted(PLANE_CURVES)
+]
+
+
 class TestPlaneScoring:
-    @pytest.mark.parametrize("kind", sorted(PLANE_CURVES))
-    def test_near_threshold_decision_is_the_direct_one(self, kind):
-        """A threshold between a proposal's expanded target and its direct
-        one: the expansion alone would decide wrongly, the operators must
+    @pytest.mark.parametrize("model, kind", PLANE_CASES)
+    def test_near_threshold_decision_is_the_direct_one(self, model, kind):
+        """A threshold between a proposal's scored target and its direct
+        one: the score alone would decide wrongly, the operators must
         re-score and decide as the direct evaluation does."""
         coeffs, make_point, log_prior = PLANE_CURVES[kind]
         target = (lambda x, ll: ll) if log_prior is None else (lambda x, ll: log_prior(x) + ll)
         rng = np.random.default_rng(164)
-        data = RegressionData(rng.standard_normal(24), 0.05)
-        u, v = data.y + 0.1 * rng.standard_normal(24), rng.standard_normal(24)
+        data, u, v = NEAR_DATA[model](rng)
         point = make_point(u, v)
-        score, _ = data.on_plane(u, v)
+        score = data.on_plane(u, v)
         seen = set()
         for x in rng.uniform(-math.pi, math.pi, size=2000):
-            expanded = target(x, score(*coeffs(x)))
+            expanded = target(x, score(*coeffs(x))[0])
             direct = target(x, data.log_lik(point(*coeffs(x))))
             if expanded == direct or (expanded > direct) in seen:
                 continue
@@ -405,21 +433,23 @@ class TestPlaneScoring:
                 assert log_lik == data.log_lik(f_prop)
         assert seen == {True, False}
 
-    @pytest.mark.parametrize("kind", sorted(PLANE_CURVES))
-    def test_bit_identical_to_direct_path_at_benchmark_size(self, kind):
-        """Chains on the benchmark's regression data (n=200, d=1, low-rank
-        root) are the same bits whether proposals are scored on the plane or
-        evaluated directly; the plane path evaluates directly only at the
-        start, once per accepted point and for rare re-scores."""
-        ds = build_dataset({"kind": "regression", "n": 200, "dims": 1}, KernelConfig(), chain_rng(1))
+    @pytest.mark.parametrize("model, kind", PLANE_CASES)
+    def test_bit_identical_to_direct_path_at_benchmark_size(self, model, kind):
+        """Chains on the benchmark's data (regression n=200, d=1, and the
+        coal-mining cox data, n=811, each with its low-rank root) are the
+        same bits whether proposals are scored on the plane or evaluated
+        directly; the plane path evaluates directly only at the start, once
+        per accepted point and for rare re-scores."""
+        spec, rank = BENCHMARK_MODELS[model]
+        ds = build_dataset(spec, KernelConfig(), chain_rng(1))
         prior = build_prior(ds)
-        assert prior.rank == 9
+        assert prior.rank == rank
         counted = CountedPlane(ds.data)
         kwargs = dict(n_burn=300, n_keep=2000, thin=1)
         traces = [
-            run_chain(np.zeros(200), make_operator(kind), prior, model,
+            run_chain(np.zeros(ds.data.n), make_operator(kind), prior, data,
                       rng=chain_rng(165), **kwargs)
-            for model in (counted, DirectOnly(ds.data))
+            for data in (counted, DirectOnly(ds.data))
         ]
         for name in ("log_lik", "lik_evals_cum", "prior_evals_cum", "accepted", "snapshots"):
             fast, direct = (getattr(t, name) for t in traces)
