@@ -266,7 +266,8 @@ class CoxData:
             np.dot(uv, coeffs, out=x)
             np.exp(x, out=x)
             s = float(x.dot(weights))
-            return a * cu + b * cv + const - s, scale * (size + 5.0 * m) * (m * sum_counts + s + sum_lf)
+            bound = scale * (size + 5.0 * m) * (m * sum_counts + s + sum_lf)
+            return a * cu + b * cv + const - s, bound
 
         return score
 

@@ -14,8 +14,9 @@ not ship; every other entry builds its step function with ``make_operator``.
 Priors stay small (n <= 40) so the digests depend little on the BLAS build,
 except ``cox-mining``: the packaged coal-mining data (n=811) with its
 low-rank root, the one cox path the benchmark runs, pinned for the two
-operators that score proposals on a plane. Each model's prior root is pinned too (:data:`ROOTS`), so a change in which
-root ``factorize`` picks fails by name before any digest does.
+operators that score proposals on a plane. Each model's prior root is
+pinned too (:data:`ROOTS`), so a change in which root ``factorize`` picks
+fails by name before any digest does.
 """
 
 import functools
