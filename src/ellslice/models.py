@@ -96,8 +96,7 @@ class RegressionData:
         ||y - a u - b v||^2 = yy - 2a yu - 2b yv + a^2 uu + 2ab uv + b^2 vv,
         so after the five dot products taken here (yy is taken once, at
         construction) each score is O(1). ``bound`` bounds
-        |log_lik - self.log_lik(a*u + b*v)| in float64, wherever the point is
-        formed as ``u * a + v * b`` (or ``u + b * v`` at a = 1).
+        |log_lik - self.log_lik(u * a + v * b)| in float64.
 
         Derivation, with e = 2^-53 and m_i = |y_i| + |a u_i| + |b v_i|, whose
         squares sum to at most M^2 for M = |y| + |a| |u| + |b| |v| (Euclidean
@@ -199,8 +198,7 @@ class CoxData:
         """``score`` for log L on the plane of ``u`` and ``v``.
 
         ``score(a, b)`` returns ``(log_lik, bound)``: log L(a*u + b*v), and a
-        bound on |log_lik - self.log_lik(a*u + b*v)| in float64, wherever the
-        point is formed as ``u * a + v * b`` (or ``u + b * v`` at a = 1).
+        bound on |log_lik - self.log_lik(u * a + v * b)| in float64.
         With c the counts and x = a u + b v + offset the log-intensity,
         log L = a c.u + b c.v + offset sum(c) - sum(exp(x_i)) - sum(log c_i!),
         so after the two dot products taken here the count term is O(1).
@@ -228,10 +226,10 @@ class CoxData:
           adds (n + 1) e S: (n + 2M + 17) e S for the sum. The five
           roundings that combine the terms add 5 e A: (n + 2M + 22) e A in
           all.
-        - The direct value: forming the point either way and adding the
-          offset errs by 3 e m_i, so c_i x_i by 4 e c_i m_i and exp(x_i) by
-          a relative (3M + 8) e; gammaln adds 8 e G, the two subtractions
-          per bin 2 e A and the sum of n terms n e A: (n + 3M + 10) e A.
+        - The direct value: forming the point and adding the offset errs
+          by 3 e m_i, so c_i x_i by 4 e c_i m_i and exp(x_i) by a relative
+          (3M + 8) e; gammaln adds 8 e G, the two subtractions per bin
+          2 e A and the sum of n terms n e A: (n + 3M + 10) e A.
 
         The bound is twice the sum, 2 e (2n + 5M + 32) A. The factor two
         covers the second-order terms and the roundings of comparing a score

@@ -21,19 +21,21 @@ the ellipse bracket is a full revolution, the line bracket has width
 Only Metropolis-Hastings takes a step size.
 
 Every proposal of the elliptical and line-slice operators lies in the plane
-of the current state f and the draw nu: a*f + b*nu. A model may define
+of the current state f and the draw nu, and :func:`_slice_shrink` forms it
+one way, ``f * a + nu * b`` (the line at a = 1). A model may define
 ``on_plane(u, v)``, returning one function ``score(a, b) -> (log_lik,
 bound)``: log L(a*u + b*v) scored without forming the point, and a float64
 bound on its rounding error. Gaussian regression scores in O(1)
 (:meth:`~ellslice.models.RegressionData.on_plane`); the Cox model's count
 term is O(1) and its sum of intensities one fused O(n) pass
-(:meth:`~ellslice.models.CoxData.on_plane`). :func:`_plane_proposer` then
-scores proposals on the plane, re-scores with ``log_lik`` any whose target
-is non-finite or within the bound of the slice height, and forms and
-evaluates only the accepted point, so every decision, state and trace is bit
-for bit the one of evaluating each point directly. Classification, block
-likelihoods and Metropolis-Hastings evaluate every point. ``lik_evals``
-counts proposals either way.
+(:meth:`~ellslice.models.CoxData.on_plane`). A model without the method is
+scored by :func:`_defer`, which never decides. The loop rejects a proposal
+on its score only when the score lies below the slice height by more than
+its bound; it forms and evaluates every other proposal with ``log_lik``, so
+every decision, state and trace is bit for bit the one of evaluating each
+point directly. Classification and block likelihoods therefore evaluate
+every proposal, as Metropolis-Hastings does. ``lik_evals`` counts proposals
+either way.
 
 Operators never mutate their inputs; each chain owns its RNG stream.
 Every uniform an operator draws is ``lo + (hi - lo) * rng.random()``
@@ -74,9 +76,10 @@ class LikelihoodModel(Protocol):
 
     A model may also define ``on_plane(u, v)``, returning
     ``score(a, b) -> (log_lik, bound)``: log L at a*u + b*v and a bound on
-    its float64 distance from ``log_lik`` at the point as the operators form
-    it, inf where it cannot bound it (see :func:`_plane_proposer`). The
-    slice operators then score proposals without forming them.
+    its float64 distance from ``log_lik`` at ``u * a + v * b``, inf where it
+    cannot bound it. :func:`_slice_shrink` then rejects proposals on their
+    score without forming them; a model without the method is scored by
+    :func:`_defer`, so every proposal is formed and evaluated.
     """
 
     n: int
@@ -190,33 +193,63 @@ def _log_slice_height(log_target: float, rng: np.random.Generator) -> float:
     return log_target + (math.log(u) if u > 0.0 else -math.inf)
 
 
+def _defer(a: float, b: float) -> tuple[float, float]:
+    """The plane scorer of a model without ``on_plane``: it never decides."""
+    return -math.inf, math.inf
+
+
 def _slice_shrink(
-    propose: Callable[[float], tuple[np.ndarray, float, float]],
+    model: LikelihoodModel,
+    u: np.ndarray,
+    v: np.ndarray,
+    coeffs: Callable[[float], tuple[float, float]],
     log_y: float,
     x: float,
     lo: float,
     hi: float,
     rng: np.random.Generator,
+    log_prior: Callable[[float], float] | None = None,
 ) -> tuple[list[float], np.ndarray, float]:
     """Shrink the bracket [lo, hi] around 0 until a proposal clears the slice.
 
-    ``propose(x)`` returns ``(point, log_lik, log_target)`` for position
-    ``x`` (point and log_lik may be None for a rejected position); position
-    0 is the current state, so the bracket always keeps it.
-    ``x`` is the first position, already drawn by the caller. Returns the
-    positions tried in order, the accepted point and its log-likelihood.
+    The proposal at position ``x`` is the point ``u * a + v * b`` with
+    ``(a, b) = coeffs(x)``; its target is log L there plus ``log_prior(x)``,
+    if given. Position 0 is the current state, so the bracket always keeps
+    it. ``x`` is the first position, already drawn by the caller. Returns
+    the positions tried in order, the accepted point and its log-likelihood.
+
+    Each proposal is first scored with the model's ``on_plane(u, v)``, or
+    with :func:`_defer` if it has none. A score decides a rejection only
+    when its target is finite and farther below ``log_y`` than the bound
+    plus the rounding of adding the prior term, so a rejected point is never
+    formed. Any other proposal is formed and evaluated with ``log_lik``, and
+    that value decides, so every decision is the one of evaluating each
+    point directly.
 
     Raises
     ------
     ShrinkLimitExceeded
         After :data:`MAX_SHRINKS` shrinks; the slice is numerically empty.
+    NonFiniteLikelihood
+        If the likelihood returns NaN at a proposal.
     """
+    on_plane = getattr(model, "on_plane", None)
+    score = _defer if on_plane is None else on_plane(u, v)
     positions: list[float] = []
     for _ in range(MAX_SHRINKS + 1):
         positions.append(x)
-        point, log_lik, log_target = propose(x)
-        if log_target > log_y:
-            return positions, point, log_lik
+        a, b = coeffs(x)
+        prior_term = 0.0 if log_prior is None else log_prior(x)
+        log_lik, bound = score(a, b)
+        log_target = prior_term + log_lik
+        if not (
+            math.isfinite(log_target)
+            and log_y - log_target > bound + 4.0 * math.ulp(log_target)
+        ):
+            f_prop = u * a + v * b
+            log_lik = _eval_log_lik(model, f_prop)
+            if prior_term + log_lik > log_y:
+                return positions, f_prop, log_lik
         if x < 0.0:
             lo = x
         else:
@@ -224,52 +257,6 @@ def _slice_shrink(
         assert lo <= 0.0 <= hi, "bracket lost the current state"
         x = _uniform(rng, lo, hi)
     raise ShrinkLimitExceeded(f"no acceptable point after {MAX_SHRINKS} bracket shrinks")
-
-
-def _plane_proposer(
-    model: LikelihoodModel,
-    u: np.ndarray,
-    v: np.ndarray,
-    coeffs: Callable[[float], tuple[float, float]],
-    point: Callable[[float, float], np.ndarray],
-    log_y: float,
-    log_prior: Callable[[float], float] | None = None,
-) -> Callable[[float], tuple[np.ndarray | None, float | None, float]]:
-    """``propose(x)`` for :func:`_slice_shrink` over points a*u + b*v.
-
-    ``coeffs(x)`` gives (a, b) at position ``x``, ``point(a, b)`` forms the
-    proposal, and ``log_prior(x)``, if given, is added to log L to make the
-    target. With the model's ``on_plane``, whose ``score(a, b)`` returns log L
-    and its rounding bound in one call, a scored target decides only when it
-    is finite and farther from ``log_y`` than that bound plus the rounding of
-    adding the prior term; any other proposal is re-scored with ``log_lik``,
-    and a rejected point is never formed.
-    """
-    def direct(x):
-        f_prop = point(*coeffs(x))
-        log_lik = _eval_log_lik(model, f_prop)
-        return f_prop, log_lik, log_lik if log_prior is None else log_prior(x) + log_lik
-
-    on_plane = getattr(model, "on_plane", None)
-    if on_plane is None:
-        return direct
-    score = on_plane(u, v)
-
-    def propose(x):
-        a, b = coeffs(x)
-        log_lik, bound = score(a, b)
-        log_target = log_lik if log_prior is None else log_prior(x) + log_lik
-        if not (
-            math.isfinite(log_target)
-            and abs(log_target - log_y) > bound + 4.0 * math.ulp(log_target)
-        ):
-            return direct(x)
-        if log_target < log_y:
-            return None, None, log_target
-        f_prop = point(a, b)
-        return f_prop, _eval_log_lik(model, f_prop), log_target
-
-    return propose
 
 
 def elliptical_slice_step(
@@ -300,13 +287,11 @@ def elliptical_slice_step(
     nu = prior.sample(rng)
     log_y = _log_slice_height(cur_log_lik, rng)
 
-    f = state.f
-    propose = _plane_proposer(
-        model, f, nu, lambda theta: (math.cos(theta), math.sin(theta)),
-        lambda a, b: f * a + nu * b, log_y,
-    )
     theta = _uniform(rng, 0.0, TWO_PI)
-    angles, f_new, log_lik = _slice_shrink(propose, log_y, theta, theta - TWO_PI, theta, rng)
+    angles, f_new, log_lik = _slice_shrink(
+        model, state.f, nu, lambda t: (math.cos(t), math.sin(t)),
+        log_y, theta, theta - TWO_PI, theta, rng,
+    )
     new_state = _advance(state, f_new, log_lik, evals + len(angles))
     return StepResult(new_state, True, angles, log_y)
 
@@ -373,14 +358,13 @@ def line_slice_step(
     # the current state's prior density seeds the threshold: one prior eval
     log_y = _log_slice_height(log_prior(0.0) + cur_log_lik, rng)
 
-    f = state.f
-    propose = _plane_proposer(
-        model, f, nu, lambda eps: (1.0, eps), lambda a, b: f + b * nu, log_y, log_prior
-    )
     u = _uniform(rng)
     eps_min, eps_max = -LINE_WIDTH * u, LINE_WIDTH * (1.0 - u)
     eps = _uniform(rng, eps_min, eps_max)
-    steps, f_new, log_lik = _slice_shrink(propose, log_y, eps, eps_min, eps_max, rng)
+    # a = 1.0: f * 1.0 + nu * eps is f + eps * nu bit for bit
+    steps, f_new, log_lik = _slice_shrink(
+        model, state.f, nu, lambda e: (1.0, e), log_y, eps, eps_min, eps_max, rng, log_prior
+    )
     new_state = _advance(state, f_new, log_lik, evals + len(steps), 1 + len(steps))
     return StepResult(new_state, True, steps, log_y)
 

@@ -21,7 +21,6 @@ from ellslice.samplers import (
     TWO_PI,
     LikelihoodModel,
     _advance,
-    _eval_log_lik,
     _log_slice_height,
     _slice_shrink,
     _start,
@@ -46,6 +45,14 @@ def rotate(
     return nu * s + f * c, nu * c - f * s
 
 
+class _LogLikOnly:
+    """A model seen only through ``log_lik``, without its plane method."""
+
+    def __init__(self, model: LikelihoodModel):
+        self.n = model.n
+        self.log_lik = model.log_lik
+
+
 def elliptical_slice_aux_step(
     state: SamplerState,
     prior: GaussianPrior,
@@ -60,8 +67,9 @@ def elliptical_slice_aux_step(
     nu0*sin(theta) + nu1*cos(theta) reproduces f exactly. Stage two
     slice-samples the angle against L(nu0*sin + nu1*cos) with the same
     shrink rule as :func:`~ellslice.samplers.elliptical_slice_step`, the
-    bracket re-centered at the entry angle. Every proposal is evaluated
-    directly.
+    bracket re-centered at the entry angle, forming each proposal as
+    nu0*sin + nu1*cos. The model is seen without its plane method, so every
+    proposal is evaluated directly.
     """
     cur_log_lik, evals = _start(state, model, rng)
     theta0 = _uniform(rng, 0.0, TWO_PI)
@@ -70,13 +78,11 @@ def elliptical_slice_aux_step(
     # likelihood seeds the slice threshold
     log_y = _log_slice_height(cur_log_lik, rng)
 
-    def propose(offset):
-        theta = theta0 + offset
-        f_prop = nu0 * math.sin(theta) + nu1 * math.cos(theta)
-        log_lik = _eval_log_lik(model, f_prop)
-        return f_prop, log_lik, log_lik
-
     offset = _uniform(rng, 0.0, TWO_PI)
-    offsets, f_new, log_lik = _slice_shrink(propose, log_y, offset, offset - TWO_PI, offset, rng)
+    offsets, f_new, log_lik = _slice_shrink(
+        _LogLikOnly(model), nu0, nu1,
+        lambda o: (math.sin(theta0 + o), math.cos(theta0 + o)),
+        log_y, offset, offset - TWO_PI, offset, rng,
+    )
     new_state = _advance(state, f_new, log_lik, evals + len(offsets))
     return StepResult(new_state, True, [theta0 + o for o in offsets], log_y)

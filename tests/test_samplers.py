@@ -1,5 +1,6 @@
 """Transition-operator contracts: slice invariants, M-H limits, accounting."""
 
+import itertools
 import math
 import pickle
 
@@ -17,7 +18,9 @@ from ellslice import (
     RegressionData,
     SamplerState,
     ShrinkLimitExceeded,
+    block_update,
     chain_rng,
+    contiguous_partitions,
     effective_sample_size,
     elliptical_slice_step,
     factorize,
@@ -27,7 +30,7 @@ from ellslice import (
     run_chain,
 )
 from ellslice.harness import build_dataset, build_prior
-from ellslice.samplers import LINE_WIDTH, _line_log_prior, _plane_proposer, _uniform
+from ellslice.samplers import LINE_WIDTH, _line_log_prior, _slice_shrink, _uniform
 from reference_operators import elliptical_slice_aux_step
 
 TWO_PI = 2.0 * math.pi
@@ -67,20 +70,12 @@ class PoisonedLikelihood:
 
 
 class DirectOnly:
-    """A model seen only through ``log_lik``: its plane method is hidden, so
-    the operators evaluate every proposal directly."""
+    """A model seen only through ``log_lik``, whose calls it counts: its
+    plane method is hidden, so the operators evaluate every proposal
+    directly."""
 
     def __init__(self, model):
         self.n = model.n
-        self.log_lik = model.log_lik
-
-
-class CountedPlane:
-    """Forwards a model's plane method and counts its direct evaluations."""
-
-    def __init__(self, model):
-        self.n = model.n
-        self.on_plane = model.on_plane
         self._model = model
         self.calls = 0
 
@@ -89,14 +84,37 @@ class CountedPlane:
         return self._model.log_lik(f)
 
 
-# (coeffs, point, log_prior) of each plane operator's proposals, built as
+class CountedPlane(DirectOnly):
+    """Forwards a model's plane method and counts its direct evaluations."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.on_plane = model.on_plane
+
+
+class Rejected(Exception):
+    """Raised by :class:`RejectingRng`."""
+
+
+class RejectingRng:
+    """An RNG whose every draw raises :class:`Rejected`: the shrink loop
+    draws only after it rejects a proposal."""
+
+    def random(self):
+        raise Rejected
+
+
+# (coeffs, log_prior) of each plane operator's proposals, built as
 # elliptical_slice_step and line_slice_step build them
 PLANE_CURVES = {
-    "elliptical": (lambda t: (math.cos(t), math.sin(t)),
-                   lambda u, v: lambda a, b: u * a + v * b, None),
-    "line-slice": (lambda e: (1.0, e), lambda u, v: lambda a, b: u + b * v,
-                   lambda e: 3.7 - 0.5 * e * e),
+    "elliptical": (lambda t: (math.cos(t), math.sin(t)), None),
+    "line-slice": (lambda e: (1.0, e), lambda e: 3.7 - 0.5 * e * e),
 }
+
+SLICE_STEPS = [
+    pytest.param(elliptical_slice_step, id="elliptical"),
+    pytest.param(line_slice_step, id="line-slice"),
+]
 
 
 class TestConfigs:
@@ -180,19 +198,19 @@ class TestEllipticalStep:
         with pytest.raises(ValueError):
             elliptical_slice_step(state, scalar_prior(), model, rng=chain_rng(0))
 
-    def test_shrink_limit_raises(self):
+    @pytest.mark.parametrize("step", SLICE_STEPS)
+    def test_shrink_limit_raises(self, step):
         # slice is a single point, so no proposal ever clears the threshold
         state = SamplerState(f=np.array([0.0]))
         model = SpikeAtStart(np.array([0.0]))
         with pytest.raises(ShrinkLimitExceeded):
-            elliptical_slice_step(state, scalar_prior(), model, rng=chain_rng(1))
+            step(state, scalar_prior(), model, rng=chain_rng(1))
 
-    def test_nan_likelihood_raises(self):
+    @pytest.mark.parametrize("step", SLICE_STEPS)
+    def test_nan_likelihood_raises(self, step):
         state = SamplerState(f=np.array([0.0]), log_lik=0.0)
         with pytest.raises(NonFiniteLikelihood):
-            elliptical_slice_step(
-                state, scalar_prior(), PoisonedLikelihood(1, 0), rng=chain_rng(2)
-            )
+            step(state, scalar_prior(), PoisonedLikelihood(1, 0), rng=chain_rng(2))
 
     def test_eval_accounting_matches_proposals(self):
         prior = scalar_prior()
@@ -408,28 +426,40 @@ class TestPlaneScoring:
     @pytest.mark.parametrize("model, kind", PLANE_CASES)
     def test_near_threshold_decision_is_the_direct_one(self, model, kind):
         """A threshold between a proposal's scored target and its direct
-        one: the score alone would decide wrongly, the operators must
-        re-score and decide as the direct evaluation does."""
-        coeffs, make_point, log_prior = PLANE_CURVES[kind]
+        one, for every proposal where they differ: the score alone would
+        decide wrongly, the shrink loop must evaluate the point and decide
+        as the direct evaluation does."""
+        coeffs, log_prior = PLANE_CURVES[kind]
         target = (lambda x, ll: ll) if log_prior is None else (lambda x, ll: log_prior(x) + ll)
         rng = np.random.default_rng(164)
         data, u, v = NEAR_DATA[model](rng)
-        point = make_point(u, v)
         score = data.on_plane(u, v)
         seen = set()
         for x in rng.uniform(-math.pi, math.pi, size=2000):
-            expanded = target(x, score(*coeffs(x))[0])
-            direct = target(x, data.log_lik(point(*coeffs(x))))
-            if expanded == direct or (expanded > direct) in seen:
+            a, b = coeffs(x)
+            point = u * a + v * b
+            expanded = target(x, score(a, b)[0])
+            direct = target(x, data.log_lik(point))
+            if expanded == direct:
                 continue
             seen.add(expanded > direct)
-            log_y = expanded if expanded < direct else math.nextafter(expanded, -math.inf)
+            # just below the larger, so the smaller does not clear it
+            log_y = math.nextafter(max(expanded, direct), -math.inf)
             assert (expanded > log_y) != (direct > log_y)
-            f_prop, log_lik, decided = _plane_proposer(
-                data, u, v, coeffs, point, log_y, log_prior)(x)
-            assert (decided > log_y) == (direct > log_y)
+            # the bracket [min(x, 0), max(x, 0)] holds x alone, so the loop
+            # returns x's point or draws, which RejectingRng turns into Rejected
+            try:
+                positions, f_prop, log_lik = _slice_shrink(
+                    data, u, v, coeffs, log_y, x, min(x, 0.0), max(x, 0.0),
+                    RejectingRng(), log_prior)
+            except Rejected:
+                accepted = False
+            else:
+                accepted = True
+                assert positions == [x]
+            assert accepted == (direct > log_y)
             if direct > log_y:
-                assert f_prop.tobytes() == point(*coeffs(x)).tobytes()
+                assert f_prop.tobytes() == point.tobytes()
                 assert log_lik == data.log_lik(f_prop)
         assert seen == {True, False}
 
@@ -457,6 +487,25 @@ class TestPlaneScoring:
         steps = 2300
         assert steps + 1 <= counted.calls < 1 + 1.01 * steps
         assert traces[0].lik_evals_cum[-1] > 1.5 * steps
+
+    @pytest.mark.parametrize("blocked", [False, True], ids=["whole", "block-update"])
+    @pytest.mark.parametrize("kind", sorted(PLANE_CURVES))
+    def test_direct_path_evaluates_each_proposal_once(self, kind, blocked):
+        """A model without a plane method (classification, and any model
+        under block_update) is evaluated once per proposal plus once at the
+        start, so an accepted point is never evaluated twice."""
+        spec = {"kind": "classification", "n": 24, "dims": 10}
+        ds = build_dataset(spec, KernelConfig(), chain_rng(1))
+        counted = DirectOnly(ds.data)
+        step = make_operator(kind)
+        if blocked:
+            parts, inner = itertools.cycle(contiguous_partitions(24, 2)), step
+            step = lambda state, prior, model, rng: block_update(  # noqa: E731
+                state, prior, model, next(parts), inner, rng)
+        trace = run_chain(np.zeros(24), step, build_prior(ds), counted,
+                          n_burn=100, n_keep=500, rng=chain_rng(166))
+        assert counted.calls == trace.lik_evals_cum[-1]
+        assert trace.lik_evals_cum[-1] > 1 + 600  # some proposals were rejected
 
 
 class TestMakeOperator:
