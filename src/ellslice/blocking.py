@@ -82,36 +82,30 @@ class ConditionalGaussian:
 class _Conditional:
     """The parts of the subset's conditional that do not depend on f_B.
 
-    ``cov_ab`` is Cov_AB, ``chol_bb`` the lower Cholesky factor of Cov_BB
-    in Fortran order, as LAPACK takes it (both None for an empty
-    complement), and ``schur`` the symmetrized Schur complement S.
+    ``gain`` is G = Cov_AB Cov_BB^-1 (|A| x |B|, so |A| x 0 for an empty
+    complement) and ``schur`` the symmetrized Schur complement
+    S = Cov_AA - G Cov_BA, so the conditional is N(G f_B, S).
     """
 
-    cov_ab: np.ndarray | None
-    chol_bb: np.ndarray | None
+    gain: np.ndarray
     schur: np.ndarray
 
     @classmethod
     def of(cls, cov: np.ndarray, part: BlockPartition) -> _Conditional:
-        """Factorize Cov_BB and form S: the one place S is computed."""
+        """Solve Cov_BB X = Cov_BA for G = X^T and S: the one place S is computed."""
         a, b = part.subset, part.complement
         cov_aa = cov[np.ix_(a, a)]
         if b.size == 0:
-            return cls(None, None, cov_aa)
+            return cls(np.zeros((a.size, 0)), cov_aa)
         cov_ab = cov[np.ix_(a, b)]
-        chol_bb = np.asfortranarray(jittered_cholesky(cov[np.ix_(b, b)])[0])
-        schur = cov_aa - cov_ab @ scipy.linalg.cho_solve((chol_bb, True), cov_ab.T)
-        return cls(cov_ab, chol_bb, 0.5 * (schur + schur.T))
+        chol_bb = jittered_cholesky(cov[np.ix_(b, b)])[0]
+        x = scipy.linalg.cho_solve((chol_bb, True), cov_ab.T)
+        schur = cov_aa - cov_ab @ x
+        return cls(x.T, 0.5 * (schur + schur.T))
 
     def mean(self, f_b: np.ndarray) -> np.ndarray:
-        """m = Cov_AB Cov_BB^-1 f_B: one pair of triangular solves.
-
-        The factor is finite by construction, so the solve skips SciPy's
-        finiteness scan; a non-finite f_B shows as a non-finite m instead.
-        """
-        if self.cov_ab is None:
-            return np.zeros(self.schur.shape[0])
-        m = self.cov_ab @ scipy.linalg.cho_solve((self.chol_bb, True), f_b, check_finite=False)
+        """m = G f_B: one matrix-vector product."""
+        m = self.gain @ f_b
         if not np.isfinite(m).all():
             raise ValueError("complement values give a non-finite conditional mean")
         return m
@@ -122,10 +116,11 @@ def conditional_gaussian(
 ) -> ConditionalGaussian:
     """Conditional of N(0, cov) on the subset given complement values.
 
-    Solves through a Cholesky factorization of the complement block; never
-    forms an explicit inverse. An empty complement returns the marginal
-    prior over the subset. This is the dense oracle: it factorizes on every
-    call, where :func:`block_update` reuses the same factors per partition.
+    Forms the gain Cov_AB Cov_BB^-1 through a Cholesky factorization of the
+    complement block; never forms an explicit inverse. An empty complement
+    returns the marginal prior over the subset. This is the dense oracle: it
+    factorizes on every call, where :func:`block_update` reuses the same
+    gain and Schur complement per partition.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (part.n, part.n):
@@ -142,8 +137,8 @@ def conditional_gaussian(
 def _block_conditional(
     prior: GaussianPrior, part: BlockPartition
 ) -> tuple[_Conditional, GaussianPrior]:
-    """The partition's conditional factors and block prior N(0, S), computed
-    on first use and kept in ``prior.conditionals``.
+    """The partition's conditional (gain and Schur complement) and block
+    prior N(0, S), computed on first use and kept in ``prior.conditionals``.
 
     A conditional that does not factorize is remembered too: every later
     call raises a fresh NotPositiveDefinite with the same message.
@@ -193,11 +188,11 @@ def block_update(
     conditional prior N(0, S); complement entries are untouched. Evaluation
     counters carry through from the inner step.
 
-    The factors of Cov_BB and S do not depend on f_B, so they are computed
-    once per partition and cached on ``prior`` (which owns the covariance, so
-    the cache never goes stale). After the first call on a partition an
-    update costs one pair of triangular solves for m plus the inner step,
-    instead of two Cholesky factorizations. A partition whose conditional
+    The gain G = Cov_AB Cov_BB^-1 and the factor of S do not depend on f_B,
+    so they are computed once per partition and cached on ``prior`` (which
+    owns the covariance, so the cache never goes stale). After the first
+    call on a partition an update costs one product m = G f_B plus the inner
+    step, instead of two Cholesky factorizations. A partition whose conditional
     does not factorize raises NotPositiveDefinite on every call. Entries are
     kept for the prior's lifetime, one per distinct partition, so callers
     should reuse partitions rather than draw new index sets every sweep.

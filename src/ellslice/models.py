@@ -23,10 +23,9 @@ from scipy.special import gammaln, log_ndtr
 from .errors import DimensionMismatch
 # factorize is unused here but stays importable from this module:
 # perfbench/tracer.py patches models.factorize
-from .gaussian import GaussianPrior, factorize, jittered_cholesky
+from .gaussian import LOG_2PI, GaussianPrior, factorize, jittered_cholesky
 from .kernels import KernelConfig, squared_exponential
 
-LOG_2PI = math.log(2.0 * math.pi)
 # unit roundoff of float64, 2^-53
 _EPS = 2.0**-53
 

@@ -5,6 +5,7 @@ import traceback
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ellslice import (
     BlockPartition,
@@ -262,8 +263,8 @@ class TestBlockUpdateChecks:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_complement_rejected(self, bad):
-        """The cached factor skips SciPy's finiteness scan, so a non-finite
-        complement value must still fail, through the conditional mean."""
+        """A non-finite complement value fails through the conditional mean,
+        both with the cached gain and in the dense oracle."""
         part = make_partition(8, [0, 1])
         self.update(self.state, part)  # the factors are cached from here on
         f = self.state.f.copy()
@@ -339,20 +340,32 @@ class TestBenchmarkSize:
         self.parts = contiguous_partitions(200, 4)
 
     def test_cached_conditionals_match_dense_oracle(self):
+        """The cache matches ``conditional_gaussian`` and, independently of
+        ``blocking``, Cov_AB Cov_BB^-1 and its Schur complement formed with
+        ``np.linalg.solve``. The 2-block split has 100x100 gains, where a
+        gain that is not transposed still has a valid shape."""
         rng = chain_rng(10)
         step_fn = make_operator("elliptical")
+        cov = self.prior.cov
         state = SamplerState(f=self.prior.sample(rng))
-        for _ in range(3):
-            for part in self.parts:
-                seen = []
-                res = block_update(state, self.prior, self.ds.data, part,
-                                   recording(step_fn, seen), rng)
-                (inner_f, block_prior), = seen
-                cond = conditional_gaussian(self.prior.cov, part, state.f[part.complement])
-                np.testing.assert_allclose(inner_f, state.f[part.subset] - cond.mean,
-                                           rtol=0, atol=1e-12)
-                np.testing.assert_allclose(block_prior.cov, cond.cov, rtol=0, atol=1e-12)
-                state = res.new_state
+        for parts in (self.parts, contiguous_partitions(200, 2)):
+            for _ in range(3):
+                for part in parts:
+                    a, b = part.subset, part.complement
+                    seen = []
+                    res = block_update(state, self.prior, self.ds.data, part,
+                                       recording(step_fn, seen), rng)
+                    (inner_f, block_prior), = seen
+                    cond = conditional_gaussian(cov, part, state.f[b])
+                    np.testing.assert_allclose(inner_f, state.f[a] - cond.mean,
+                                               rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(block_prior.cov, cond.cov, rtol=0, atol=1e-12)
+                    cov_ab, cov_bb = cov[np.ix_(a, b)], cov[np.ix_(b, b)]
+                    mean = cov_ab @ np.linalg.solve(cov_bb, state.f[b])
+                    schur = cov[np.ix_(a, a)] - cov_ab @ np.linalg.solve(cov_bb, cov_ab.T)
+                    np.testing.assert_allclose(inner_f, state.f[a] - mean, rtol=0, atol=1e-10)
+                    np.testing.assert_allclose(block_prior.cov, schur, rtol=0, atol=1e-10)
+                    state = res.new_state
 
     def test_low_rank_prior_gives_conditionals_or_not_positive_definite(self):
         """The d=1 prior keeps the low-rank root, which has no ``chol``. Its
@@ -386,3 +399,23 @@ class TestBenchmarkSize:
             for part in self.parts:
                 state = block_update(state, self.prior, self.ds.data, part, step_fn, rng).new_state
         assert len(calls) <= 2 * len(self.parts)
+
+    def test_cached_update_makes_no_solve(self, monkeypatch):
+        """Once a sweep has cached each partition's gain, an update takes
+        its conditional mean as one product with the gain."""
+        calls = []
+        cho_solve = scipy.linalg.cho_solve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return cho_solve(*args, **kwargs)
+
+        rng = chain_rng(11)
+        step_fn = make_operator("elliptical")
+        state = SamplerState(f=np.zeros(200))
+        for sweep in range(11):
+            if sweep == 1:
+                monkeypatch.setattr(scipy.linalg, "cho_solve", counting)
+            for part in self.parts:
+                state = block_update(state, self.prior, self.ds.data, part, step_fn, rng).new_state
+        assert calls == []

@@ -164,13 +164,13 @@ EXPECTED = {
     ('chain', 'cox-mining', 'line-slice'):
         '8ff6fdc3c17c27f2320b0b70b0ee5e2de8e5002c86a0720341a9816d286c55a3',
     ('block', 'regression', 'elliptical'):
-        'd09864d8fffd71473310e5879ec8b507c2c182a9030c505e44a78d934f7889f7',
+        'e72e66719edeef9f2f68eeaa25f47d38889d99ccf21699e758b715a8886025c1',
     ('block', 'regression', 'elliptical-aux'):
-        '19a5e5064c4d387a12abf0353cbb0113e10226e7cb80abe1f1299d1c5b148ef6',
+        'e198661ade313fb09fc0533bede0704cdeb05af22119529e0f0a97dbab27613a',
     ('block', 'regression', 'neal-mh'):
-        'e7e77f025fc6ddcdf04e090514a31c0a39e7cdd49a3a94cab937e3d57b356bf6',
+        '71e50421396a369700a4e63b89c6ffe079d00d971a12abb91a752ef0d50d5248',
     ('block', 'regression', 'line-slice'):
-        '77cd3360d92f0e91aa01ad07199320bfcebe8d3613efee3caac5c89830179746',
+        'e7e70f226a08ddea376be46573bc657639447a3698df63da4919a2f9bb820b47',
 }
 
 
