@@ -11,7 +11,9 @@ propose moves built from a single auxiliary draw nu ~ N(0, cov):
   sqrt(1-eps^2)*f + eps*nu and a fixed step size eps.
 * :func:`line_slice_step` -- slice sampling along the straight line
   f + eps*nu, which (unlike the ellipse) must evaluate the prior density at
-  every proposal; in whitened coordinates that costs O(1) per proposal.
+  every proposal; in whitened coordinates that costs O(1) per proposal, and
+  the state it returns carries its whitened form, so a chain of line-slice
+  steps whitens once, at its start.
 
 The two slice operators differ only in their curve, their first draw and
 bracket, and (for the line) the prior term of the target; they share one
@@ -95,15 +97,25 @@ class SamplerState:
     then computes it (and counts the evaluation). ``lik_evals`` counts
     likelihood evaluations: one per proposal, plus that one. ``prior_evals``
     counts prior log-density terms: a line-slice step adds one for its slice
-    height and one per proposal, each O(1) after the step's one whitening
-    solve; the elliptical and Metropolis-Hastings steps add none, as the
-    prior cancels on their proposals.
+    height and one per proposal, each O(1) given the whitened state; the
+    elliptical and Metropolis-Hastings steps add none, as the prior cancels
+    on their proposals.
+
+    A line-slice step stores the whitened form of the state it returns in a
+    private field, which the next line-slice step reads when its prior and
+    ``f`` are the very objects stored. Any other state, including one made
+    by ``dataclasses.replace`` or by another operator, has none and is
+    whitened with one solve. The carry assumes ``f`` is not written in
+    place, as no operator does.
     """
 
     f: np.ndarray
     log_lik: float | None = None
     lik_evals: int = 0
     prior_evals: int = 0
+    # (prior, f, w, w.w) with w = A^-1 f, set by the line-slice step that
+    # made this state; init=False, so dataclasses.replace and _advance drop it
+    _whitened: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -322,18 +334,30 @@ def neal_mh_step(
 
 
 def _line_log_prior(
-    prior: GaussianPrior, f: np.ndarray, z: np.ndarray
-) -> Callable[[float], float]:
-    """The prior log-density at f + eps*nu as a function of eps, for nu = A z
-    with A the prior's root.
+    prior: GaussianPrior, state: SamplerState, z: np.ndarray
+) -> tuple[Callable[[float], float], Callable[[float], tuple[np.ndarray, float]]]:
+    """The prior log-density at f + eps*nu as a function of eps, for f the
+    state's latents and nu = A z with A the prior's root, and the whitened
+    point at eps.
 
     In whitened coordinates the line is w + eps*z with w = A^-1 f, so the
-    log-density is log_norm - (w.w + eps*(2 w.z + eps z.z))/2: one whitening
-    solve and three dot products up front, then O(1) per eps.
+    log-density is log_norm - (w.w + eps*(2 w.z + eps z.z))/2: O(1) per eps
+    after two dot products. w and w.w come from the state's carry when a
+    line-slice step under this same prior made the state and its ``f``,
+    else from one whitening solve. The second function returns the carry
+    of the point at eps, w + eps*z and its squared norm.
     """
-    w = prior.whiten(f)
-    c, ww, wz2, zz = prior.log_norm, float(w.dot(w)), 2.0 * float(w.dot(z)), float(z.dot(z))
-    return lambda eps: c - 0.5 * (ww + eps * (wz2 + eps * zz))
+    carry = state._whitened
+    if carry is not None and carry[0] is prior and carry[1] is state.f:
+        w, ww = carry[2], carry[3]
+    else:
+        w = prior.whiten(state.f)
+        ww = float(w.dot(w))
+    c, wz2, zz = float(prior.log_norm), 2.0 * float(w.dot(z)), float(z.dot(z))
+    return (
+        lambda eps: c - 0.5 * (ww + eps * (wz2 + eps * zz)),
+        lambda eps: (w + eps * z, ww + eps * (wz2 + eps * zz)),
+    )
 
 
 def line_slice_step(
@@ -347,14 +371,15 @@ def line_slice_step(
     The prior density does not cancel along a line the way it does around
     the ellipse, so the slice is taken through the full log posterior and
     every proposal evaluates the prior log-density on top of the
-    likelihood; :func:`_line_log_prior` makes that one whitening solve per
-    step and O(1) per proposal. The initial bracket of width
-    :data:`LINE_WIDTH` is positioned uniformly at random around eps = 0 and
-    shrinks toward it.
+    likelihood; :func:`_line_log_prior` makes that O(1) per proposal. The
+    returned state carries its whitened form, so a chain of line-slice
+    steps makes one whitening solve, at its start. The initial bracket of
+    width :data:`LINE_WIDTH` is positioned uniformly at random around
+    eps = 0 and shrinks toward it.
     """
     cur_log_lik, evals = _start(state, model, rng)
     nu, z = prior.draw(rng)
-    log_prior = _line_log_prior(prior, state.f, z)
+    log_prior, whitened_at = _line_log_prior(prior, state, z)
     # the current state's prior density seeds the threshold: one prior eval
     log_y = _log_slice_height(log_prior(0.0) + cur_log_lik, rng)
 
@@ -366,6 +391,7 @@ def line_slice_step(
         model, state.f, nu, lambda e: (1.0, e), log_y, eps, eps_min, eps_max, rng, log_prior
     )
     new_state = _advance(state, f_new, log_lik, evals + len(steps), 1 + len(steps))
+    new_state._whitened = (prior, f_new, *whitened_at(steps[-1]))
     return StepResult(new_state, True, steps, log_y)
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ellslice import (
     ChainError,
     ConstantLikelihood,
     CoxData,
+    GaussianPrior,
     InvalidConfig,
     KernelConfig,
     MhConfig,
@@ -388,10 +390,100 @@ class TestLineSlice:
         for _ in range(20):
             f = prior.sample(rng)
             nu, z = prior.draw(rng)
-            log_prior = _line_log_prior(prior, f, z)
+            log_prior, _ = _line_log_prior(prior, SamplerState(f), z)
             for eps in rng.uniform(-math.pi, math.pi, size=5):
                 direct = prior.log_density(f + eps * nu)
                 assert log_prior(eps) == pytest.approx(direct, rel=1e-9)
+
+
+# dataset specs of the carry's benchmark-size priors, with the root each takes
+CARRY_PRIORS = {
+    "regression-d1": ({"kind": "regression", "n": 200, "dims": 1}, "low-rank"),
+    "regression-d10": ({"kind": "regression", "n": 200, "dims": 10}, "dense"),
+    "cox": ({"kind": "cox"}, "low-rank"),
+}
+
+
+class TestWhitenedCarry:
+    """A line-slice step returns its state with the whitened form w + eps*z
+    of the accepted point, and the next step under the same prior reads it
+    instead of whitening that state again."""
+
+    @pytest.fixture
+    def whitens(self, monkeypatch):
+        """A list that gets one entry per ``GaussianPrior.whiten`` call."""
+        calls = []
+        whiten = GaussianPrior.whiten
+
+        def spy(prior, f):
+            calls.append(f)
+            return whiten(prior, f)
+
+        monkeypatch.setattr(GaussianPrior, "whiten", spy)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(CARRY_PRIORS))
+    def test_carry_stays_exact_at_benchmark_size(self, name):
+        """After every 1000 of 10^4 steps, the prior term from the carried w
+        and from the carried w.w matches the direct log-density."""
+        spec, backend = CARRY_PRIORS[name]
+        ds = build_dataset(spec, KernelConfig(), chain_rng(1))
+        prior = build_prior(ds)
+        assert prior.backend == backend
+        state = SamplerState(np.zeros(prior.n))
+        rng = chain_rng(79)
+        for _ in range(10):
+            for _ in range(1000):
+                state = line_slice_step(state, prior, ds.data, rng).new_state
+            carried_prior, carried_f, w, ww = state._whitened
+            assert carried_prior is prior and carried_f is state.f
+            direct = prior.log_density(state.f)
+            assert prior.log_norm - 0.5 * float(w.dot(w)) == pytest.approx(direct, rel=1e-9)
+            assert prior.log_norm - 0.5 * ww == pytest.approx(direct, rel=1e-9)
+
+    def test_chain_whitens_once(self, whitens):
+        prior = factorize(np.eye(3) + 0.5)
+        data = RegressionData(y=np.array([0.5, -1.0, 2.0]), noise_variance=0.3)
+        run_chain(np.zeros(3), make_operator("line-slice"), prior, data,
+                  n_burn=100, n_keep=100, rng=chain_rng(83))
+        assert len(whitens) == 1
+
+    def test_stale_carry_is_never_read(self, whitens):
+        """A new f, a state from another operator or another prior object
+        over the same covariance each costs a whitening; a carried state
+        under its own prior does not."""
+        cov = np.eye(3) + 0.5
+        prior = factorize(cov)
+        data = RegressionData(y=np.array([0.5, -1.0, 2.0]), noise_variance=0.3)
+        rng = chain_rng(89)
+
+        def whitens_in_step(state, step_prior=prior):
+            before = len(whitens)
+            new_state = line_slice_step(state, step_prior, data, rng).new_state
+            return len(whitens) - before, new_state
+
+        fresh, state = whitens_in_step(SamplerState(np.zeros(3)))
+        assert fresh == 1
+        assert whitens_in_step(state)[0] == 0
+        assert whitens_in_step(replace(state, f=state.f.copy()))[0] == 1
+        assert whitens_in_step(state, factorize(cov))[0] == 1
+        _, rebound = whitens_in_step(state)
+        rebound.f = rebound.f.copy()
+        assert whitens_in_step(rebound)[0] == 1
+        other = elliptical_slice_step(state, prior, data, rng).new_state
+        assert whitens_in_step(other)[0] == 1
+
+    def test_block_sweep_whitens_once_per_update(self, whitens):
+        prior = factorize(np.eye(8) + 0.5)
+        data = RegressionData(y=np.linspace(-1.0, 1.0, 8), noise_variance=0.3)
+        parts = contiguous_partitions(8, 4)
+        state = SamplerState(np.zeros(8))
+        rng = chain_rng(97)
+        for _ in range(3):
+            for part in parts:
+                state = block_update(state, prior, data, part,
+                                     make_operator("line-slice"), rng).new_state
+        assert len(whitens) == 3 * len(parts)
 
 
 def _near_data_regression(rng):

@@ -170,7 +170,7 @@ EXPECTED = {
     ('block', 'regression', 'neal-mh'):
         '71e50421396a369700a4e63b89c6ffe079d00d971a12abb91a752ef0d50d5248',
     ('block', 'regression', 'line-slice'):
-        'e7e70f226a08ddea376be46573bc657639447a3698df63da4919a2f9bb820b47',
+        'fb1652e52b0611fd58b2f5befb82d014f61476a75abe340b2892e8252550144b',
 }
 
 
