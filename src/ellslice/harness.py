@@ -255,11 +255,10 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
 
 @dataclass(frozen=True)
 class Dataset:
-    """In-memory dataset: inputs, likelihood model and optional true latents."""
+    """In-memory dataset: inputs, likelihood model and kernel."""
 
     inputs: np.ndarray
     data: Any
-    latents: np.ndarray | None
     kernel: KernelConfig
     files: Mapping[str, np.ndarray]  # the arrays it is written as, by their names in _FILES
 
@@ -305,13 +304,13 @@ def _dataset(kind: str, spec: Mapping[str, Any], kernel: KernelConfig,
         except ValueError as exc:  # events and width are checked, so the bin index overflowed
             raise InvalidConfig(f"bad value for 'bin_width': {exc}") from None
         centers = (np.arange(data.n) + 0.5) * spec["bin_width"]
-        return Dataset(centers.reshape(-1, 1), data, None, kernel, files)
-    inputs, obs, latents = arrays
+        return Dataset(centers.reshape(-1, 1), data, kernel, files)
+    inputs, obs, _ = arrays  # the true latents are only written
     if kind == "regression":
         data = RegressionData(y=obs, noise_variance=spec["noise_std"] ** 2)
     else:  # labels read back from a file may be other than -1/+1: a ValueError
         data = ClassificationData(labels=obs, link=spec["link"])
-    return Dataset(inputs, data, latents, kernel, files)
+    return Dataset(inputs, data, kernel, files)
 
 
 def _write_csv(path: str | Path, comment: str, lines: list[str]) -> None:
@@ -403,10 +402,12 @@ def _stamp(cfg: ExperimentConfig) -> dict[str, Any]:
 
 
 def _write_json(path: Path, cfg: ExperimentConfig, payload: Mapping[str, Any]) -> dict[str, Any]:
-    """Write ``payload`` with ``cfg``'s stamp added; returns what was written."""
+    """Write ``payload`` with ``cfg``'s stamp added; returns the stamped payload."""
     stamped = {**payload, **_stamp(cfg)}
+    # strict JSON has no NaN or infinity: a group where no chain finished has null statistics
+    strict = json.loads(json.dumps(stamped), parse_constant=lambda _: None)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(stamped, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(strict, sort_keys=True, indent=2) + "\n")
     return stamped
 
 
@@ -535,48 +536,64 @@ def _trace_row(fields: list[str]) -> tuple[float, int, bool]:
     return log_lik, int(ev), bool(int(acc))
 
 
-def _write_chain(
-    out: Path, cfg: ExperimentConfig, trace: ChainTrace, report: EssReport, prior: GaussianPrior
-) -> None:
-    """A chain's ``trace.csv`` and ``summary.json``."""
-    write_trace_csv(out / "trace.csv", trace, _provenance(cfg))
-    _write_json(out / "summary.json", cfg, {
-        **dataclasses.asdict(report), "prior_backend": prior.backend,
-        "prior_rank": prior.rank, "prior_jitter": float(prior.jitter),
-    })
-
-
 def _step_fn(sampler_cfg: Mapping[str, Any]) -> StepFn:
     """The step function a sampler spec (``kind`` plus parameters) describes."""
     params = {k: v for k, v in sampler_cfg.items() if k != "kind"}
     return make_operator(sampler_cfg.get("kind", _DEFAULT_SAMPLER), **params)
 
 
-def _run_group(
-    cfg: ExperimentConfig, dataset: Dataset, prior: GaussianPrior, step_fn: StepFn,
-    stream: tuple[int, ...],
-) -> tuple[list[tuple[int, ChainTrace, EssReport]], list[dict[str, Any]]]:
-    """``cfg.repeats`` chains from f = 0, repeat r on stream ``(*stream, r)``.
+@dataclass(frozen=True)
+class _Group:
+    """One group of a command's plan: a chain of ``step_fn`` from f = 0 per
+    entry of ``outs``, repeat r on stream ``(*stream, r)``."""
 
-    Returns (repeat, trace, report) of each chain that finished and a failure
-    entry of each that raised: its repeat, the ``ChainError`` iteration (None
-    if only the summary failed), the wrapped error's type and the message.
+    dataset: Dataset
+    prior: GaussianPrior
+    step_fn: StepFn
+    stream: tuple[int, ...]
+    outs: tuple[Path | None, ...]  # each repeat's directory, or None to write nothing
+
+
+def _run_plan(
+    cfg: ExperimentConfig, plan: list[_Group]
+) -> list[tuple[list[EssReport], list[dict[str, Any]]]]:
+    """Every chain of every group; a finished chain writes its ``trace.csv``
+    and ``summary.json`` to its directory, if it has one.
+
+    Returns, per group in plan order, the report of each chain that finished
+    and a failure entry of each that raised: its repeat, the ``ChainError``
+    iteration (None if only the summary failed), the wrapped error's type
+    and the message.
     """
-    runs, failures = [], []
-    for rep in range(cfg.repeats):
-        try:
-            trace = run_chain(np.zeros(dataset.data.n), step_fn, prior, dataset.data,
-                              n_burn=cfg.n_burn, n_keep=cfg.n_keep,
-                              rng=chain_rng(cfg.seed, *stream, rep))
-            runs.append((rep, trace, summarize(trace)))
-        except EllsliceError as exc:
-            failures.append({"repeat": rep, "iteration": getattr(exc, "iteration", None),
-                             "type": type(exc.__cause__ or exc).__name__, "error": str(exc)})
-    return runs, failures
+    results = []
+    for group in plan:
+        reports, failures = [], []
+        for rep, out in enumerate(group.outs):
+            try:
+                trace = run_chain(np.zeros(group.dataset.data.n), group.step_fn, group.prior,
+                                  group.dataset.data, n_burn=cfg.n_burn, n_keep=cfg.n_keep,
+                                  rng=chain_rng(cfg.seed, *group.stream, rep))
+                report = summarize(trace)
+            except EllsliceError as exc:
+                failures.append({"repeat": rep, "iteration": getattr(exc, "iteration", None),
+                                 "type": type(exc.__cause__ or exc).__name__, "error": str(exc)})
+                continue
+            reports.append(report)
+            if out is not None:
+                write_trace_csv(out / "trace.csv", trace, _provenance(cfg))
+                _write_json(out / "summary.json", cfg, {
+                    **dataclasses.asdict(report), "prior_backend": group.prior.backend,
+                    "prior_rank": group.prior.rank, "prior_jitter": float(group.prior.jitter),
+                })
+        results.append((reports, failures))
+    return results
 
 
-def _group_stat(values: list[float], stat: Callable[[list[float]], Any] = np.mean) -> float:
-    """``stat`` over a group's finished chains; NaN when none finished."""
+def _group_stat(
+    reports: list[EssReport], field: str, stat: Callable[[list[float]], Any] = np.mean
+) -> float:
+    """``stat`` of ``field`` over a group's finished chains; NaN when none finished."""
+    values = [getattr(report, field) for report in reports]
     return float(stat(values)) if values else math.nan
 
 
@@ -588,16 +605,13 @@ def cli_run(
         raise InvalidConfig("run requires a 'sampler' section")
     step_fn = _step_fn(cfg.sampler)
     dataset = load_dataset(dataset_dir)
-    prior = _chain_prior(dataset)
-    one = dataclasses.replace(cfg, repeats=1)
-    runs, failures = _run_group(one, dataset, prior, step_fn, (_STREAM_RUN,))
+    out = Path(out_dir)
+    ((reports, failures),) = _run_plan(
+        cfg, [_Group(dataset, _chain_prior(dataset), step_fn, (_STREAM_RUN,), (out,))])
     if failures:
         raise EllsliceError(failures[0]["error"])
-    ((_, trace, report),) = runs
-    out = Path(out_dir)
-    _write_chain(out, cfg, trace, report, prior)
     _write_json(out / "manifest.json", cfg, {"config": cfg.as_dict(), "dataset": str(dataset_dir)})
-    return report
+    return reports[0]
 
 
 def cli_tune_mh(
@@ -611,18 +625,16 @@ def cli_tune_mh(
     step size. A value with a failed chain is never chosen, and a grid where
     every value has one is an error. Returns (best epsilon, per-epsilon results).
     """
-    grid = cfg.tune_grid
+    grid = sorted(cfg.tune_grid)
     if not grid:
         raise InvalidConfig("tune-mh requires a non-empty 'tune_grid'")
     dataset = load_dataset(dataset_dir)
     prior = _chain_prior(dataset)
-    results = []
-    for gi, eps in enumerate(sorted(grid)):
-        step_fn = _step_fn({"kind": "neal-mh", "epsilon": eps})
-        runs, failures = _run_group(cfg, dataset, prior, step_fn, (_STREAM_TUNE, gi))
-        esses = [report.ess for _, _, report in runs]
-        results.append({"epsilon": eps, "ess_mean": _group_stat(esses), "ess": esses,
-                        "failures": failures})
+    plan = [_Group(dataset, prior, _step_fn({"kind": "neal-mh", "epsilon": eps}),
+                   (_STREAM_TUNE, gi), (None,) * cfg.repeats) for gi, eps in enumerate(grid)]
+    results = [{"epsilon": eps, "ess_mean": _group_stat(reports, "ess"),
+                "ess": [report.ess for report in reports], "failures": failures}
+               for eps, (reports, failures) in zip(grid, _run_plan(cfg, plan))]
     ranked = [row for row in results if not row["failures"]]
     if not ranked:
         raise EllsliceError(f"every tune_grid value has a failed chain, the first: "
@@ -667,31 +679,25 @@ def cli_benchmark(cfg: ExperimentConfig, out_dir: str | Path) -> dict[str, Any]:
         ds = build_dataset(model_cfg, cfg.kernel, chain_rng(cfg.seed, _STREAM_DATASET, mi))
         datasets.append((ds, _chain_prior(ds)))
     out = Path(out_dir)
-    cells = []
+    plan, cells = [], []
     for si, sampler_cfg in enumerate(cfg.samplers):
         for mi, model_cfg in enumerate(cfg.models):
             cell_index = si * len(cfg.models) + mi
-            dataset, prior = datasets[mi]
             tag = f"cell{cell_index:02d}_{_sampler_tag(sampler_cfg)}_{_model_tag(model_cfg)}"
-            cell_dir = out / tag
-            runs, failures = _run_group(
-                cfg, dataset, prior, step_fns[si], (_STREAM_BENCH, cell_index))
-            for rep, trace, report in runs:
-                _write_chain(cell_dir / f"repeat{rep:02d}", cfg, trace, report, prior)
-            cell = {
-                "cell": tag,
-                "sampler": dict(sampler_cfg),
-                "model": dict(model_cfg),
-                "repeats_completed": len(runs),
-                "ess_mean": _group_stat([r.ess for _, _, r in runs]),
-                "ess_std": _group_stat([r.ess for _, _, r in runs], np.std),
-                "seconds_mean": _group_stat([r.seconds for _, _, r in runs]),
-                "lik_evals_mean": _group_stat([r.total_lik_evals for _, _, r in runs]),
-                "prior_evals_mean": _group_stat([r.total_prior_evals for _, _, r in runs]),
-                "failures": failures,
-            }
-            cells.append(cell)
-            _write_json(cell_dir / "cell_summary.json", cfg, cell)
+            plan.append(_Group(*datasets[mi], step_fns[si], (_STREAM_BENCH, cell_index),
+                               tuple(out / tag / f"repeat{rep:02d}" for rep in range(cfg.repeats))))
+            cells.append({"cell": tag, "sampler": dict(sampler_cfg), "model": dict(model_cfg)})
+    for cell, (reports, failures) in zip(cells, _run_plan(cfg, plan)):
+        cell.update({
+            "repeats_completed": len(reports),
+            "ess_mean": _group_stat(reports, "ess"),
+            "ess_std": _group_stat(reports, "ess", np.std),
+            "seconds_mean": _group_stat(reports, "seconds"),
+            "lik_evals_mean": _group_stat(reports, "total_lik_evals"),
+            "prior_evals_mean": _group_stat(reports, "total_prior_evals"),
+            "failures": failures,
+        })
+        _write_json(out / cell["cell"] / "cell_summary.json", cfg, cell)
     summary = _write_json(out / "benchmark_summary.json", cfg, {
         "n_burn": cfg.n_burn, "n_keep": cfg.n_keep, "repeats": cfg.repeats, "cells": cells,
     })

@@ -128,6 +128,13 @@ def small_regression_cfg(seed=3, **extra):
     return parse_config(raw)
 
 
+def _strict_json(path):
+    """``path`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{path} holds {constant}, which is not JSON")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = parse_config({"seed": 5})
@@ -223,7 +230,7 @@ class TestBuildDataset:
         )
         assert ds.inputs.shape == (30, 2)
         assert ds.data.y.shape == (30,)
-        assert ds.latents.shape == (30,)
+        assert ds.files["latents.csv"].shape == (30,)
 
     def test_classification_labels(self):
         ds = build_dataset(
@@ -296,7 +303,7 @@ class TestGenerateAndLoad:
             ds = load_dataset(written)
             fresh = build_dataset(cfg.model, cfg.kernel, chain_rng(cfg.seed, 0, 0))
             assert np.array_equal(ds.inputs, fresh.inputs)
-            assert np.array_equal(ds.latents, fresh.latents)
+            assert np.array_equal(ds.files["latents.csv"], fresh.files["latents.csv"])
             if name == "reg":
                 assert np.array_equal(ds.data.y, fresh.data.y)
             else:
@@ -518,22 +525,27 @@ class TestTuneMh:
     def test_failed_chain_rules_its_epsilon_out(self, tmp_path):
         # an epsilon=1.0 chain never moves in its kept part, so its summary
         # fails on a constant series; the grid goes on and picks 0.05
-        cfg = parse_config({
-            "seed": 0, "n_burn": 100, "n_keep": 20, "repeats": 2, "tune_grid": [0.05, 1.0],
-            "model": {"kind": "regression", "n": 50, "dims": 1, "noise_std": 0.01},
-        })
-        (ds,) = cli_generate(cfg, tmp_path / "ds")
-        best, results = cli_tune_mh(cfg, ds, tmp_path / "tune")
-        assert best == 0.05
-        assert [r["epsilon"] for r in results] == [0.05, 1.0]
-        assert results[0]["failures"] == []
-        failure = results[1]["failures"][0]
-        assert failure["type"] == "DegenerateSeries" and failure["iteration"] is None
-        assert "series is constant" in failure["error"]
-        assert len(results[1]["ess"]) == cfg.repeats - len(results[1]["failures"])
-        saved = json.loads((tmp_path / "tune" / "tuning.json").read_text())
-        assert saved["best_epsilon"] == 0.05
-        assert saved["results"][1]["failures"] == results[1]["failures"]
+        for repeats in (2, 1):
+            cfg = parse_config({
+                "seed": 0, "n_burn": 100, "n_keep": 20, "repeats": repeats,
+                "tune_grid": [0.05, 1.0],
+                "model": {"kind": "regression", "n": 50, "dims": 1, "noise_std": 0.01},
+            })
+            (ds,) = cli_generate(cfg, tmp_path / f"ds{repeats}")
+            tune = tmp_path / f"tune{repeats}"
+            best, results = cli_tune_mh(cfg, ds, tune)
+            assert best == 0.05
+            assert [r["epsilon"] for r in results] == [0.05, 1.0]
+            assert results[0]["failures"] == []
+            failure = results[1]["failures"][0]
+            assert failure["type"] == "DegenerateSeries" and failure["iteration"] is None
+            assert "series is constant" in failure["error"]
+            assert len(results[1]["ess"]) == cfg.repeats - len(results[1]["failures"])
+            saved = _strict_json(tune / "tuning.json")
+            assert saved["best_epsilon"] == 0.05
+            assert saved["results"][1]["failures"] == results[1]["failures"]
+        # at 1 repeat no epsilon=1.0 chain finished: its mean is null, not NaN
+        assert results[1]["ess"] == [] and saved["results"][1]["ess_mean"] is None
 
 
 class TestBenchmark:
@@ -621,6 +633,14 @@ class TestBenchmark:
         assert failure["type"] == "ShrinkLimitExceeded"
         assert isinstance(failure["iteration"], int)
         assert f"iteration {failure['iteration']}:" in failure["error"]
+        for cell in summary["cells"]:  # a failed repeat writes nothing, a finished one both files
+            failed = {f["repeat"] for f in cell["failures"]}
+            for rep in range(cfg.repeats):
+                rep_dir = tmp_path / cell["cell"] / f"repeat{rep:02d}"
+                if rep in failed:
+                    assert not rep_dir.exists()
+                else:
+                    assert (rep_dir / "trace.csv").is_file() and (rep_dir / "summary.json").is_file()
 
     def test_sampler_without_kind_is_elliptical(self, tmp_path):
         summary = cli_benchmark(self.matrix_cfg(repeats=1, samplers=[{}]), tmp_path)
@@ -784,6 +804,9 @@ class TestCliMain:
             assert all("iteration 0" in f["error"] for f in cell["failures"])
             assert all((f["iteration"], f["type"]) == (0, "NonFiniteLikelihood")
                        for f in cell["failures"])
+            assert cell["ess_mean"] is None and cell["ess_std"] is None
+        for path in tmp_path.rglob("*.json"):  # strict JSON: no NaN, even with no finished chain
+            _strict_json(path)
 
     @pytest.mark.parametrize("noise_std", [1e-160, 5e-324])
     def test_subnormal_noise_variance_exits_2_at_generate(self, tmp_path, capsys, noise_std):
