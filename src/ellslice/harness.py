@@ -185,8 +185,9 @@ _CONFIG_KEYS: _Keys = {
     "sampler": (None, _SPEC),
     "models": ((), _SPECS),
     "samplers": ((), _SPECS),
-    "tune_grid": ((), _in_range(_grid, lambda gs: all(0.0 < g <= 1.0 for g in gs),
-                                "values in (0, 1]")),
+    # a repeated value would run twice and win on the better of its draws
+    "tune_grid": ((), _in_range(_grid, lambda gs: len(set(gs)) == len(gs)
+                                and all(0.0 < g <= 1.0 for g in gs), "distinct values in (0, 1]")),
 }
 
 
@@ -230,10 +231,14 @@ _MODEL_KEYS: dict[str, _Keys] = {
 
 
 def _model_spec(model_cfg: Mapping[str, Any]) -> tuple[str, dict[str, Any]]:
-    """A model spec's kind and each of its kind's keys, checked or defaulted."""
+    """A model spec's kind and each of its kind's keys, checked or defaulted.
+    A key the spec's kind does not have is an error."""
     kind = model_cfg.get("kind")
     if kind not in tuple(_MODEL_KEYS):  # a tuple, as a JSON list kind is unhashable
         raise InvalidConfig(f"unknown model kind {kind!r}; expected one of {tuple(_MODEL_KEYS)}")
+    unknown = set(model_cfg) - set(_MODEL_KEYS[kind]) - {"kind"}
+    if unknown:
+        raise InvalidConfig(f"unknown {kind} model keys: {sorted(unknown)}")
     return kind, _read_keys(_MODEL_KEYS[kind], model_cfg)
 
 
@@ -268,13 +273,9 @@ def build_dataset(model_cfg: Mapping[str, Any], kernel: KernelConfig, rng: np.ra
 
     Regression and classification are synthesized from the prior;
     ``cox`` bins event times, either from ``events_file`` or the packaged
-    coal-mining record. A key the spec's kind does not have is an error:
-    config specs enter here.
+    coal-mining record.
     """
     kind, spec = _model_spec(model_cfg)
-    unknown = set(model_cfg) - set(spec) - {"kind"}
-    if unknown:
-        raise InvalidConfig(f"unknown {kind} model keys: {sorted(unknown)}")
     kern = spec["kernel"] or kernel
     if kind == "cox":
         source = spec["events_file"]

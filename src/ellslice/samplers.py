@@ -8,7 +8,7 @@ propose moves built from a single auxiliary draw nu ~ N(0, cov):
   ellipse f*cos(t) + nu*sin(t), with bracket shrinkage toward the current
   state (the recommended operator).
 * :func:`neal_mh_step` -- Metropolis-Hastings with proposal
-  sqrt(1-eps^2)*f + eps*nu and a fixed step size eps.
+  sqrt(1-eps^2)*f + eps*nu and a fixed step size, the keyword ``epsilon``.
 * :func:`line_slice_step` -- slice sampling along the straight line
   f + eps*nu, which (unlike the ellipse) must evaluate the prior density at
   every proposal; in whitened coordinates that costs O(1) per proposal, and
@@ -48,6 +48,7 @@ same double, so traces recorded when the operators called
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import time
@@ -118,18 +119,6 @@ class SamplerState:
     _whitened: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class MhConfig:
-    """Step size for the Metropolis-Hastings operator."""
-
-    epsilon: float = 0.5
-
-    def __post_init__(self):
-        eps = self.epsilon
-        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not abs(eps) <= 1.0:
-            raise InvalidConfig(f"epsilon must be a number in [-1, 1], got {eps!r}")
-
-
 @dataclass
 class StepResult:
     """One transition: new state plus diagnostics for tests and accounting.
@@ -159,16 +148,12 @@ def _eval_log_lik(model: LikelihoodModel, f: np.ndarray) -> float:
     return value
 
 
-def _start(
-    state: SamplerState, model: LikelihoodModel, rng: np.random.Generator | None
-) -> tuple[float, int]:
+def _start(state: SamplerState, model: LikelihoodModel) -> tuple[float, int]:
     """Current log-likelihood and how many evaluations resolving it cost.
 
-    Every operator begins here: it requires an RNG and a start with non-zero
+    Every operator begins here: it requires a start with non-zero
     likelihood, and evaluates the likelihood only when none is cached.
     """
-    if rng is None:
-        raise ValueError("rng is required")
     if state.log_lik is None:
         log_lik, evals = _eval_log_lik(model, state.f), 1
     else:
@@ -275,7 +260,7 @@ def elliptical_slice_step(
     state: SamplerState,
     prior: GaussianPrior,
     model: LikelihoodModel,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> StepResult:
     """One elliptical slice sampling transition.
 
@@ -295,7 +280,7 @@ def elliptical_slice_step(
     NonFiniteLikelihood
         If the likelihood returns NaN at a proposal.
     """
-    cur_log_lik, evals = _start(state, model, rng)
+    cur_log_lik, evals = _start(state, model)
     nu = prior.sample(rng)
     log_y = _log_slice_height(cur_log_lik, rng)
 
@@ -312,20 +297,20 @@ def neal_mh_step(
     state: SamplerState,
     prior: GaussianPrior,
     model: LikelihoodModel,
-    cfg: MhConfig = MhConfig(),
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
+    epsilon: float = 0.5,
 ) -> StepResult:
     """Metropolis-Hastings with proposal sqrt(1-eps^2)*f + eps*nu.
 
     The proposal leaves the Gaussian prior invariant for any fixed eps in
-    [-1, 1] (a prior draw at eps = 1, the current state at eps = 0), so the
+    [-1, 1], the range :func:`make_operator` checks (a prior draw at
+    eps = 1, the current state at eps = 0), so the
     acceptance ratio reduces to the likelihood ratio. On rejection the new
     state is a copy of the current one with counters advanced.
     """
-    cur_log_lik, evals = _start(state, model, rng)
+    cur_log_lik, evals = _start(state, model)
     nu = prior.sample(rng)
-    eps = cfg.epsilon
-    f_prop = math.sqrt(1.0 - eps * eps) * state.f + eps * nu
+    f_prop = math.sqrt(1.0 - epsilon * epsilon) * state.f + epsilon * nu
     prop_log_lik = _eval_log_lik(model, f_prop)
 
     accepted = _uniform(rng) < math.exp(min(prop_log_lik - cur_log_lik, 0.0))
@@ -364,7 +349,7 @@ def line_slice_step(
     state: SamplerState,
     prior: GaussianPrior,
     model: LikelihoodModel,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> StepResult:
     """Slice sampling along the straight line f + eps*nu.
 
@@ -377,7 +362,7 @@ def line_slice_step(
     width :data:`LINE_WIDTH` is positioned uniformly at random around
     eps = 0 and shrinks toward it.
     """
-    cur_log_lik, evals = _start(state, model, rng)
+    cur_log_lik, evals = _start(state, model)
     nu, z = prior.draw(rng)
     log_prior, whitened_at = _line_log_prior(prior, state, z)
     # the current state's prior density seeds the threshold: one prior eval
@@ -395,7 +380,7 @@ def line_slice_step(
     return StepResult(new_state, True, steps, log_y)
 
 
-# every sampler kind and its step function; neal-mh's also takes its MhConfig
+# every sampler kind and its step function; neal-mh's also takes its epsilon
 _OPERATORS = {
     "elliptical": elliptical_slice_step,
     "neal-mh": neal_mh_step,
@@ -408,19 +393,23 @@ def make_operator(kind: str, **params) -> StepFn:
     """Build a step function from a (kind, parameters) spec.
 
     Only ``neal-mh`` takes a parameter, its step size ``epsilon``; any other
-    parameter, or any parameter for a slice operator, is an error.
+    parameter, or any parameter for a slice operator, is an error. The
+    result is a module-level function or a ``functools.partial`` of one, so
+    it pickles.
     """
     if kind not in OPERATOR_KINDS:
         raise InvalidConfig(f"unknown sampler kind {kind!r}; expected one of {OPERATOR_KINDS}")
     step = _OPERATORS[kind]
-    if kind == "neal-mh":
-        if set(params) - {"epsilon"}:
-            raise InvalidConfig(f"neal-mh takes only 'epsilon', got {sorted(params)}")
-        cfg = MhConfig(**params)
-        return lambda state, prior, model, rng: step(state, prior, model, cfg, rng)
-    if params:
+    if not params:
+        return step
+    if kind != "neal-mh":
         raise InvalidConfig(f"{kind} takes no parameters, got {sorted(params)}")
-    return step
+    if set(params) != {"epsilon"}:
+        raise InvalidConfig(f"neal-mh takes only 'epsilon', got {sorted(params)}")
+    eps = params["epsilon"]
+    if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not abs(eps) <= 1.0:
+        raise InvalidConfig(f"epsilon must be a number in [-1, 1], got {eps!r}")
+    return functools.partial(step, epsilon=eps)
 
 
 def chain_rng(master_seed: int, *stream: int) -> np.random.Generator:

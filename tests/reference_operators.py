@@ -57,7 +57,7 @@ def elliptical_slice_aux_step(
     state: SamplerState,
     prior: GaussianPrior,
     model: LikelihoodModel,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> StepResult:
     """The two-stage augmented-model form of the elliptical update.
 
@@ -71,7 +71,7 @@ def elliptical_slice_aux_step(
     nu0*sin + nu1*cos. The model is seen without its plane method, so every
     proposal is evaluated directly.
     """
-    cur_log_lik, evals = _start(state, model, rng)
+    cur_log_lik, evals = _start(state, model)
     theta0 = _uniform(rng, 0.0, TWO_PI)
     nu0, nu1 = rotate(prior.sample(rng), state.f, theta0)
     # the current angle theta0 reproduces the current state, so its cached

@@ -17,7 +17,6 @@ import numpy as np
 from ellslice import (
     ConstantLikelihood,
     KernelConfig,
-    MhConfig,
     RegressionData,
     SamplerState,
     block_update,
@@ -246,7 +245,7 @@ def test_criterion_06_mh_limiting_cases(capsys):
 
         state = SamplerState(f=prior.sample(rng))
         for _ in range(100):
-            res = neal_mh_step(state, prior, data, MhConfig(epsilon=0.0), rng=rng)
+            res = neal_mh_step(state, prior, data, rng, epsilon=0.0)
             assert res.accepted
             assert np.array_equal(res.new_state.f, state.f)
             state = res.new_state
@@ -256,7 +255,7 @@ def test_criterion_06_mh_limiting_cases(capsys):
         state = SamplerState(f=prior.sample(rng))
         draws = np.empty((n, 12))
         for i in range(n):
-            res = neal_mh_step(state, prior, model, MhConfig(epsilon=1.0), rng=rng)
+            res = neal_mh_step(state, prior, model, rng, epsilon=1.0)
             assert res.accepted  # constant likelihood accepts every prior draw
             state = res.new_state
             draws[i] = state.f

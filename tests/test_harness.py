@@ -100,7 +100,8 @@ _NOT_UTF8 = b"\xff\xfe\n"
 def _cox_with_events(text):
     def corrupt(path):
         path.write_text(text)
-        _set_kind("cox")(path.parent)
+        # a cox spec has no 'n' or 'dims': replace the regression spec whole
+        _edit_manifest(lambda m: m.update(model={"kind": "cox"}))(path.parent / "manifest.json")
     return corrupt
 
 
@@ -407,6 +408,16 @@ class TestGenerateAndLoad:
         with pytest.raises(InvalidConfig, match="'noise_std'"):
             load_dataset(written)
 
+    def test_misspelt_model_key_in_manifest_rejected(self, tmp_path):
+        """A misspelt key is an error, not a silent default: here noise_sd
+        would read as the default noise_std 0.3."""
+        model = {"kind": "regression", "n": 15, "dims": 1, "noise_std": 0.05}
+        (written,) = cli_generate(small_regression_cfg(seed=6, model=model), tmp_path)
+        _edit_manifest(lambda m: m["model"].update(noise_sd=m["model"].pop("noise_std")))(
+            written / "manifest.json")
+        with pytest.raises(InvalidConfig, match=r"unknown regression model keys: \['noise_sd'\]"):
+            load_dataset(written)
+
 
 class TestTraceCsv:
     def test_round_trip_exact(self, tmp_path):
@@ -492,8 +503,8 @@ class TestTuneMh:
             cli_tune_mh(cfg, ds)
 
     def test_out_of_range_grid_rejected(self):
-        # the (0, 1] range is checked with the rest of the config
-        for grid in ([0.5, 1.5], [0.0, 0.5], [float("nan")]):
+        # the (0, 1] range and distinctness are checked with the rest of the config
+        for grid in ([0.5, 1.5], [0.0, 0.5], [float("nan")], [0.2, 0.2, 0.5]):
             with pytest.raises(InvalidConfig, match="tune_grid"):
                 small_regression_cfg(tune_grid=grid)
 

@@ -15,7 +15,6 @@ from ellslice import (
     GaussianPrior,
     InvalidConfig,
     KernelConfig,
-    MhConfig,
     NonFiniteLikelihood,
     RegressionData,
     SamplerState,
@@ -123,12 +122,13 @@ class TestConfigs:
     @pytest.mark.parametrize("bad", [1.5, -1.01, True, False])
     def test_epsilon_bounds(self, bad):
         with pytest.raises(InvalidConfig):
-            MhConfig(epsilon=bad)
+            make_operator("neal-mh", epsilon=bad)
 
     def test_rng_is_required(self):
         state = SamplerState(f=np.zeros(1))
-        with pytest.raises(ValueError):
-            elliptical_slice_step(state, scalar_prior(), ConstantLikelihood(1))
+        for step in (elliptical_slice_step, neal_mh_step, line_slice_step):
+            with pytest.raises(TypeError):
+                step(state, scalar_prior(), ConstantLikelihood(1))
 
 
 class TestEllipticalStep:
@@ -274,7 +274,7 @@ class TestNealMh:
         state = SamplerState(f=np.array([0.7]))
         rng = chain_rng(31)
         for _ in range(100):
-            res = neal_mh_step(state, prior, data, MhConfig(epsilon=0.0), rng=rng)
+            res = neal_mh_step(state, prior, data, rng, epsilon=0.0)
             assert res.accepted
             np.testing.assert_array_equal(res.new_state.f, state.f)
             state = res.new_state
@@ -283,7 +283,7 @@ class TestNealMh:
         prior = scalar_prior(4.0)
         model = ConstantLikelihood(1)
         state = SamplerState(f=np.array([100.0]))
-        res = neal_mh_step(state, prior, model, MhConfig(epsilon=1.0), rng=chain_rng(37))
+        res = neal_mh_step(state, prior, model, chain_rng(37), epsilon=1.0)
         nu = prior.sample(chain_rng(37))
         np.testing.assert_array_equal(res.new_state.f, nu)
 
@@ -294,7 +294,7 @@ class TestNealMh:
         for eps in (0.1, 0.5, 0.9, 1.0):
             state = SamplerState(f=np.array([0.0]))
             for _ in range(50):
-                res = neal_mh_step(state, prior, model, MhConfig(epsilon=eps), rng=rng)
+                res = neal_mh_step(state, prior, model, rng, epsilon=eps)
                 assert res.accepted
                 state = res.new_state
 
@@ -305,7 +305,7 @@ class TestNealMh:
         rng = chain_rng(43)
         rejections = 0
         for _ in range(200):
-            res = neal_mh_step(state, prior, data, MhConfig(epsilon=0.99), rng=rng)
+            res = neal_mh_step(state, prior, data, rng, epsilon=0.99)
             if not res.accepted:
                 rejections += 1
                 np.testing.assert_array_equal(res.new_state.f, state.f)
@@ -616,6 +616,25 @@ class TestMakeOperator:
         state = SamplerState(f=np.array([0.9]))
         res = step(state, scalar_prior(), ConstantLikelihood(1), chain_rng(71))
         np.testing.assert_array_equal(res.new_state.f, state.f)
+
+    def test_default_epsilon_binds_nothing(self):
+        assert make_operator("neal-mh") is neal_mh_step
+
+    @pytest.mark.parametrize("kind, params", [
+        ("elliptical", {}), ("line-slice", {}), ("neal-mh", {}), ("neal-mh", {"epsilon": 0.3}),
+    ], ids=["elliptical", "line-slice", "neal-mh", "neal-mh-epsilon"])
+    def test_step_functions_pickle(self, kind, params):
+        """A step function crosses a process boundary intact: its unpickled
+        copy takes the same step on the same stream."""
+        step = make_operator(kind, **params)
+        clone = pickle.loads(pickle.dumps(step))
+        ds = build_dataset({"kind": "regression", "n": 20}, KernelConfig(), chain_rng(1))
+        prior = build_prior(ds)
+        state = SamplerState(f=prior.sample(chain_rng(2)))
+        want = step(state, prior, ds.data, chain_rng(3))
+        got = clone(state, prior, ds.data, chain_rng(3))
+        np.testing.assert_array_equal(got.new_state.f, want.new_state.f)
+        assert (got.accepted, got.new_state.lik_evals) == (want.accepted, want.new_state.lik_evals)
 
     def test_bad_params_rejected(self):
         with pytest.raises(InvalidConfig):
