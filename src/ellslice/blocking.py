@@ -78,37 +78,28 @@ class ConditionalGaussian:
     cov: np.ndarray
 
 
-@dataclass(frozen=True)
-class _Conditional:
-    """The parts of the subset's conditional that do not depend on f_B.
+def _gain_and_schur(cov: np.ndarray, part: BlockPartition) -> tuple[np.ndarray, np.ndarray]:
+    """G = Cov_AB Cov_BB^-1 (|A| x |B|, so |A| x 0 for an empty complement)
+    and the symmetrized Schur complement S = Cov_AA - G Cov_BA, so the
+    subset's conditional is N(G f_B, S). Solves Cov_BB X = Cov_BA for
+    G = X^T: the one place G and S are computed."""
+    a, b = part.subset, part.complement
+    cov_aa = cov[np.ix_(a, a)]
+    if b.size == 0:
+        return np.zeros((a.size, 0)), cov_aa
+    cov_ab = cov[np.ix_(a, b)]
+    chol_bb = jittered_cholesky(cov[np.ix_(b, b)])[0]
+    x = scipy.linalg.cho_solve((chol_bb, True), cov_ab.T)
+    schur = cov_aa - cov_ab @ x
+    return x.T, 0.5 * (schur + schur.T)
 
-    ``gain`` is G = Cov_AB Cov_BB^-1 (|A| x |B|, so |A| x 0 for an empty
-    complement) and ``schur`` the symmetrized Schur complement
-    S = Cov_AA - G Cov_BA, so the conditional is N(G f_B, S).
-    """
 
-    gain: np.ndarray
-    schur: np.ndarray
-
-    @classmethod
-    def of(cls, cov: np.ndarray, part: BlockPartition) -> _Conditional:
-        """Solve Cov_BB X = Cov_BA for G = X^T and S: the one place S is computed."""
-        a, b = part.subset, part.complement
-        cov_aa = cov[np.ix_(a, a)]
-        if b.size == 0:
-            return cls(np.zeros((a.size, 0)), cov_aa)
-        cov_ab = cov[np.ix_(a, b)]
-        chol_bb = jittered_cholesky(cov[np.ix_(b, b)])[0]
-        x = scipy.linalg.cho_solve((chol_bb, True), cov_ab.T)
-        schur = cov_aa - cov_ab @ x
-        return cls(x.T, 0.5 * (schur + schur.T))
-
-    def mean(self, f_b: np.ndarray) -> np.ndarray:
-        """m = G f_B: one matrix-vector product."""
-        m = self.gain @ f_b
-        if not np.isfinite(m).all():
-            raise ValueError("complement values give a non-finite conditional mean")
-        return m
+def _conditional_mean(gain: np.ndarray, f_b: np.ndarray) -> np.ndarray:
+    """m = G f_B: one matrix-vector product."""
+    m = gain @ f_b
+    if not np.isfinite(m).all():
+        raise ValueError("complement values give a non-finite conditional mean")
+    return m
 
 
 def conditional_gaussian(
@@ -130,15 +121,15 @@ def conditional_gaussian(
         raise DimensionMismatch(
             f"complement values have shape {f_b.shape}, expected ({part.complement.size},)"
         )
-    cond = _Conditional.of(cov, part)
-    return ConditionalGaussian(mean=cond.mean(f_b), cov=cond.schur)
+    gain, schur = _gain_and_schur(cov, part)
+    return ConditionalGaussian(mean=_conditional_mean(gain, f_b), cov=schur)
 
 
 def _block_conditional(
     prior: GaussianPrior, part: BlockPartition
-) -> tuple[_Conditional, GaussianPrior]:
-    """The partition's conditional (gain and Schur complement) and block
-    prior N(0, S), computed on first use and kept in ``prior.conditionals``.
+) -> tuple[np.ndarray, GaussianPrior]:
+    """The partition's gain G and block prior N(0, S), computed on first use
+    and kept in ``prior.conditionals``.
 
     A conditional that does not factorize is remembered too: every later
     call raises a fresh NotPositiveDefinite with the same message.
@@ -149,8 +140,8 @@ def _block_conditional(
     entry = prior.conditionals.get(key)
     if entry is None:
         try:
-            cond = _Conditional.of(prior.cov, part)
-            entry = (cond, factorize(cond.schur))
+            gain, schur = _gain_and_schur(prior.cov, part)
+            entry = (gain, factorize(schur))
         except NotPositiveDefinite as exc:
             entry = str(exc)
         prior.conditionals[key] = entry
@@ -210,8 +201,8 @@ def block_update(
         raise DimensionMismatch(
             f"state has shape {np.shape(state.f)}, expected ({part.n},)"
         )
-    cond, block_prior = _block_conditional(prior, part)
-    mean = cond.mean(state.f[part.complement])
+    gain, block_prior = _block_conditional(prior, part)
+    mean = _conditional_mean(gain, state.f[part.complement])
     block_model = _BlockLikelihood(model, part, mean, state.f.copy())
 
     inner = replace(state, f=state.f[part.subset] - mean)

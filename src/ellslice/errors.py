@@ -35,12 +35,16 @@ class DegenerateSeries(EllsliceError):
 class ChainError(EllsliceError):
     """Wraps an operator error raised mid-chain with the iteration index."""
 
-    def __init__(self, iteration: int, cause: Exception | str):
+    def __init__(self, iteration: int, cause: Exception | str, cause_type: str | None = None):
         super().__init__(f"sampler failed at chain iteration {iteration}: {cause}")
         self.iteration = iteration
         self._cause_text = str(cause)
+        # the cause's class name, which a pickled copy keeps though it loses
+        # ``__cause__``; None for a cause given as text alone
+        self.cause_type = type(cause).__name__ if isinstance(cause, Exception) else cause_type
 
     def __reduce__(self):
-        # rebuilt from the cause's text, so a pickled copy (say, from a
-        # worker process) keeps the iteration and the message
-        return type(self), (self.iteration, self._cause_text)
+        # rebuilt from the cause's text and type name, so a pickled copy
+        # (say, from a worker process) keeps the iteration, the message and
+        # the type its failure record reports
+        return type(self), (self.iteration, self._cause_text, self.cause_type)

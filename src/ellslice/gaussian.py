@@ -68,9 +68,10 @@ class GaussianPrior:
     ``log_norm`` is the log normalizing constant -n/2 log(2 pi) - log|A|,
     so that ``log_density(f) == log_norm - |whiten(f)|^2 / 2``. Immutable,
     so one prior can be shared across chains. ``conditionals`` is where
-    :func:`~ellslice.blocking.block_update` keeps each partition's gain
-    Cov_AB Cov_BB^-1 and factorized Schur complement; they are derived from
-    ``cov`` alone, so they never go stale.
+    :func:`~ellslice.blocking.block_update` keeps, per partition, the pair
+    (gain Cov_AB Cov_BB^-1, block prior over the factorized Schur
+    complement), or the message of its failure to factorize; they are
+    derived from ``cov`` alone, so they never go stale.
     """
 
     cov: np.ndarray

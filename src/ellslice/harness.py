@@ -75,38 +75,6 @@ _STREAM_TUNE = 2
 _STREAM_BENCH = 3
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated experiment description; build it with :func:`parse_config`,
-    which checks every value and fills in the defaults of ``_CONFIG_KEYS``.
-
-    ``model``/``sampler`` describe a single run; ``models``/``samplers`` a
-    benchmark matrix. The seed must come from the config or the command
-    line, never the wall clock.
-    """
-
-    seed: int
-    n_burn: int
-    n_keep: int
-    repeats: int
-    kernel: KernelConfig
-    model: Mapping[str, Any] | None
-    sampler: Mapping[str, Any] | None
-    models: tuple[Mapping[str, Any], ...]
-    samplers: tuple[Mapping[str, Any], ...]
-    tune_grid: tuple[float, ...]
-
-    def as_dict(self) -> dict[str, Any]:
-        """Canonical plain-dict form, used for hashing and manifests."""
-        return dataclasses.asdict(self)
-
-
-def config_hash(cfg: ExperimentConfig) -> str:
-    """SHA-256 over the canonical JSON form of a config."""
-    blob = json.dumps(cfg.as_dict(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def _coerce(key: str, value: Any, convert: Callable[[Any], Any]) -> Any:
     """``convert(value)``; a value it cannot convert raises InvalidConfig naming ``key``."""
     try:
@@ -170,24 +138,51 @@ _SPECS = _in_range(tuple, lambda xs: all(isinstance(x, Mapping) for x in xs),
                    "a list of JSON objects")
 
 
-_Keys = dict[str, tuple[Any, Callable[[Any], Any]]]  # key: (default, checked converter)
+def _key(convert: Callable[[Any], Any], default: Any = dataclasses.MISSING) -> Any:
+    """A config field read by ``convert``, a checked converter, or ``default``."""
+    return dataclasses.field(default=default, metadata={"convert": convert})
 
-# Each config key as (default, checked converter): the one place a config is
-# read. The seed has no default, as parse_config requires it.
-_CONFIG_KEYS: _Keys = {
-    "seed": (None, _integer(0)),
-    "n_burn": (DESK_BURN, _integer(0)),
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Validated experiment description; build it with :func:`parse_config`.
+
+    Each field is a config key with its checked converter and its default:
+    the one place a config is read. The seed has no default, as
+    parse_config requires it: the seed must come from the config or the
+    command line, never the wall clock. ``model``/``sampler`` describe a
+    single run; ``models``/``samplers`` a benchmark matrix.
+    """
+
+    seed: int = _key(_integer(0))
+    n_burn: int = _key(_integer(0), DESK_BURN)
     # every command summarizes its chains by ESS, which needs this many
-    "n_keep": (DESK_KEEP, _integer(MIN_SERIES_LENGTH)),
-    "repeats": (1, _COUNT),
-    "kernel": (KernelConfig(), _kernel),
-    "model": (None, _SPEC),
-    "sampler": (None, _SPEC),
-    "models": ((), _SPECS),
-    "samplers": ((), _SPECS),
+    n_keep: int = _key(_integer(MIN_SERIES_LENGTH), DESK_KEEP)
+    repeats: int = _key(_COUNT, 1)
+    kernel: KernelConfig = _key(_kernel, KernelConfig())
+    model: Mapping[str, Any] | None = _key(_SPEC, None)
+    sampler: Mapping[str, Any] | None = _key(_SPEC, None)
+    models: tuple[Mapping[str, Any], ...] = _key(_SPECS, ())
+    samplers: tuple[Mapping[str, Any], ...] = _key(_SPECS, ())
     # a repeated value would run twice and win on the better of its draws
-    "tune_grid": ((), _in_range(_grid, lambda gs: len(set(gs)) == len(gs)
-                                and all(0.0 < g <= 1.0 for g in gs), "distinct values in (0, 1]")),
+    tune_grid: tuple[float, ...] = _key(_in_range(
+        _grid, lambda gs: len(set(gs)) == len(gs) and all(0.0 < g <= 1.0 for g in gs),
+        "distinct values in (0, 1]"), ())
+
+    def as_dict(self) -> dict[str, Any]:
+        """Canonical plain-dict form, used for hashing and manifests."""
+        return dataclasses.asdict(self)
+
+
+def config_hash(cfg: ExperimentConfig) -> str:
+    """SHA-256 over the canonical JSON form of a config."""
+    blob = json.dumps(cfg.as_dict(), sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+_Keys = dict[str, tuple[Any, Callable[[Any], Any]]]  # key: (default, checked converter)
+_CONFIG_KEYS: _Keys = {
+    f.name: (f.default, f.metadata["convert"]) for f in dataclasses.fields(ExperimentConfig)
 }
 
 
@@ -564,7 +559,7 @@ def _run_plan(
     Returns, per group in plan order, the report of each chain that finished
     and a failure entry of each that raised: its repeat, the ``ChainError``
     iteration (None if only the summary failed), the wrapped error's type
-    and the message.
+    (``ChainError.cause_type``, which survives pickling) and the message.
     """
     results = []
     for group in plan:
@@ -577,7 +572,8 @@ def _run_plan(
                 report = summarize(trace)
             except EllsliceError as exc:
                 failures.append({"repeat": rep, "iteration": getattr(exc, "iteration", None),
-                                 "type": type(exc.__cause__ or exc).__name__, "error": str(exc)})
+                                 "type": getattr(exc, "cause_type", None) or type(exc).__name__,
+                                 "error": str(exc)})
                 continue
             reports.append(report)
             if out is not None:
@@ -596,6 +592,17 @@ def _group_stat(
     """``stat`` of ``field`` over a group's finished chains; NaN when none finished."""
     values = [getattr(report, field) for report in reports]
     return float(stat(values)) if values else math.nan
+
+
+# Each statistic of a benchmark cell as (EssReport field, reduction over the
+# cell's finished chains), in the order of the benchmark_summary.csv columns
+_CELL_STATS = {
+    "ess_mean": ("ess", np.mean),
+    "ess_std": ("ess", np.std),
+    "seconds_mean": ("seconds", np.mean),
+    "lik_evals_mean": ("total_lik_evals", np.mean),
+    "prior_evals_mean": ("total_prior_evals", np.mean),
+}
 
 
 def cli_run(
@@ -689,24 +696,16 @@ def cli_benchmark(cfg: ExperimentConfig, out_dir: str | Path) -> dict[str, Any]:
                                tuple(out / tag / f"repeat{rep:02d}" for rep in range(cfg.repeats))))
             cells.append({"cell": tag, "sampler": dict(sampler_cfg), "model": dict(model_cfg)})
     for cell, (reports, failures) in zip(cells, _run_plan(cfg, plan)):
-        cell.update({
-            "repeats_completed": len(reports),
-            "ess_mean": _group_stat(reports, "ess"),
-            "ess_std": _group_stat(reports, "ess", np.std),
-            "seconds_mean": _group_stat(reports, "seconds"),
-            "lik_evals_mean": _group_stat(reports, "total_lik_evals"),
-            "prior_evals_mean": _group_stat(reports, "total_prior_evals"),
-            "failures": failures,
-        })
+        stats = {name: _group_stat(reports, *how) for name, how in _CELL_STATS.items()}
+        cell.update(repeats_completed=len(reports), **stats, failures=failures)
         _write_json(out / cell["cell"] / "cell_summary.json", cfg, cell)
     summary = _write_json(out / "benchmark_summary.json", cfg, {
         "n_burn": cfg.n_burn, "n_keep": cfg.n_keep, "repeats": cfg.repeats, "cells": cells,
     })
-    header = "cell,ess_mean,ess_std,seconds_mean,lik_evals_mean,prior_evals_mean,failures"
-    _write_csv(out / "benchmark_summary.csv", _provenance(cfg), [header] + [
-        f"{c['cell']},{repr(c['ess_mean'])},{repr(c['ess_std'])},"
-        f"{repr(c['seconds_mean'])},{repr(c['lik_evals_mean'])},"
-        f"{repr(c['prior_evals_mean'])},{len(c['failures'])}"
+    _write_csv(out / "benchmark_summary.csv", _provenance(cfg), [
+        ",".join(["cell", *_CELL_STATS, "failures"])
+    ] + [
+        ",".join([c["cell"], *(repr(c[name]) for name in _CELL_STATS), str(len(c["failures"]))])
         for c in cells
     ])
     return summary

@@ -35,9 +35,13 @@ def squared_exponential(inputs: np.ndarray, cfg: KernelConfig) -> np.ndarray:
 
     K[i, j] = signal_variance * exp(-0.5 * sum_d (x[i,d] - x[j,d])**2 / lengthscale**2)
 
-    Symmetric by construction with diagonal exactly ``signal_variance``.
+    A vector of length n is read as n points of one dimension, like its
+    ``[:, None]`` column. Symmetric by construction with diagonal exactly
+    ``signal_variance``.
     """
-    x = np.atleast_2d(np.asarray(inputs, dtype=float))
+    x = np.asarray(inputs, dtype=float)
+    if x.ndim < 2:  # a vector is n one-dimensional points, a scalar one point
+        x = x.reshape(-1, 1)
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
         raise ValueError(f"inputs must be an n x D matrix, got shape {x.shape}")
     if not np.all(np.isfinite(x)):

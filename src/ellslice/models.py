@@ -270,13 +270,17 @@ class CoxData:
 
 
 def _latent_draw(
-    inputs: np.ndarray, kernel: KernelConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """True latents: one draw from N(0, cov + jitter*I) through the dense
-    jittered Cholesky factor, so a seed gives the same dataset whichever
-    root :func:`~ellslice.gaussian.factorize` keeps for the chains."""
+    n: int, dims: int, kernel: KernelConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs uniform on the unit hypercube and true latents at them: one
+    draw from N(0, cov + jitter*I) through the dense jittered Cholesky
+    factor, so a seed gives the same dataset whichever root
+    :func:`~ellslice.gaussian.factorize` keeps for the chains."""
+    if n < 1 or dims < 1:
+        raise ValueError("n and dims must be >= 1")
+    inputs = rng.uniform(size=(n, dims))
     chol, _ = jittered_cholesky(squared_exponential(inputs, kernel))
-    return chol @ rng.standard_normal(inputs.shape[0])
+    return inputs, chol @ rng.standard_normal(n)
 
 
 def generate_regression_dataset(
@@ -292,12 +296,9 @@ def generate_regression_dataset(
     Returns (inputs, data, true latents); the true latents support oracle
     checks and never leak into inference.
     """
-    if n < 1 or dims < 1:
-        raise ValueError("n and dims must be >= 1")
     if noise_std < 0:
         raise ValueError("noise_std must be non-negative")
-    inputs = rng.uniform(size=(n, dims))
-    f_true = _latent_draw(inputs, kernel, rng)
+    inputs, f_true = _latent_draw(n, dims, kernel, rng)
     y = f_true + noise_std * rng.standard_normal(n)
     return inputs, RegressionData(y, noise_std**2), f_true
 
@@ -316,16 +317,13 @@ def generate_classification_dataset(
     link: str = "logistic",
 ) -> tuple[np.ndarray, ClassificationData, np.ndarray]:
     """Synthetic binary task: latents from the prior, labels through the link."""
-    if n < 1 or dims < 1:
-        raise ValueError("n and dims must be >= 1")
-    inputs = rng.uniform(size=(n, dims))
-    f_true = _latent_draw(inputs, kernel, rng)
+    if link not in ("logistic", "probit"):
+        raise ValueError(f"link must be 'logistic' or 'probit', got {link!r}")
+    inputs, f_true = _latent_draw(n, dims, kernel, rng)
     if link == "logistic":
         p_plus = 1.0 / (1.0 + np.exp(-f_true))
-    elif link == "probit":
-        p_plus = np.exp(log_ndtr(f_true))
     else:
-        raise ValueError(f"link must be 'logistic' or 'probit', got {link!r}")
+        p_plus = np.exp(log_ndtr(f_true))
     labels = np.where(rng.uniform(size=n) < p_plus, 1.0, -1.0)
     return inputs, ClassificationData(labels, link), f_true
 

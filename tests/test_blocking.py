@@ -68,6 +68,11 @@ class TestPartitions:
         covered = sorted(i for p in parts for i in p.subset)
         assert covered == list(range(10))
 
+    @pytest.mark.parametrize("n_blocks", [0, 11])
+    def test_contiguous_partitions_block_count_out_of_range_rejected(self, n_blocks):
+        with pytest.raises(ValueError, match="n_blocks"):
+            contiguous_partitions(10, n_blocks)
+
     def test_direct_construction_validates(self):
         with pytest.raises(ValueError):
             BlockPartition(subset=(0, 1), complement=(1, 2), n=3)
@@ -119,6 +124,12 @@ class TestConditionalGaussian:
         part = make_partition(3, [0])
         with pytest.raises(DimensionMismatch):
             conditional_gaussian(np.eye(3), part, np.zeros(3))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (9,)])
+    def test_covariance_of_wrong_shape_rejected(self, shape):
+        part = make_partition(3, [0])
+        with pytest.raises(DimensionMismatch, match="covariance shape"):
+            conditional_gaussian(np.ones(shape), part, np.zeros(2))
 
 
 class TestBlockUpdate:

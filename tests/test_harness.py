@@ -2,15 +2,18 @@
 
 import dataclasses
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ellslice import (
+    ChainError,
     EssReport,
     InvalidConfig,
     KernelConfig,
+    NonFiniteLikelihood,
     chain_rng,
     cli,
     harness,
@@ -653,6 +656,26 @@ class TestBenchmark:
                 else:
                     assert (rep_dir / "trace.csv").is_file() and (rep_dir / "summary.json").is_file()
 
+    def test_pickled_chain_error_gives_the_same_failure_record(self, tmp_path, monkeypatch):
+        """A ChainError that crossed a process boundary, as a pickle round
+        trip does, is recorded as the error it wraps, like the original."""
+        cause = NonFiniteLikelihood("log-likelihood returned NaN")
+        try:
+            raise ChainError(12, cause) from cause
+        except ChainError as exc:
+            original = exc
+        records = []
+        for error in (original, pickle.loads(pickle.dumps(original))):
+            def fail(*args, error=error, **kwargs):
+                raise error
+            monkeypatch.setattr(harness, "run_chain", fail)
+            summary = cli_benchmark(self.matrix_cfg(repeats=1), tmp_path / str(len(records)))
+            records.append(summary["cells"][0]["failures"])
+        assert records[0] == records[1] == [{
+            "repeat": 0, "iteration": 12, "type": "NonFiniteLikelihood",
+            "error": "sampler failed at chain iteration 12: log-likelihood returned NaN",
+        }]
+
     def test_sampler_without_kind_is_elliptical(self, tmp_path):
         summary = cli_benchmark(self.matrix_cfg(repeats=1, samplers=[{}]), tmp_path)
         assert [c["cell"] for c in summary["cells"]] == [
@@ -889,12 +912,15 @@ class TestCliMain:
                      id="manifest-no-model"),
         pytest.param("run", "ds/inputs.csv", _append("abc\n"), id="cell-not-numeric"),
         pytest.param("run", "ds/inputs.csv", _append("nan\n"), id="cell-not-finite"),
+        pytest.param("run", "ds/inputs.csv", _append("0.5,0.5\n"), id="row-wrong-width"),
         pytest.param("run", "ds/observations.csv", _drop_last_line, id="observations-short"),
         pytest.param("run", "ds", _set_kind("classification"), id="labels-not-plus-minus-one"),
         pytest.param("run", "ds", _labels_with(1.9), id="label-1.9"),
         pytest.param("run", "ds", _set_model(noise_std=-0.3), id="manifest-negative-noise-std"),
         pytest.param("run", "ds/events.txt", _cox_with_events("0.0\nsoon\n"),
                      id="event-not-numeric"),
+        pytest.param("run", "ds/events.txt", _cox_with_events("0.0\n-1.0\n"),
+                     id="event-negative"),
         pytest.param("run", "ds/inputs.csv", _append_bytes(_NOT_UTF8), id="inputs-not-utf8"),
         pytest.param("run", "ds/events.txt",
                      lambda p: (_cox_with_events("0.0\n")(p), _append_bytes(_NOT_UTF8)(p)),

@@ -32,6 +32,13 @@ class TestSquaredExponential:
         cov = squared_exponential(rng.uniform(size=(30, 4)), KernelConfig(signal_variance=2.5))
         np.testing.assert_array_equal(np.diag(cov), np.full(30, 2.5))
 
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_vector_is_points_of_one_dimension(self, n):
+        x, cfg = np.linspace(0.0, 1.0, n), KernelConfig(lengthscale=0.3)
+        cov = squared_exponential(x, cfg)
+        assert cov.shape == (n, n)
+        np.testing.assert_array_equal(cov, squared_exponential(x[:, None], cfg))
+
     def test_unit_separation_value(self):
         cov = squared_exponential(np.array([[0.0], [1.0]]), KernelConfig())
         assert math.isclose(cov[0, 1], math.exp(-0.5), rel_tol=1e-15)

@@ -69,6 +69,16 @@ class TestRegressionLikelihood:
         with pytest.raises(ValueError):
             data.log_lik(np.zeros(2))
 
+    @pytest.mark.parametrize("y", [np.zeros((2, 2)), np.float64(1.0)])
+    def test_non_vector_observations_rejected(self, y):
+        with pytest.raises(ValueError, match="vector"):
+            RegressionData(y=y, noise_variance=1.0)
+
+    @pytest.mark.parametrize("var", [-1.0, math.inf, math.nan])
+    def test_invalid_noise_variance_rejected(self, var):
+        with pytest.raises(ValueError, match="noise_variance"):
+            RegressionData(y=np.zeros(2), noise_variance=var)
+
 
 class TestClassificationLikelihood:
     def test_logistic_at_zero(self):
@@ -466,6 +476,14 @@ class TestGenerateRegression:
         with pytest.raises(ValueError):
             generate_regression_dataset(5, 1, KernelConfig(), -0.1, chain_rng(4))
 
+    @pytest.mark.parametrize("n, dims, noise_std", [(0, 1, 0.3), (5, 0, 0.3), (5, 1, -0.1)])
+    def test_bad_arguments_rejected_before_any_draw(self, n, dims, noise_std):
+        rng = chain_rng(4)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            generate_regression_dataset(n, dims, KernelConfig(), noise_std, rng)
+        assert rng.bit_generator.state == before
+
 
 class TestGenerateClassification:
     def test_labels_are_signs(self):
@@ -488,6 +506,17 @@ class TestGenerateClassification:
             20, 1, CLASSIFICATION_KERNEL, chain_rng(7), link="probit"
         )
         assert data.link == "probit"
+
+    @pytest.mark.parametrize("n, dims, link, match", [
+        (0, 1, "logistic", "n and dims"), (5, 0, "logistic", "n and dims"),
+        (5, 1, "cauchit", "link"),
+    ])
+    def test_bad_arguments_rejected_before_any_draw(self, n, dims, link, match):
+        rng = chain_rng(7)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=match):
+            generate_classification_dataset(n, dims, CLASSIFICATION_KERNEL, rng, link=link)
+        assert rng.bit_generator.state == before
 
 
 class TestPosteriorOracle:
