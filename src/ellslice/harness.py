@@ -26,7 +26,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -48,6 +47,8 @@ from .models import (
     ClassificationData,
     RegressionData,
     bin_events,
+    checked_link,
+    checked_noise_std,
     generate_classification_dataset,
     generate_regression_dataset,
     mining_event_times,
@@ -56,8 +57,6 @@ from .samplers import StepFn, chain_rng, make_operator, run_chain
 
 DESK_BURN = 1_000
 DESK_KEEP = 10_000
-PAPER_BURN = 10_000
-PAPER_KEEP = 100_000
 
 # Count data defaults: 50-day bins, lengthscale 13516 days, unit variance.
 COX_BIN_WIDTH = 50.0
@@ -79,7 +78,7 @@ def _coerce(key: str, value: Any, convert: Callable[[Any], Any]) -> Any:
     """``convert(value)``; a value it cannot convert raises InvalidConfig naming ``key``."""
     try:
         return convert(value)
-    except (TypeError, ValueError, InvalidConfig) as exc:
+    except (TypeError, ValueError, OverflowError, InvalidConfig) as exc:
         raise InvalidConfig(f"bad value for {key!r}: {value!r} ({exc})") from None
 
 
@@ -94,18 +93,20 @@ def _in_range(convert: Callable[[Any], Any], ok: Callable[[Any], bool], need: st
 
 
 def _integer(low: int) -> Callable[[Any], int]:
-    """An integer >= ``low``: a bool or a float with a fractional part is an
-    error, not truncated."""
+    """An integer >= ``low``: a float with a fractional part is an error, not
+    truncated, and so is anything :func:`_real` rejects."""
     def convert(value: Any) -> int:
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        # an int is read exactly, as its float may round
+        if type(value) is not int and not _real(value).is_integer():
             raise ValueError("not an integer")
         return int(value)
     return _in_range(convert, lambda x: x >= low, f"an integer >= {low}")
 
 
 def _real(value: Any) -> float:
-    """``float(value)``, but a bool is an error, not 0.0 or 1.0."""
-    if isinstance(value, bool):
+    """A JSON number as a float: a bool or a string is an error, not 1.0 or
+    the number the string spells."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError("not a number")
     return float(value)
 
@@ -117,15 +118,7 @@ def _grid(values: Any) -> tuple[float, ...]:
 
 
 _COUNT = _integer(1)
-# generate_regression_dataset squares it into the noise variance: the square
-# must be finite, and a positive one must not be subnormal, as no chain can
-# start on data that precise (log L = -inf at f = 0); 0 is noise-free data
-_NOISE_STD = _in_range(
-    _real, lambda x: x == 0.0 or (0.0 < x and sys.float_info.min <= x * x < math.inf),
-    f"0, or > 0 with a finite square of at least {sys.float_info.min:.4g}",
-)
 _POSITIVE = _in_range(_real, lambda x: 0.0 < x < math.inf, "finite and > 0")
-_LINK = _in_range(lambda x: x, lambda x: x in ("logistic", "probit"), "'logistic' or 'probit'")
 _PATH = _in_range(lambda x: x, lambda x: isinstance(x, str), "a path string")
 
 
@@ -149,9 +142,9 @@ class ExperimentConfig:
 
     Each field is a config key with its checked converter and its default:
     the one place a config is read. The seed has no default, as
-    parse_config requires it: the seed must come from the config or the
-    command line, never the wall clock. ``model``/``sampler`` describe a
-    single run; ``models``/``samplers`` a benchmark matrix.
+    parse_config requires it: the seed must come from the config, never the
+    wall clock. ``model``/``sampler`` describe a single run;
+    ``models``/``samplers`` a benchmark matrix.
     """
 
     seed: int = _key(_integer(0))
@@ -186,18 +179,14 @@ _CONFIG_KEYS: _Keys = {
 }
 
 
-def parse_config(raw: Mapping[str, Any], overrides: Mapping[str, Any] | None = None) -> ExperimentConfig:
-    """Build an ExperimentConfig from a JSON-style dict plus CLI overrides."""
-    merged = dict(raw)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
-    if "seed" not in merged:
+def parse_config(raw: Mapping[str, Any]) -> ExperimentConfig:
+    """Build an ExperimentConfig from a JSON-style dict."""
+    if "seed" not in raw:
         raise InvalidConfig("config must supply a seed (no wall-clock seeding)")
-    unknown = set(merged) - set(_CONFIG_KEYS)
+    unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-    return ExperimentConfig(**_read_keys(_CONFIG_KEYS, merged))
+    return ExperimentConfig(**_read_keys(_CONFIG_KEYS, raw))
 
 
 def _read_keys(table: _Keys, spec: Mapping[str, Any]) -> dict[str, Any]:
@@ -213,9 +202,12 @@ def _read_keys(table: _Keys, spec: Mapping[str, Any]) -> dict[str, Any]:
 # kernel (regression) or the coal-mining record (cox).
 _SIZES = {"n": (200, _COUNT), "dims": (1, _COUNT)}  # of a synthetic dataset
 _MODEL_KEYS: dict[str, _Keys] = {
-    "regression": {**_SIZES, "noise_std": (0.3, _NOISE_STD), "kernel": (None, _kernel)},
+    "regression": {
+        **_SIZES, "noise_std": (0.3, lambda x: checked_noise_std(_real(x))),
+        "kernel": (None, _kernel),
+    },
     "classification": {
-        **_SIZES, "link": ("logistic", _LINK), "kernel": (CLASSIFICATION_KERNEL, _kernel)
+        **_SIZES, "link": ("logistic", checked_link), "kernel": (CLASSIFICATION_KERNEL, _kernel)
     },
     "cox": {
         "events_file": (None, _PATH),
@@ -237,8 +229,8 @@ def _model_spec(model_cfg: Mapping[str, Any]) -> tuple[str, dict[str, Any]]:
     return kind, _read_keys(_MODEL_KEYS[kind], model_cfg)
 
 
-def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) -> ExperimentConfig:
-    """Parse a JSON config file; overrides win over file values."""
+def load_config(path: str | Path) -> ExperimentConfig:
+    """Parse a JSON config file."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -246,7 +238,7 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
             raise InvalidConfig(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InvalidConfig(f"config {path} must be a JSON object")
-    return parse_config(raw, overrides)
+    return parse_config(raw)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ for finite latents.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from datetime import date
 from typing import Callable
@@ -136,6 +137,16 @@ class RegressionData:
         return score
 
 
+LINKS = ("logistic", "probit")
+
+
+def checked_link(link: str) -> str:
+    """``link`` if it is one of :data:`LINKS`, else a ValueError naming them."""
+    if link not in LINKS:
+        raise ValueError(f"link must be {' or '.join(map(repr, LINKS))}, got {link!r}")
+    return link
+
+
 class ClassificationData:
     """Binary labels in {-1, +1} through a logistic or probit link."""
 
@@ -143,9 +154,7 @@ class ClassificationData:
         self.labels = np.asarray(labels, dtype=float)
         if self.labels.ndim != 1 or not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be a vector of -1/+1")
-        if link not in ("logistic", "probit"):
-            raise ValueError(f"link must be 'logistic' or 'probit', got {link!r}")
-        self.link = link
+        self.link = checked_link(link)
         self.n = len(self.labels)
 
     def log_lik(self, f: np.ndarray) -> float:
@@ -283,6 +292,18 @@ def _latent_draw(
     return inputs, chol @ rng.standard_normal(n)
 
 
+def checked_noise_std(noise_std: float) -> float:
+    """``noise_std`` if its square, the noise variance, is one that data can
+    be drawn with, else a ValueError. The square must be finite, and a
+    positive one must not be subnormal, as no chain can start on data that
+    precise (log L = -inf at f = 0); 0 is noise-free data."""
+    std = float(noise_std)  # a NumPy scalar product would warn as it overflows
+    if not (std == 0.0 or (0.0 < std and sys.float_info.min <= std * std < math.inf)):
+        raise ValueError(f"noise_std must be 0, or > 0 with a finite square of at least "
+                         f"{sys.float_info.min:.4g}, got {noise_std!r}")
+    return noise_std
+
+
 def generate_regression_dataset(
     n: int,
     dims: int,
@@ -296,8 +317,7 @@ def generate_regression_dataset(
     Returns (inputs, data, true latents); the true latents support oracle
     checks and never leak into inference.
     """
-    if noise_std < 0:
-        raise ValueError("noise_std must be non-negative")
+    checked_noise_std(noise_std)
     inputs, f_true = _latent_draw(n, dims, kernel, rng)
     y = f_true + noise_std * rng.standard_normal(n)
     return inputs, RegressionData(y, noise_std**2), f_true
@@ -317,8 +337,7 @@ def generate_classification_dataset(
     link: str = "logistic",
 ) -> tuple[np.ndarray, ClassificationData, np.ndarray]:
     """Synthetic binary task: latents from the prior, labels through the link."""
-    if link not in ("logistic", "probit"):
-        raise ValueError(f"link must be 'logistic' or 'probit', got {link!r}")
+    checked_link(link)
     inputs, f_true = _latent_draw(n, dims, kernel, rng)
     if link == "logistic":
         p_plus = 1.0 / (1.0 + np.exp(-f_true))
@@ -355,10 +374,12 @@ def bin_events(event_times: np.ndarray, bin_width: float) -> CoxData:
     rate per bin.
     """
     times = np.asarray(event_times, dtype=float)
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
+    if not 0 < bin_width < math.inf:
+        raise ValueError(f"bin_width must be positive and finite, got {bin_width!r}")
     if times.size == 0:
         raise ValueError("no events: mean-rate offset log(0) is degenerate")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("event times must be finite")
     scaled = (times - times.min()) / bin_width
     if not scaled.max() < 2.0**63:  # checked before the cast, which would wrap around
         raise ValueError(f"the last event falls in bin {scaled.max():.3g}, past what int64 indexes")

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import pickle
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -181,14 +182,14 @@ class TestConfig:
                          ("tune_grid", [True]), ("kernel", {"lengthscale": True}),
                          ("kernel", {"signal_variance": True}),
                          # a grid that is not a list is not read item by item
-                         ("tune_grid", "1"), ("tune_grid", {"0.5": 0})]:
+                         ("tune_grid", "1"), ("tune_grid", {"0.5": 0}),
+                         # a number spelt as a string is an error, not parsed
+                         ("seed", "7"), ("n_burn", "5"), ("n_keep", " 20 "), ("repeats", "2"),
+                         ("tune_grid", ["0.1", "0.3"]),
+                         # an integer too large for a float
+                         ("tune_grid", [10**400])]:
             with pytest.raises(InvalidConfig, match=key):
                 parse_config({"seed": 1, key: bad})
-
-    def test_overrides_win(self):
-        cfg = parse_config({"seed": 1, "n_keep": 50}, {"n_keep": 75, "seed": None})
-        assert cfg.n_keep == 75
-        assert cfg.seed == 1  # None overrides are ignored
 
     def test_kernel_section(self):
         cfg = parse_config({"seed": 1, "kernel": {"lengthscale": 2.0}})
@@ -269,6 +270,9 @@ class TestBuildDataset:
         ("bin_width", {"kind": "cox", "bin_width": 1e-300}),  # an index past int64
         ("noise_std", {"kind": "regression", "n": 5, "noise_std": True}),
         ("bin_width", {"kind": "cox", "bin_width": True}),
+        ("n", {"kind": "regression", "n": "50"}),
+        ("noise_std", {"kind": "regression", "n": 5, "noise_std": "0.3"}),
+        ("bin_width", {"kind": "cox", "bin_width": "25"}),
     ])
     def test_out_of_range_value_names_its_key(self, key, spec):
         with pytest.raises(InvalidConfig, match=f"'{key}'"):
@@ -692,8 +696,8 @@ class TestBenchmark:
 
 
 class TestCliMain:
-    def write_cfg(self, tmp_path, raw):
-        path = tmp_path / "cfg.json"
+    def write_cfg(self, tmp_path, raw, name="cfg.json"):
+        path = tmp_path / name
         path.write_text(json.dumps(raw))
         return str(path)
 
@@ -718,20 +722,18 @@ class TestCliMain:
         assert "ess=" in capsys.readouterr().out
 
     def test_keep_too_short_for_ess_exits_2(self, tmp_path, capsys):
-        cfg = self.write_cfg(
-            tmp_path,
-            {
-                "seed": 14,
-                "n_burn": 5,
-                "n_keep": 40,
-                "model": {"kind": "regression", "n": 10, "dims": 1},
-                "sampler": {"kind": "elliptical"},
-            },
-        )
+        raw = {
+            "seed": 14,
+            "n_burn": 5,
+            "n_keep": 40,
+            "model": {"kind": "regression", "n": 10, "dims": 1},
+            "sampler": {"kind": "elliptical"},
+        }
         ds = str(tmp_path / "ds")
-        assert cli.main(["generate", "--config", cfg, "--out", ds]) == 0
+        assert cli.main(["generate", "--config", self.write_cfg(tmp_path, raw), "--out", ds]) == 0
         capsys.readouterr()
-        code = cli.main(["run", ds, "--config", cfg, "--out", str(tmp_path / "r"), "--keep", "5"])
+        cfg = self.write_cfg(tmp_path, dict(raw, n_keep=5), "short.json")
+        code = cli.main(["run", ds, "--config", cfg, "--out", str(tmp_path / "r")])
         err = capsys.readouterr().err
         assert code == 2
         assert "error:" in err and "n_keep" in err
@@ -854,11 +856,11 @@ class TestCliMain:
         assert "'noise_std'" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("raw_seed, flags", [(-1, []), (True, []), (14, ["--seed", "-1"])])
-    def test_bad_seed_exits_2_naming_it(self, tmp_path, capsys, raw_seed, flags):
+    @pytest.mark.parametrize("raw_seed", [-1, True])
+    def test_bad_seed_exits_2_naming_it(self, tmp_path, capsys, raw_seed):
         cfg = self.write_cfg(tmp_path, {"seed": raw_seed, "model": {"kind": "regression", "n": 10}})
         out = tmp_path / "out"
-        code = cli.main(["generate", "--config", cfg, "--out", str(out), *flags])
+        code = cli.main(["generate", "--config", cfg, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
         assert "'seed'" in err and "Traceback" not in err
@@ -1016,38 +1018,39 @@ class TestCliMain:
         assert "seed" in capsys.readouterr().err
 
     def test_seed_override_changes_output(self, tmp_path):
-        cfg = self.write_cfg(
-            tmp_path,
-            {
-                "seed": 16,
-                "n_burn": 2,
-                "n_keep": 30,
-                "model": {"kind": "regression", "n": 8, "dims": 1},
-                "sampler": {"kind": "elliptical"},
-            },
-        )
+        """Two config files that differ only in their seed write different data."""
+        raw = {
+            "seed": 16,
+            "n_burn": 2,
+            "n_keep": 30,
+            "model": {"kind": "regression", "n": 8, "dims": 1},
+            "sampler": {"kind": "elliptical"},
+        }
         a = str(tmp_path / "a")
         b = str(tmp_path / "b")
-        cli.main(["generate", "--config", cfg, "--out", a])
-        cli.main(["generate", "--config", cfg, "--out", b, "--seed", "99"])
+        cli.main(["generate", "--config", self.write_cfg(tmp_path, raw, "a.json"), "--out", a])
+        cli.main(["generate", "--config", self.write_cfg(tmp_path, dict(raw, seed=99), "b.json"),
+                  "--out", b])
         assert (Path(a) / "observations.csv").read_bytes() != (Path(b) / "observations.csv").read_bytes()
 
-    def test_paper_scale_precedence(self, tmp_path):
-        """Explicit --burn/--keep beat --paper-scale, which beats the file."""
-        cfg = self.write_cfg(tmp_path, {"seed": 17, "n_burn": 7, "n_keep": 11})
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "5"], ["--burn", "5"], ["--keep", "50"], ["--paper-scale"]])
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys, flags):
+        """The config file is the whole run: no flag sets a config key."""
+        cfg = self.write_cfg(tmp_path, {"seed": 17, "model": {"kind": "regression", "n": 10}})
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "--config", cfg, "--out", str(out), *flags])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_commands_parse(self):
+        """Every command the README's command-line section shows parses."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line")[1].split("```sh")[1].split("```")[0]
+        commands = [shlex.split(line) for line in block.splitlines() if line.startswith("ellslice ")]
+        assert len(commands) == 5
         parser = cli._build_parser()
-
-        args = parser.parse_args(["generate", "--config", cfg, "--out", "x"])
-        assert (cli._load(args).n_burn, cli._load(args).n_keep) == (7, 11)
-
-        args = parser.parse_args(
-            ["generate", "--config", cfg, "--out", "x", "--paper-scale"]
-        )
-        loaded = cli._load(args)
-        assert (loaded.n_burn, loaded.n_keep) == (10_000, 100_000)
-
-        args = parser.parse_args(
-            ["generate", "--config", cfg, "--out", "x", "--paper-scale", "--burn", "3"]
-        )
-        loaded = cli._load(args)
-        assert (loaded.n_burn, loaded.n_keep) == (3, 100_000)
+        for argv in commands:
+            parser.parse_args(argv[1:])

@@ -476,7 +476,9 @@ class TestGenerateRegression:
         with pytest.raises(ValueError):
             generate_regression_dataset(5, 1, KernelConfig(), -0.1, chain_rng(4))
 
-    @pytest.mark.parametrize("n, dims, noise_std", [(0, 1, 0.3), (5, 0, 0.3), (5, 1, -0.1)])
+    # 1e200 squares to inf; 1e-160 to a subnormal variance no chain can start on
+    @pytest.mark.parametrize("n, dims, noise_std", [
+        (0, 1, 0.3), (5, 0, 0.3), (5, 1, -0.1), (5, 1, 1e200), (5, 1, 1e-160)])
     def test_bad_arguments_rejected_before_any_draw(self, n, dims, noise_std):
         rng = chain_rng(4)
         before = rng.bit_generator.state
@@ -590,6 +592,14 @@ class TestBinEvents:
     def test_bad_width_rejected(self):
         with pytest.raises(ValueError):
             bin_events(np.array([1.0]), 0.0)
+
+    @pytest.mark.parametrize("times, width, match", [
+        ([1.0], math.inf, "bin_width"), ([1.0], math.nan, "bin_width"),
+        ([0.0, math.nan], 50.0, "event times"), ([0.0, math.inf], 50.0, "event times"),
+    ])
+    def test_non_finite_rejected(self, times, width, match):
+        with pytest.raises(ValueError, match=match):
+            bin_events(np.array(times), width)
 
     def test_origin_defaults_to_first_event(self):
         data = bin_events(np.array([100.0, 149.0]), 50.0)
