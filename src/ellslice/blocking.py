@@ -96,7 +96,7 @@ def _gain_and_schur(cov: np.ndarray, part: BlockPartition) -> tuple[np.ndarray, 
 
 def _conditional_mean(gain: np.ndarray, f_b: np.ndarray) -> np.ndarray:
     """m = G f_B: one matrix-vector product."""
-    m = gain @ f_b
+    m = gain.dot(f_b)
     if not np.isfinite(m).all():
         raise ValueError("complement values give a non-finite conditional mean")
     return m

@@ -500,28 +500,37 @@ _TRACE_HEADER = "iteration,log_likelihood,cumulative_likelihood_evals,accepted"
 
 
 def write_trace_csv(path: str | Path, trace: ChainTrace, comment: str) -> None:
-    lines = [_TRACE_HEADER]
-    for i in range(trace.n_kept):
-        lines.append(
-            f"{i},{repr(float(trace.log_lik[i]))},"
-            f"{int(trace.lik_evals_cum[i])},{int(trace.accepted[i])}"
-        )
+    rows = zip(trace.log_lik.tolist(), trace.lik_evals_cum.tolist(), trace.accepted.tolist())
+    lines = [_TRACE_HEADER] + [
+        f"{i},{float(ll)!r},{int(ev)},{int(acc)}" for i, (ll, ev, acc) in enumerate(rows)
+    ]
     _write_csv(path, comment, lines)
 
 
 def read_trace_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log_likelihood, cumulative_likelihood_evals, accepted) columns."""
-    rows = _read_rows(path, _trace_row, header=_TRACE_HEADER)
-    log_lik, evals, accepted = zip(*rows)
+    """(log_likelihood, cumulative_likelihood_evals, accepted) columns.
+
+    A row is rejected, naming the file and line, unless its log-likelihood
+    is finite, ``accepted`` is 0 or 1, and its count is at least the previous
+    row's (0 for the first), as a :class:`ChainTrace` requires.
+    """
+    last_evals = 0
+
+    def row(fields: list[str]) -> tuple[float, int, bool]:
+        nonlocal last_evals
+        _, ll, ev, acc = fields  # another width raises ValueError
+        log_lik, evals, accepted = float(ll), int(ev), int(acc)
+        if not math.isfinite(log_lik):
+            raise ValueError("log-likelihood is not finite")
+        if evals < last_evals:
+            raise ValueError(f"cumulative count below the previous row's {last_evals}")
+        if accepted not in (0, 1):
+            raise ValueError("accepted must be 0 or 1")
+        last_evals = evals
+        return log_lik, evals, accepted == 1
+
+    log_lik, evals, accepted = zip(*_read_rows(path, row, header=_TRACE_HEADER))
     return np.asarray(log_lik), np.asarray(evals), np.asarray(accepted)
-
-
-def _trace_row(fields: list[str]) -> tuple[float, int, bool]:
-    _, ll, ev, acc = fields  # another width raises ValueError
-    log_lik = float(ll)
-    if not math.isfinite(log_lik):
-        raise ValueError("log-likelihood is not finite")
-    return log_lik, int(ev), bool(int(acc))
 
 
 def _step_fn(sampler_cfg: Mapping[str, Any]) -> StepFn:

@@ -306,7 +306,8 @@ def neal_mh_step(
     [-1, 1], the range :func:`make_operator` checks (a prior draw at
     eps = 1, the current state at eps = 0), so the
     acceptance ratio reduces to the likelihood ratio. On rejection the new
-    state is a copy of the current one with counters advanced.
+    state shares the current one's latents (no operator writes them in
+    place) with counters advanced.
     """
     cur_log_lik, evals = _start(state, model)
     nu = prior.sample(rng)
@@ -314,7 +315,7 @@ def neal_mh_step(
     prop_log_lik = _eval_log_lik(model, f_prop)
 
     accepted = _uniform(rng) < math.exp(min(prop_log_lik - cur_log_lik, 0.0))
-    f_new, log_lik = (f_prop, prop_log_lik) if accepted else (state.f.copy(), cur_log_lik)
+    f_new, log_lik = (f_prop, prop_log_lik) if accepted else (state.f, cur_log_lik)
     return StepResult(_advance(state, f_new, log_lik, evals + 1), accepted)
 
 

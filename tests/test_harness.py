@@ -932,6 +932,10 @@ class TestCliMain:
                      id="trace-cell-not-numeric"),
         pytest.param("diagnose", "run/trace.csv", _append("20,nan,99,1\n"),
                      id="trace-log-likelihood-nan"),
+        pytest.param("diagnose", "run/trace.csv", _append("20,-1.0,0,1\n"),
+                     id="trace-count-decreases"),
+        pytest.param("diagnose", "run/trace.csv", _append("20,-1.0,999999,7\n"),
+                     id="trace-accepted-not-0-or-1"),
         pytest.param("diagnose", "run/trace.csv", _keep_rows(MIN_SERIES_LENGTH - 1),
                      id="trace-too-short"),
         pytest.param("diagnose", "run/trace.csv", _append_bytes(_NOT_UTF8), id="trace-not-utf8"),

@@ -19,6 +19,7 @@ from ellslice import (
     RegressionData,
     SamplerState,
     ShrinkLimitExceeded,
+    bin_events,
     block_update,
     chain_rng,
     contiguous_partitions,
@@ -29,6 +30,7 @@ from ellslice import (
     make_operator,
     neal_mh_step,
     run_chain,
+    squared_exponential,
 )
 from ellslice.harness import build_dataset, build_prior
 from ellslice.samplers import LINE_WIDTH, _line_log_prior, _slice_shrink, _uniform
@@ -484,6 +486,64 @@ class TestWhitenedCarry:
                 state = block_update(state, prior, data, part,
                                      make_operator("line-slice"), rng).new_state
         assert len(whitens) == 3 * len(parts)
+
+
+def _dataset_prior(kind, dims):
+    ds = build_dataset({"kind": kind, "n": 30, "dims": dims}, KernelConfig(), chain_rng(5))
+    return build_prior(ds), ds.data
+
+
+def _cox_prior(bin_width, lengthscale):
+    data = bin_events(np.sort(chain_rng(5, 2).uniform(0.0, 1000.0, size=60)), bin_width)
+    centers = ((np.arange(data.n) + 0.5) * bin_width).reshape(-1, 1)
+    return factorize(squared_exponential(centers, KernelConfig(lengthscale=lengthscale))), data
+
+
+# (prior, data) of each model under each root, for the read-only tests
+READ_ONLY_PRIORS = {
+    ("regression", "dense"): lambda: _dataset_prior("regression", 3),
+    ("regression", "low-rank"): lambda: _dataset_prior("regression", 1),
+    ("classification", "dense"): lambda: _dataset_prior("classification", 3),
+    ("classification", "low-rank"): lambda: _dataset_prior("classification", 1),
+    ("cox", "dense"): lambda: _cox_prior(50.0, 20.0),
+    ("cox", "low-rank"): lambda: _cox_prior(20.0, 200.0),
+}
+OPERATOR_KINDS = ["elliptical", "neal-mh", "line-slice"]
+
+
+class TestInputsStayUntouched:
+    """No operator writes a state's latents in place, the rule that lets a
+    rejected M-H step return the current f itself: with every input f
+    read-only, 20 steps raise nothing and leave each input unchanged."""
+
+    @staticmethod
+    def step_read_only(step, state, rng):
+        for _ in range(20):
+            f = state.f
+            f.flags.writeable = False
+            before = f.copy()
+            state = step(state, rng).new_state
+            np.testing.assert_array_equal(f, before)
+
+    @pytest.mark.parametrize("operator", OPERATOR_KINDS)
+    @pytest.mark.parametrize("model, backend", sorted(READ_ONLY_PRIORS))
+    def test_operator(self, model, backend, operator):
+        prior, data = READ_ONLY_PRIORS[model, backend]()
+        assert prior.backend == backend
+        step = make_operator(operator)
+        rng = chain_rng(101)
+        self.step_read_only(lambda s, r: step(s, prior, data, r),
+                            SamplerState(prior.sample(rng)), rng)
+
+    @pytest.mark.parametrize("operator", OPERATOR_KINDS)
+    def test_block_update(self, operator):
+        """On a full-rank prior (d=10), whose block conditionals factorize."""
+        prior, data = _dataset_prior("regression", 10)
+        assert prior.rank == prior.n
+        parts = itertools.cycle(contiguous_partitions(prior.n, 4))
+        step = make_operator(operator)
+        self.step_read_only(lambda s, r: block_update(s, prior, data, next(parts), step, r),
+                            SamplerState(np.zeros(prior.n)), chain_rng(103))
 
 
 def _near_data_regression(rng):

@@ -12,9 +12,11 @@ The ``elliptical-aux`` entries pin the augmented-model reference form
 (``reference_operators.elliptical_slice_aux_step``), which the package does
 not ship; every other entry builds its step function with ``make_operator``.
 Priors stay small (n <= 40) so the digests depend little on the BLAS build,
-except ``cox-mining``: the packaged coal-mining data (n=811) with its
-low-rank root, the one cox path the benchmark runs, pinned for the two
-operators that score proposals on a plane. Each model's prior root is
+except two paths the benchmark runs: ``cox-mining``, the packaged
+coal-mining data (n=811) with its low-rank root, pinned for the two
+operators that score proposals on a plane; and ``regression-n200``, the
+n=200, d=1 regression data with its low-rank root, pinned for the three
+packaged operators. Each model's prior root is
 pinned too (:data:`ROOTS`), so a change in which root ``factorize`` picks
 fails by name before any digest does.
 """
@@ -74,8 +76,14 @@ def _cox_mining():
     return build_prior(ds), ds.data
 
 
+@functools.cache
+def _regression_n200():
+    ds = build_dataset({"kind": "regression", "n": 200, "dims": 1}, KernelConfig(), chain_rng(5, 4))
+    return build_prior(ds), ds.data
+
+
 MODELS = {"regression": _regression, "classification": _classification, "cox": _cox,
-          "cox-mining": _cox_mining}
+          "cox-mining": _cox_mining, "regression-n200": _regression_n200}
 
 # (backend, numerical rank, jitter) of each model's prior; cox needs jitter
 # but its rank 18 of 20 fails the 2r < n rule, so it keeps the dense root
@@ -84,6 +92,7 @@ ROOTS = {
     "classification": ("low-rank", 11, 4e-10),
     "cox": ("dense", 18, 1e-10),
     "cox-mining": ("low-rank", 15, 1e-10),
+    "regression-n200": ("low-rank", 9, 1e-10),
 }
 
 
@@ -124,9 +133,14 @@ def block_sweep_digest(operator: str, sweeps: int = 5) -> str:
     return h.hexdigest()
 
 
-CASES = [("chain", m, op) for m in MODELS if m != "cox-mining" for op in OPERATORS] + [
-    ("chain", "cox-mining", op) for op in ("elliptical", "line-slice")
-] + [("block", "regression", op) for op in OPERATORS]
+# the operators pinned on each benchmark-size model; the small models pin all four
+LARGE_MODEL_OPERATORS = {
+    "cox-mining": ("elliptical", "line-slice"),
+    "regression-n200": ("elliptical", "neal-mh", "line-slice"),
+}
+CASES = [("chain", m, op) for m in MODELS for op in LARGE_MODEL_OPERATORS.get(m, OPERATORS)] + [
+    ("block", "regression", op) for op in OPERATORS
+]
 
 
 def digest(case) -> str:
@@ -163,6 +177,12 @@ EXPECTED = {
         '54f04731864ab765036ff79a61e2126ddb6da373a92acb456e49748241495c75',
     ('chain', 'cox-mining', 'line-slice'):
         '8ff6fdc3c17c27f2320b0b70b0ee5e2de8e5002c86a0720341a9816d286c55a3',
+    ('chain', 'regression-n200', 'elliptical'):
+        '1e46510bd762a6f7e7595376801a8457aa21807dd3e8d40cc9df9c1f71727b49',
+    ('chain', 'regression-n200', 'neal-mh'):
+        'd8bc40c0ff755af39a969e673b62a3dde1180ce577707f4cb12aa3de19d6070f',
+    ('chain', 'regression-n200', 'line-slice'):
+        '2a6e89b9b6cd417b6908398dc38bb951ab08ecef4468c3a66e9089cfb62c4e3c',
     ('block', 'regression', 'elliptical'):
         'e72e66719edeef9f2f68eeaa25f47d38889d99ccf21699e758b715a8886025c1',
     ('block', 'regression', 'elliptical-aux'):
