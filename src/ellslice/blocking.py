@@ -10,7 +10,7 @@ expects, so block updates compose with all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -177,7 +177,11 @@ def block_update(
 
     Runs ``step_fn`` on the centered block variable g = f_A - m under the
     conditional prior N(0, S); complement entries are untouched. Evaluation
-    counters carry through from the inner step.
+    counters carry through from the inner step, and the returned state is
+    built afresh, so it carries no line-slice whitened form. When the inner
+    step returns the centered block it was given (a rejected M-H proposal),
+    the result holds ``state.f`` itself: f_A is not rebuilt as (f_A - m) + m,
+    which can differ from f_A in its last bits.
 
     The gain G = Cov_AB Cov_BB^-1 and the factor of S do not depend on f_B,
     so they are computed once per partition and cached on ``prior`` (which
@@ -205,9 +209,15 @@ def block_update(
     mean = _conditional_mean(gain, state.f[part.complement])
     block_model = _BlockLikelihood(model, part, mean, state.f.copy())
 
-    inner = replace(state, f=state.f[part.subset] - mean)
+    inner = SamplerState(state.f[part.subset] - mean, state.log_lik,
+                         state.lik_evals, state.prior_evals)
     result = step_fn(inner, block_prior, block_model, rng)
 
-    f_new = state.f.copy()
-    f_new[part.subset] = result.new_state.f + mean
-    return replace(result, new_state=replace(result.new_state, f=f_new))
+    new = result.new_state
+    if new.f is inner.f:  # rejected: (f_A - m) + m need not be f_A in floats
+        f_new = state.f
+    else:
+        f_new = state.f.copy()
+        f_new[part.subset] = new.f + mean
+    return StepResult(SamplerState(f_new, new.log_lik, new.lik_evals, new.prior_evals),
+                      result.accepted, result.angles, result.log_threshold)

@@ -22,6 +22,7 @@ from ellslice import (
     factorize,
     make_operator,
     make_partition,
+    run_chain,
     squared_exponential,
     KernelConfig,
 )
@@ -411,6 +412,26 @@ class TestBenchmarkSize:
                 state = block_update(state, self.prior, self.ds.data, part, step_fn, rng).new_state
         assert len(calls) <= 2 * len(self.parts)
 
+    def test_rejected_mh_update_keeps_f_bit_for_bit(self):
+        """A rejected block update returns the input latents bit for bit, not
+        (f_A - m) + m, and every update's cached log-likelihood is exactly
+        the likelihood of the latents it returns."""
+        rng = chain_rng(3)
+        step_fn = make_operator("neal-mh", epsilon=0.9)
+        f = self.prior.sample(rng)
+        state = SamplerState(f=f, log_lik=self.ds.data.log_lik(f))
+        rejected = 0
+        for _ in range(40):
+            for part in self.parts:
+                res = block_update(state, self.prior, self.ds.data, part, step_fn, rng)
+                new = res.new_state
+                if not res.accepted:
+                    rejected += 1
+                    assert new.f.tobytes() == state.f.tobytes()
+                assert new.log_lik == self.ds.data.log_lik(new.f)
+                state = new
+        assert rejected >= 40
+
     def test_cached_update_makes_no_solve(self, monkeypatch):
         """Once a sweep has cached each partition's gain, an update takes
         its conditional mean as one product with the gain."""
@@ -430,3 +451,23 @@ class TestBenchmarkSize:
             for part in self.parts:
                 state = block_update(state, self.prior, self.ds.data, part, step_fn, rng).new_state
         assert calls == []
+
+    def test_cached_line_slice_makes_no_wrapped_triangular_solve(self, monkeypatch):
+        """Whitening calls LAPACK directly: neither a cached line-slice block
+        sweep nor a line-slice chain on a dense prior goes through the
+        Python wrapper ``scipy.linalg.solve_triangular``."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg.solve_triangular called")
+
+        assert self.prior.backend == "dense"
+        rng = chain_rng(11)
+        step_fn = make_operator("line-slice")
+        state = SamplerState(f=np.zeros(200))
+        for sweep in range(3):
+            if sweep == 1:
+                monkeypatch.setattr(scipy.linalg, "solve_triangular", refuse)
+            for part in self.parts:
+                state = block_update(state, self.prior, self.ds.data, part, step_fn, rng).new_state
+        run_chain(np.zeros(200), step_fn, self.prior, self.ds.data,
+                  n_burn=0, n_keep=5, thin=1, rng=rng)

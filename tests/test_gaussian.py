@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ellslice import (
     DimensionMismatch,
@@ -136,6 +137,33 @@ class TestDrawAndWhiten:
             prior.whiten(f)
         with pytest.raises(ValueError):
             prior.log_density(f)
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 200])
+    def test_whiten_is_the_scipy_solve_bit_for_bit(self, n):
+        """The direct LAPACK call makes the same solve as the SciPy wrapper."""
+        rng = np.random.default_rng(n)
+        prior = factorize(random_spd(rng, n))
+        for _ in range(20):
+            f = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+            expected = scipy.linalg.solve_triangular(prior.chol, f, lower=True,
+                                                     check_finite=False)
+            np.testing.assert_array_equal(prior.whiten(f), expected)
+
+    def test_zero_on_root_diagonal_raises(self):
+        chol = np.tril(random_spd(np.random.default_rng(12), 4))
+        chol[2, 2] = 0.0
+        with np.errstate(divide="ignore"):  # log|A| is -inf
+            prior = GaussianPrior(cov=chol @ chol.T, chol=chol)
+        with pytest.raises(np.linalg.LinAlgError):
+            prior.whiten(np.ones(4))
+
+    def test_whiten_leaves_a_read_only_vector_untouched(self):
+        prior = factorize(random_spd(np.random.default_rng(13), 6))
+        f = np.random.default_rng(14).standard_normal(6)
+        kept = f.copy()
+        f.flags.writeable = False
+        prior.whiten(f)
+        np.testing.assert_array_equal(f, kept)
 
     def test_whiten_wrong_length_rejected(self):
         prior = factorize(np.eye(3))

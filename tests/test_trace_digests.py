@@ -12,12 +12,15 @@ The ``elliptical-aux`` entries pin the augmented-model reference form
 (``reference_operators.elliptical_slice_aux_step``), which the package does
 not ship; every other entry builds its step function with ``make_operator``.
 Priors stay small (n <= 40) so the digests depend little on the BLAS build,
-except two paths the benchmark runs: ``cox-mining``, the packaged
+except three paths the benchmark runs: ``cox-mining``, the packaged
 coal-mining data (n=811) with its low-rank root, pinned for the two
-operators that score proposals on a plane; and ``regression-n200``, the
+operators that score proposals on a plane; ``regression-n200``, the
 n=200, d=1 regression data with its low-rank root, pinned for the three
-packaged operators. Each model's prior root is
-pinned too (:data:`ROOTS`), so a change in which root ``factorize`` picks
+packaged operators; and ``regression-n200-d10``, the n=200, d=10 regression
+data with its dense root, whose block sweeps over
+``contiguous_partitions(200, 4)`` are pinned for the three packaged
+operators, as the block-sweep benchmark runs them. Each model's prior root
+is pinned too (:data:`ROOTS`), so a change in which root ``factorize`` picks
 fails by name before any digest does.
 """
 
@@ -82,8 +85,15 @@ def _regression_n200():
     return build_prior(ds), ds.data
 
 
+@functools.cache
+def _regression_n200_d10():
+    ds = build_dataset({"kind": "regression", "n": 200, "dims": 10}, KernelConfig(), chain_rng(5, 5))
+    return build_prior(ds), ds.data
+
+
 MODELS = {"regression": _regression, "classification": _classification, "cox": _cox,
-          "cox-mining": _cox_mining, "regression-n200": _regression_n200}
+          "cox-mining": _cox_mining, "regression-n200": _regression_n200,
+          "regression-n200-d10": _regression_n200_d10}
 
 # (backend, numerical rank, jitter) of each model's prior; cox needs jitter
 # but its rank 18 of 20 fails the 2r < n rule, so it keeps the dense root
@@ -93,6 +103,7 @@ ROOTS = {
     "cox": ("dense", 18, 1e-10),
     "cox-mining": ("low-rank", 15, 1e-10),
     "regression-n200": ("low-rank", 9, 1e-10),
+    "regression-n200-d10": ("dense", 200, 0.0),
 }
 
 
@@ -115,8 +126,8 @@ def chain_digest(model: str, operator: str) -> str:
     return h.hexdigest()
 
 
-def block_sweep_digest(operator: str, sweeps: int = 5) -> str:
-    prior, data = _regression()
+def block_sweep_digest(model: str, operator: str, sweeps: int = 5) -> str:
+    prior, data = MODELS[model]()
     step_fn = OPERATORS[operator]
     parts = contiguous_partitions(data.n, 4)
     rng = chain_rng(13, 4)
@@ -133,19 +144,23 @@ def block_sweep_digest(operator: str, sweeps: int = 5) -> str:
     return h.hexdigest()
 
 
-# the operators pinned on each benchmark-size model; the small models pin all four
+PACKAGED = ("elliptical", "neal-mh", "line-slice")
+# the operators whose chains each benchmark-size model pins (the small
+# models pin all four), and those whose block sweeps each model pins
 LARGE_MODEL_OPERATORS = {
     "cox-mining": ("elliptical", "line-slice"),
-    "regression-n200": ("elliptical", "neal-mh", "line-slice"),
+    "regression-n200": PACKAGED,
+    "regression-n200-d10": (),
 }
+BLOCK_MODEL_OPERATORS = {"regression": tuple(OPERATORS), "regression-n200-d10": PACKAGED}
 CASES = [("chain", m, op) for m in MODELS for op in LARGE_MODEL_OPERATORS.get(m, OPERATORS)] + [
-    ("block", "regression", op) for op in OPERATORS
+    ("block", m, op) for m, ops in BLOCK_MODEL_OPERATORS.items() for op in ops
 ]
 
 
 def digest(case) -> str:
     what, model, operator = case
-    return chain_digest(model, operator) if what == "chain" else block_sweep_digest(operator)
+    return (chain_digest if what == "chain" else block_sweep_digest)(model, operator)
 
 
 EXPECTED = {
@@ -191,6 +206,12 @@ EXPECTED = {
         '71e50421396a369700a4e63b89c6ffe079d00d971a12abb91a752ef0d50d5248',
     ('block', 'regression', 'line-slice'):
         'fb1652e52b0611fd58b2f5befb82d014f61476a75abe340b2892e8252550144b',
+    ('block', 'regression-n200-d10', 'elliptical'):
+        '17a67cc879b36a006b3c3ecc43168680c7aa12418fa1ecb81d8ee5b34ba00c62',
+    ('block', 'regression-n200-d10', 'neal-mh'):
+        'eb88059e5686b4c22ce023b61d6c45a315ce2a43cea4c9e18580bcf8327970bd',
+    ('block', 'regression-n200-d10', 'line-slice'):
+        'cfa463f388c08685ffcb15f6230a99fda7a3f0e8f7b25053056efb96b951ace7',
 }
 
 
