@@ -43,7 +43,6 @@ from .errors import EllsliceError, InvalidConfig
 from .gaussian import GaussianPrior, factorize
 from .kernels import KernelConfig, squared_exponential
 from .models import (
-    CLASSIFICATION_KERNEL,
     ClassificationData,
     RegressionData,
     bin_events,
@@ -199,15 +198,14 @@ def _read_keys(table: _Keys, spec: Mapping[str, Any]) -> dict[str, Any]:
 
 # Each model kind's keys besides "kind", as (default, checked converter): the
 # one place a model spec is read. A default of None stands for the config's
-# kernel (regression) or the coal-mining record (cox).
-_SIZES = {"n": (200, _COUNT), "dims": (1, _COUNT)}  # of a synthetic dataset
+# kernel (the synthetic kinds) or the coal-mining record (cox).
+_SYNTHETIC_KEYS = {"n": (200, _COUNT), "dims": (1, _COUNT), "kernel": (None, _kernel)}
 _MODEL_KEYS: dict[str, _Keys] = {
     "regression": {
-        **_SIZES, "noise_std": (0.3, lambda x: checked_noise_std(_real(x))),
-        "kernel": (None, _kernel),
+        **_SYNTHETIC_KEYS, "noise_std": (0.3, lambda x: checked_noise_std(_real(x))),
     },
     "classification": {
-        **_SIZES, "link": ("logistic", checked_link), "kernel": (CLASSIFICATION_KERNEL, _kernel)
+        **_SYNTHETIC_KEYS, "link": ("logistic", checked_link),
     },
     "cox": {
         "events_file": (None, _PATH),
@@ -485,17 +483,6 @@ def build_prior(dataset: Dataset) -> GaussianPrior:
     return factorize(squared_exponential(dataset.inputs, dataset.kernel))
 
 
-def _chain_prior(dataset: Dataset) -> GaussianPrior:
-    """:func:`build_prior` of a dataset that chains can sample: ``generate``
-    writes noise-free regression data, but its likelihood is undefined."""
-    if isinstance(dataset.data, RegressionData) and dataset.data.noise_variance == 0.0:
-        raise InvalidConfig(
-            "bad value for 'noise_std': chains need a positive noise variance "
-            "(a noise_std that squares to 0 is only for generate)"
-        )
-    return build_prior(dataset)
-
-
 _TRACE_HEADER = "iteration,log_likelihood,cumulative_likelihood_evals,accepted"
 
 
@@ -616,7 +603,7 @@ def cli_run(
     dataset = load_dataset(dataset_dir)
     out = Path(out_dir)
     ((reports, failures),) = _run_plan(
-        cfg, [_Group(dataset, _chain_prior(dataset), step_fn, (_STREAM_RUN,), (out,))])
+        cfg, [_Group(dataset, build_prior(dataset), step_fn, (_STREAM_RUN,), (out,))])
     if failures:
         raise EllsliceError(failures[0]["error"])
     _write_json(out / "manifest.json", cfg, {"config": cfg.as_dict(), "dataset": str(dataset_dir)})
@@ -638,7 +625,7 @@ def cli_tune_mh(
     if not grid:
         raise InvalidConfig("tune-mh requires a non-empty 'tune_grid'")
     dataset = load_dataset(dataset_dir)
-    prior = _chain_prior(dataset)
+    prior = build_prior(dataset)
     plan = [_Group(dataset, prior, _step_fn({"kind": "neal-mh", "epsilon": eps}),
                    (_STREAM_TUNE, gi), (None,) * cfg.repeats) for gi, eps in enumerate(grid)]
     results = [{"epsilon": eps, "ess_mean": _group_stat(reports, "ess"),
@@ -686,7 +673,7 @@ def cli_benchmark(cfg: ExperimentConfig, out_dir: str | Path) -> dict[str, Any]:
     datasets = []
     for mi, model_cfg in enumerate(cfg.models):
         ds = build_dataset(model_cfg, cfg.kernel, chain_rng(cfg.seed, _STREAM_DATASET, mi))
-        datasets.append((ds, _chain_prior(ds)))
+        datasets.append((ds, build_prior(ds)))
     out = Path(out_dir)
     plan, cells = [], []
     for si, sampler_cfg in enumerate(cfg.samplers):

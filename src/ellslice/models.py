@@ -55,33 +55,21 @@ class ConstantLikelihood:
 
 
 class RegressionData:
-    """Gaussian observations y_i ~ N(f_i, noise_variance).
-
-    Zero noise variance is allowed only as a container for noise-free
-    generated data; evaluating the likelihood requires it positive.
-    """
+    """Gaussian observations y_i ~ N(f_i, noise_variance), with a noise
+    variance that is positive and finite; noise-free values are the latents."""
 
     def __init__(self, y: np.ndarray, noise_variance: float):
         self.y = np.asarray(y, dtype=float)
         if self.y.ndim != 1:
             raise ValueError("y must be a vector")
-        if not (math.isfinite(noise_variance) and noise_variance >= 0):
+        if not 0.0 < noise_variance < math.inf:
             raise ValueError(f"invalid noise_variance {noise_variance!r}")
         self.noise_variance = float(noise_variance)
         self.n = len(self.y)
-        # -n/2 log(2 pi v); undefined at v = 0, where log_lik raises
-        self._log_norm = (
-            -0.5 * self.n * (LOG_2PI + math.log(self.noise_variance))
-            if self.noise_variance > 0.0 else math.nan
-        )
+        self._log_norm = -0.5 * self.n * (LOG_2PI + math.log(self.noise_variance))
         self._yy = float(self.y.dot(self.y))
 
-    def _check_variance(self) -> None:
-        if self.noise_variance == 0.0:
-            raise ValueError("noise_variance must be positive to evaluate the likelihood")
-
     def log_lik(self, f: np.ndarray) -> float:
-        self._check_variance()
         f = _check_length(f, self.n)
         resid = self.y - f
         # Python floats: a subnormal variance overflows the quotient to inf
@@ -115,7 +103,6 @@ class RegressionData:
         Where a dot product overflows, ``score`` returns (-inf, inf), never
         NaN, so a caller re-scores with :meth:`log_lik`.
         """
-        self._check_variance()
         u, v = _check_length(u, self.n), _check_length(v, self.n)
         y, var, c = self.y, self.noise_variance, self._log_norm
         # ndarray.dot: a third of the call overhead of @ on short vectors
@@ -294,12 +281,12 @@ def _latent_draw(
 
 def checked_noise_std(noise_std: float) -> float:
     """``noise_std`` if its square, the noise variance, is one that data can
-    be drawn with, else a ValueError. The square must be finite, and a
-    positive one must not be subnormal, as no chain can start on data that
-    precise (log L = -inf at f = 0); 0 is noise-free data."""
+    be drawn with, else a ValueError. It must be positive, and its square
+    finite and not subnormal, as no chain can start on data that precise
+    (log L = -inf at f = 0); noise-free data is the latents themselves."""
     std = float(noise_std)  # a NumPy scalar product would warn as it overflows
-    if not (std == 0.0 or (0.0 < std and sys.float_info.min <= std * std < math.inf)):
-        raise ValueError(f"noise_std must be 0, or > 0 with a finite square of at least "
+    if not (0.0 < std and sys.float_info.min <= std * std < math.inf):
+        raise ValueError(f"noise_std must be > 0 with a finite square of at least "
                          f"{sys.float_info.min:.4g}, got {noise_std!r}")
     return noise_std
 
@@ -321,12 +308,6 @@ def generate_regression_dataset(
     inputs, f_true = _latent_draw(n, dims, kernel, rng)
     y = f_true + noise_std * rng.standard_normal(n)
     return inputs, RegressionData(y, noise_std**2), f_true
-
-
-# wide default for the binary task: log signal std 3.5, log lengthscale 2.5
-CLASSIFICATION_KERNEL = KernelConfig(
-    lengthscale=math.exp(2.5), signal_variance=math.exp(2 * 3.5)
-)
 
 
 def generate_classification_dataset(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import pickle
 import shlex
 from pathlib import Path
@@ -258,6 +259,7 @@ class TestBuildDataset:
         ("dims", {"kind": "regression", "n": 5, "dims": 0}),
         ("noise_std", {"kind": "regression", "n": 5, "noise_std": -1}),
         ("noise_std", {"kind": "regression", "n": 5, "noise_std": float("nan")}),
+        ("noise_std", {"kind": "regression", "n": 5, "noise_std": 0}),
         ("n", {"kind": "classification", "n": -3}),
         ("bin_width", {"kind": "cox", "bin_width": -5}),
         ("bin_width", {"kind": "cox", "bin_width": float("inf")}),
@@ -615,7 +617,13 @@ class TestBenchmark:
     def test_summaries_report_prior_jitter(self, tmp_path):
         """Each summary names the prior's root, its rank and its jitter; the
         two models of the matrix cover both roots."""
-        cfg = self.matrix_cfg(repeats=1)
+        # a wide kernel (log lengthscale 2.5, log signal std 3.5) needs
+        # jitter at n=12, so the classification prior keeps the low-rank root
+        wide = {"lengthscale": math.exp(2.5), "signal_variance": math.exp(7.0)}
+        cfg = self.matrix_cfg(repeats=1, models=[
+            {"kind": "regression", "n": 12, "dims": 1},
+            {"kind": "classification", "n": 12, "dims": 1, "kernel": wide},
+        ])
         summary = cli_benchmark(cfg, tmp_path)
         priors = [
             build_prior(build_dataset(
@@ -866,21 +874,25 @@ class TestCliMain:
         assert "'seed'" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run", "tune-mh", "benchmark"])
+    @pytest.mark.parametrize("command", ["generate", "run", "tune-mh", "benchmark"])
     def test_noise_free_regression_is_only_for_generate(self, tmp_path, capsys, command):
-        model = {"kind": "regression", "n": 10, "noise_std": 0}
-        cfg = self.write_cfg(tmp_path, {
-            "seed": 14, "n_keep": 20, "tune_grid": [0.5], "model": model,
-            "sampler": {"kind": "elliptical"}, "models": [model],
-            "samplers": [{"kind": "elliptical"}],
-        })
+        """Noise-free regression values are the latents.csv that generate
+        writes with every regression dataset. A noise_std of 0, in a config
+        or in the manifest of a generated dataset, exits 2 naming the key in
+        every command and writes nothing."""
+        raw = {"seed": 14, "n_keep": 20, "tune_grid": [0.5], "sampler": {"kind": "elliptical"},
+               "samplers": [{"kind": "elliptical"}]}
+        model = {"kind": "regression", "n": 10, "noise_std": 0.3}
+        cfg = self.write_cfg(tmp_path, {**raw, "model": model})
         ds = tmp_path / "ds"
         assert cli.main(["generate", "--config", cfg, "--out", str(ds)]) == 0
-        obs = np.loadtxt(ds / "observations.csv", delimiter=",")
-        np.testing.assert_array_equal(obs, np.loadtxt(ds / "latents.csv", delimiter=","))
+        assert np.loadtxt(ds / "latents.csv", delimiter=",").shape == (10,)
+        _set_model(noise_std=0)(ds)
+        zero = {**model, "noise_std": 0}
+        cfg = self.write_cfg(tmp_path, {**raw, "model": zero, "models": [zero]})
         capsys.readouterr()
         out = tmp_path / "out"
-        dataset = [] if command == "benchmark" else [str(ds)]
+        dataset = [str(ds)] if command in ("run", "tune-mh") else []
         code = cli.main([command, *dataset, "--config", cfg, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2

@@ -109,21 +109,21 @@ def output_digest(root: Path) -> str:
     return h.hexdigest()
 
 
-EXPECTED = '2b38d2f6edd9517001758141ba34de65adb69245abeb9d5173058b3b6441ce4d'
+EXPECTED = '293abb14a2450f945b4c6060284ed6d5fe41196559830b07cd282c0deae3903d'
 
 FILE_DIGESTS = {
-    'bench/benchmark_summary.csv': '6753dbf99b8ce392',
-    'bench/benchmark_summary.json': '62e7cb22a0e0cd81',
+    'bench/benchmark_summary.csv': '4f784b672c169a06',
+    'bench/benchmark_summary.json': '164e804c74f51a40',
     'bench/cell00_elliptical_regression-d2/cell_summary.json': '05e9b292d44beffd',
     'bench/cell00_elliptical_regression-d2/repeat00/summary.json': 'e0a3ed99e89cd352',
     'bench/cell00_elliptical_regression-d2/repeat00/trace.csv': 'f95d47001427f31d',
     'bench/cell00_elliptical_regression-d2/repeat01/summary.json': '7b1ff825dc8e0ab2',
     'bench/cell00_elliptical_regression-d2/repeat01/trace.csv': 'e63e681dc5f3370e',
-    'bench/cell01_elliptical_classification-d1/cell_summary.json': 'ac8b683673613213',
-    'bench/cell01_elliptical_classification-d1/repeat00/summary.json': '25dfba32caced31f',
-    'bench/cell01_elliptical_classification-d1/repeat00/trace.csv': 'd0890470cc5245b2',
-    'bench/cell01_elliptical_classification-d1/repeat01/summary.json': 'b81b9026eb110d5a',
-    'bench/cell01_elliptical_classification-d1/repeat01/trace.csv': '013221a34cc04633',
+    'bench/cell01_elliptical_classification-d1/cell_summary.json': '6ce9a899a980cd30',
+    'bench/cell01_elliptical_classification-d1/repeat00/summary.json': 'cc733d7aeb9b8b42',
+    'bench/cell01_elliptical_classification-d1/repeat00/trace.csv': '3390f18d71332191',
+    'bench/cell01_elliptical_classification-d1/repeat01/summary.json': '57c13b1c4ac20199',
+    'bench/cell01_elliptical_classification-d1/repeat01/trace.csv': 'c95fa46bc720162c',
     'bench/cell02_elliptical_cox/cell_summary.json': 'b695d301eeb5e288',
     'bench/cell02_elliptical_cox/repeat00/summary.json': 'd111fa0e81add5e8',
     'bench/cell02_elliptical_cox/repeat00/trace.csv': '215fbf34a940d7f6',
@@ -134,11 +134,11 @@ FILE_DIGESTS = {
     'bench/cell03_neal-mh-eps0.3_regression-d2/repeat00/trace.csv': '1d5ceba1f529f117',
     'bench/cell03_neal-mh-eps0.3_regression-d2/repeat01/summary.json': 'e0052d957c2e410b',
     'bench/cell03_neal-mh-eps0.3_regression-d2/repeat01/trace.csv': 'acf9c229990cf359',
-    'bench/cell04_neal-mh-eps0.3_classification-d1/cell_summary.json': '332777821025054f',
-    'bench/cell04_neal-mh-eps0.3_classification-d1/repeat00/summary.json': '9e7c2feadf7dc8b2',
-    'bench/cell04_neal-mh-eps0.3_classification-d1/repeat00/trace.csv': '8a4b6b166f3fa7d6',
-    'bench/cell04_neal-mh-eps0.3_classification-d1/repeat01/summary.json': 'bcf2522d05d6aeef',
-    'bench/cell04_neal-mh-eps0.3_classification-d1/repeat01/trace.csv': '6b38dc9f6c88585a',
+    'bench/cell04_neal-mh-eps0.3_classification-d1/cell_summary.json': 'b7bdd5681b0d52d2',
+    'bench/cell04_neal-mh-eps0.3_classification-d1/repeat00/summary.json': 'bde1cc3053877577',
+    'bench/cell04_neal-mh-eps0.3_classification-d1/repeat00/trace.csv': '3a5191de24e8afb0',
+    'bench/cell04_neal-mh-eps0.3_classification-d1/repeat01/summary.json': '36ae828000474a9b',
+    'bench/cell04_neal-mh-eps0.3_classification-d1/repeat01/trace.csv': '831c11e4c3dd76f8',
     'bench/cell05_neal-mh-eps0.3_cox/cell_summary.json': 'b30e6b701d7a3903',
     'bench/cell05_neal-mh-eps0.3_cox/repeat00/summary.json': 'b2c20d9757cb8d83',
     'bench/cell05_neal-mh-eps0.3_cox/repeat00/trace.csv': 'c31d8f2484444ac4',
@@ -149,20 +149,20 @@ FILE_DIGESTS = {
     'bench/cell06_line-slice_regression-d2/repeat00/trace.csv': '79a5dc140c3764f8',
     'bench/cell06_line-slice_regression-d2/repeat01/summary.json': 'fe5ab133d0dceb34',
     'bench/cell06_line-slice_regression-d2/repeat01/trace.csv': '155cbce183cea520',
-    'bench/cell07_line-slice_classification-d1/cell_summary.json': '5a2799740aeced79',
-    'bench/cell07_line-slice_classification-d1/repeat00/summary.json': '19d4870835b91a52',
-    'bench/cell07_line-slice_classification-d1/repeat00/trace.csv': '26125983142e227a',
-    'bench/cell07_line-slice_classification-d1/repeat01/summary.json': '4cc5682dd236c2e7',
-    'bench/cell07_line-slice_classification-d1/repeat01/trace.csv': '1cf2b560265ce6ae',
+    'bench/cell07_line-slice_classification-d1/cell_summary.json': 'a0c72abfc441dbf8',
+    'bench/cell07_line-slice_classification-d1/repeat00/summary.json': 'ef586bd6abd19d90',
+    'bench/cell07_line-slice_classification-d1/repeat00/trace.csv': '2b4f420333d7bdbb',
+    'bench/cell07_line-slice_classification-d1/repeat01/summary.json': '192c14f370803b72',
+    'bench/cell07_line-slice_classification-d1/repeat01/trace.csv': '54351d708f306084',
     'bench/cell08_line-slice_cox/cell_summary.json': 'd862007458b7aa1f',
     'bench/cell08_line-slice_cox/repeat00/summary.json': '14b3ab825c8dd61d',
     'bench/cell08_line-slice_cox/repeat00/trace.csv': 'e386bf85e4702a03',
     'bench/cell08_line-slice_cox/repeat01/summary.json': '1f385c2da0563eac',
     'bench/cell08_line-slice_cox/repeat01/trace.csv': 'cf398f8f082c970f',
     'data/classification/inputs.csv': '5d0ffd7b5b6fbdd1',
-    'data/classification/latents.csv': '30f93695a3f6e80f',
-    'data/classification/manifest.json': '41bcdb7c226d6fc2',
-    'data/classification/observations.csv': 'e5045b855b74d9a2',
+    'data/classification/latents.csv': 'acba5f0b13a6007a',
+    'data/classification/manifest.json': '1b853eace5c0b925',
+    'data/classification/observations.csv': '91371c640a414d01',
     'data/cox/events.txt': '90b1a076fcb89291',
     'data/cox/manifest.json': 'daea967c1003dbac',
     'data/cox-events/events.txt': '29ae68c6b499c39a',
