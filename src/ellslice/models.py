@@ -62,6 +62,8 @@ class RegressionData:
         self.y = np.asarray(y, dtype=float)
         if self.y.ndim != 1:
             raise ValueError("y must be a vector")
+        if not np.all(np.isfinite(self.y)):
+            raise ValueError("y must be finite")
         if not 0.0 < noise_variance < math.inf:
             raise ValueError(f"invalid noise_variance {noise_variance!r}")
         self.noise_variance = float(noise_variance)
@@ -169,6 +171,8 @@ class CoxData:
             raise ValueError("counts must be integers")
         self.counts = self.counts.astype(np.int64)
         self.offset = float(offset)
+        if not math.isfinite(self.offset):
+            raise ValueError(f"offset must be finite, got {offset!r}")
         self.n = len(self.counts)
         self._log_factorials = gammaln(self.counts + 1.0)
         # the product with log_rate converts the counts anyway; converting once saves it per call

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 import shlex
 from pathlib import Path
 
@@ -229,7 +230,43 @@ class TestConfig:
             load_config(path)
 
 
+def _readme_model_defaults() -> dict[str, dict[str, str]]:
+    """The README's list of model kinds: each kind's keys, with the words
+    stating each default, up to the first comma, semicolon or parenthesis."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("Model kinds and the keys each accepts")[1].split("\n\n")[1]
+    return {
+        re.match(r"`(\w+)`:", bullet).group(1): {
+            key: " ".join(words.split()) for key, words in re.findall(r"`(\w+)` \(([^,;)]*)", bullet)
+        }
+        for bullet in re.split(r"^\* ", section, flags=re.MULTILINE)[1:]
+    }
+
+
+# the README's words for each default of None, which stands for the config's
+# kernel or the packaged record
+_README_NONE = {"kernel": "the config's `kernel`", "events_file": "the packaged coal-mining record"}
+
+
 class TestBuildDataset:
+    @pytest.mark.parametrize("kind", sorted(harness._MODEL_KEYS))
+    def test_readme_states_each_model_default(self, kind):
+        """The README names each key of each model kind and states its
+        default: a number or a string as itself, a kernel by its lengthscale
+        and None as what it stands for."""
+        stated = _readme_model_defaults()[kind]
+        assert set(stated) == set(harness._MODEL_KEYS[kind])
+        for key, (default, _) in harness._MODEL_KEYS[kind].items():
+            first = stated[key].split()[0].strip("`")
+            if default is None:
+                assert stated[key] == _README_NONE[key]
+            elif isinstance(default, KernelConfig):
+                assert stated[key] == f"lengthscale {default.lengthscale:g} days"
+            elif isinstance(default, str):
+                assert first == default, key
+            else:
+                assert float(first) == default, key
+
     def test_regression_shapes(self):
         ds = build_dataset(
             {"kind": "regression", "n": 30, "dims": 2}, KernelConfig(), chain_rng(0)

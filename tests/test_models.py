@@ -70,6 +70,13 @@ class TestRegressionLikelihood:
         with pytest.raises(ValueError, match="vector"):
             RegressionData(y=y, noise_variance=1.0)
 
+    @pytest.mark.parametrize("y", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf]],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_observations_rejected(self, y):
+        # a NaN y made log L NaN, and an infinite one made it -inf everywhere
+        with pytest.raises(ValueError, match="y must be finite"):
+            RegressionData(y=np.array(y), noise_variance=1.0)
+
     @pytest.mark.parametrize("var", [-1.0, 0.0, math.inf, math.nan])
     def test_invalid_noise_variance_rejected(self, var):
         with pytest.raises(ValueError, match="noise_variance"):
@@ -169,6 +176,12 @@ class TestCoxLikelihood:
         # the int64 cast would turn each into a negative count
         with pytest.raises(ValueError, match="counts must be"):
             CoxData(counts=counts, offset=0.0)
+
+    @pytest.mark.parametrize("offset", [-math.inf, math.inf, math.nan])
+    def test_non_finite_offset_rejected(self, offset):
+        # an offset of -inf made log L NaN (0 * -inf) at every latent
+        with pytest.raises(ValueError, match="offset must be finite"):
+            CoxData(counts=np.array([1, 0]), offset=offset)
 
     def test_largest_int64_count_accepted(self):
         top = np.iinfo(np.int64).max

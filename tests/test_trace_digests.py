@@ -8,6 +8,13 @@ Any change in how random numbers are consumed shows up here.
 
 A change that alters the draws on purpose re-baselines the table: run
 ``PYTHONPATH=src python tests/test_trace_digests.py`` and paste its output.
+
+Every digest is computed in a fresh interpreter whose OpenBLAS runs one
+thread (:data:`BLAS_THREADS`, set through ``OPENBLAS_NUM_THREADS``), as the
+benchmark runs it, whatever thread count the test process has. A BLAS
+product may sum in another order with another thread count: on a 2-core
+host the ``regression-n200`` chains and the ``regression-n200-d10`` block
+sweeps differ between one thread and two.
 The ``elliptical-aux`` entries pin the augmented-model reference form
 (``reference_operators.elliptical_slice_aux_step``), which the package does
 not ship; every other entry builds its step function with ``make_operator``.
@@ -26,10 +33,16 @@ fails by name before any digest does.
 
 import functools
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ellslice
 from ellslice import (
     KernelConfig,
     SamplerState,
@@ -193,11 +206,11 @@ EXPECTED = {
     ('chain', 'cox-mining', 'line-slice'):
         '8ff6fdc3c17c27f2320b0b70b0ee5e2de8e5002c86a0720341a9816d286c55a3',
     ('chain', 'regression-n200', 'elliptical'):
-        '1e46510bd762a6f7e7595376801a8457aa21807dd3e8d40cc9df9c1f71727b49',
+        '1c2fee606f032c03ee283c4d5bd0f8beb549e840874b617ab40450ea7cb21bf6',
     ('chain', 'regression-n200', 'neal-mh'):
-        'd8bc40c0ff755af39a969e673b62a3dde1180ce577707f4cb12aa3de19d6070f',
+        '039d454df7d9555388f63bc9e9f0672912f5801792ab0613fc9933f887870abb',
     ('chain', 'regression-n200', 'line-slice'):
-        '2a6e89b9b6cd417b6908398dc38bb951ab08ecef4468c3a66e9089cfb62c4e3c',
+        '33223fa5a095aaa15462c891f3445eb4a8db758472db749699e3f5e5d5fb6579',
     ('block', 'regression', 'elliptical'):
         'e72e66719edeef9f2f68eeaa25f47d38889d99ccf21699e758b715a8886025c1',
     ('block', 'regression', 'elliptical-aux'):
@@ -207,21 +220,40 @@ EXPECTED = {
     ('block', 'regression', 'line-slice'):
         'fb1652e52b0611fd58b2f5befb82d014f61476a75abe340b2892e8252550144b',
     ('block', 'regression-n200-d10', 'elliptical'):
-        '17a67cc879b36a006b3c3ecc43168680c7aa12418fa1ecb81d8ee5b34ba00c62',
+        'a2e7becb31cd15f34f72c6c89378dde3bf85c4bd8fb2af2266d49ea81a36b11d',
     ('block', 'regression-n200-d10', 'neal-mh'):
-        'eb88059e5686b4c22ce023b61d6c45a315ce2a43cea4c9e18580bcf8327970bd',
+        '3428c904f61b3bbe64bc889b59097aa727bfe6874d016046ad6550865f2ca678',
     ('block', 'regression-n200-d10', 'line-slice'):
-        'cfa463f388c08685ffcb15f6230a99fda7a3f0e8f7b25053056efb96b951ace7',
+        '0ffea2afa9466fa99779d74a6796233fc7d8d8dcc2be81b5757387922b6aac1b',
 }
+
+
+BLAS_THREADS = 1
+
+
+@functools.cache
+def pinned_digests() -> dict[tuple[str, str, str], str]:
+    """Every case's digest, computed by this module run as a script with
+    ``--json`` in a fresh interpreter whose BLAS runs BLAS_THREADS threads."""
+    path = os.pathsep.join(filter(None, [str(Path(ellslice.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(BLAS_THREADS), PYTHONPATH=path)
+    worker = subprocess.run([sys.executable, __file__, "--json"], env=env,
+                            capture_output=True, text=True)
+    assert worker.returncode == 0, worker.stderr
+    return {tuple(case): value for case, value in json.loads(worker.stdout)}
 
 
 @pytest.mark.parametrize("case", CASES, ids=["-".join(c) for c in CASES])
 def test_digest_is_pinned(case):
-    assert digest(case) == EXPECTED[case]
+    assert pinned_digests()[case] == EXPECTED[case]
 
 
 if __name__ == "__main__":
-    print("EXPECTED = {")
-    for case in CASES:
-        print(f"    {case!r}:\n        {digest(case)!r},")
-    print("}")
+    if sys.argv[1:] == ["--json"]:  # the worker of pinned_digests
+        print(json.dumps([[case, digest(case)] for case in CASES]))
+    else:
+        print("EXPECTED = {")
+        for case, value in pinned_digests().items():
+            print(f"    {case!r}:\n        {value!r},")
+        print("}")
