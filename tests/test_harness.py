@@ -296,7 +296,6 @@ class TestBuildDataset:
         ("dims", {"kind": "regression", "n": 5, "dims": 0}),
         ("noise_std", {"kind": "regression", "n": 5, "noise_std": -1}),
         ("noise_std", {"kind": "regression", "n": 5, "noise_std": float("nan")}),
-        ("noise_std", {"kind": "regression", "n": 5, "noise_std": 0}),
         ("n", {"kind": "classification", "n": -3}),
         ("bin_width", {"kind": "cox", "bin_width": -5}),
         ("bin_width", {"kind": "cox", "bin_width": float("inf")}),
@@ -312,6 +311,7 @@ class TestBuildDataset:
         ("n", {"kind": "regression", "n": "50"}),
         ("noise_std", {"kind": "regression", "n": 5, "noise_std": "0.3"}),
         ("bin_width", {"kind": "cox", "bin_width": "25"}),
+        ("noise_std", {"kind": "regression", "n": 5, "noise_std": 0}),
     ])
     def test_out_of_range_value_names_its_key(self, key, spec):
         with pytest.raises(InvalidConfig, match=f"'{key}'"):

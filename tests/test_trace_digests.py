@@ -8,13 +8,6 @@ Any change in how random numbers are consumed shows up here.
 
 A change that alters the draws on purpose re-baselines the table: run
 ``PYTHONPATH=src python tests/test_trace_digests.py`` and paste its output.
-
-Every digest is computed in a fresh interpreter whose OpenBLAS runs one
-thread (:data:`BLAS_THREADS`, set through ``OPENBLAS_NUM_THREADS``), as the
-benchmark runs it, whatever thread count the test process has. A BLAS
-product may sum in another order with another thread count: on a 2-core
-host the ``regression-n200`` chains and the ``regression-n200-d10`` block
-sweeps differ between one thread and two.
 The ``elliptical-aux`` entries pin the augmented-model reference form
 (``reference_operators.elliptical_slice_aux_step``), which the package does
 not ship; every other entry builds its step function with ``make_operator``.
@@ -29,6 +22,13 @@ data with its dense root, whose block sweeps over
 operators, as the block-sweep benchmark runs them. Each model's prior root
 is pinned too (:data:`ROOTS`), so a change in which root ``factorize`` picks
 fails by name before any digest does.
+
+Every digest is computed in a fresh interpreter whose OpenBLAS runs one
+thread (:data:`BLAS_THREADS`, set through ``OPENBLAS_NUM_THREADS``), as the
+benchmark runs it, whatever thread count the test process has. A BLAS
+product may sum in another order with another thread count: on a 2-core
+host the ``regression-n200`` chains and the ``regression-n200-d10`` block
+sweeps differ between one thread and two.
 """
 
 import functools
