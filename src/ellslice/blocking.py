@@ -6,6 +6,10 @@ m = Cov_AB Cov_BB^-1 f_B and Schur-complement covariance
 S = Cov_AA - Cov_AB Cov_BB^-1 Cov_BA. A change of variables g = f_A - m
 turns the conditional posterior back into the zero-mean form every operator
 expects, so block updates compose with all of them.
+
+:func:`conditional_gaussian` is the one place a block conditional is
+computed: per partition, the gain G = Cov_AB Cov_BB^-1 and the block prior
+N(0, S), cached on the prior. :func:`block_update` takes m = G f_B from it.
 """
 
 from __future__ import annotations
@@ -70,78 +74,44 @@ def contiguous_partitions(n: int, n_blocks: int) -> list[BlockPartition]:
     ]
 
 
-@dataclass(frozen=True)
-class ConditionalGaussian:
-    """Conditional prior N(mean, cov) over the subset block."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-
-def _gain_and_schur(cov: np.ndarray, part: BlockPartition) -> tuple[np.ndarray, np.ndarray]:
-    """G = Cov_AB Cov_BB^-1 (|A| x |B|, so |A| x 0 for an empty complement)
-    and the symmetrized Schur complement S = Cov_AA - G Cov_BA, so the
-    subset's conditional is N(G f_B, S). Solves Cov_BB X = Cov_BA for
-    G = X^T: the one place G and S are computed."""
-    a, b = part.subset, part.complement
-    cov_aa = cov[np.ix_(a, a)]
-    if b.size == 0:
-        return np.zeros((a.size, 0)), cov_aa
-    cov_ab = cov[np.ix_(a, b)]
-    chol_bb = jittered_cholesky(cov[np.ix_(b, b)])[0]
-    x = scipy.linalg.cho_solve((chol_bb, True), cov_ab.T)
-    schur = cov_aa - cov_ab @ x
-    return x.T, 0.5 * (schur + schur.T)
-
-
-def _conditional_mean(gain: np.ndarray, f_b: np.ndarray) -> np.ndarray:
-    """m = G f_B: one matrix-vector product."""
-    m = gain.dot(f_b)
-    if not np.isfinite(m).all():
-        raise ValueError("complement values give a non-finite conditional mean")
-    return m
-
-
 def conditional_gaussian(
-    cov: np.ndarray, part: BlockPartition, f_complement: np.ndarray
-) -> ConditionalGaussian:
-    """Conditional of N(0, cov) on the subset given complement values.
-
-    Forms the gain Cov_AB Cov_BB^-1 through a Cholesky factorization of the
-    complement block; never forms an explicit inverse. An empty complement
-    returns the marginal prior over the subset. This is the dense oracle: it
-    factorizes on every call, where :func:`block_update` reuses the same
-    gain and Schur complement per partition.
-    """
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (part.n, part.n):
-        raise DimensionMismatch(f"covariance shape {cov.shape} != ({part.n}, {part.n})")
-    f_b = np.asarray(f_complement, dtype=float)
-    if f_b.shape != (part.complement.size,):
-        raise DimensionMismatch(
-            f"complement values have shape {f_b.shape}, expected ({part.complement.size},)"
-        )
-    gain, schur = _gain_and_schur(cov, part)
-    return ConditionalGaussian(mean=_conditional_mean(gain, f_b), cov=schur)
-
-
-def _block_conditional(
     prior: GaussianPrior, part: BlockPartition
 ) -> tuple[np.ndarray, GaussianPrior]:
-    """The partition's gain G and block prior N(0, S), computed on first use
-    and kept in ``prior.conditionals``.
+    """The subset's gain G = Cov_AB Cov_BB^-1 (|A| x |B|) and block prior
+    N(0, S), S = Cov_AA - G Cov_BA symmetrized: its conditional given f_B
+    is N(G f_B, S), and an empty complement gives the marginal.
 
-    A conditional that does not factorize is remembered too: every later
-    call raises a fresh NotPositiveDefinite with the same message.
+    G is X^T for Cov_BB X = Cov_BA, solved through a Cholesky factor; no
+    inverse is formed. The pair, or the message of a failure to factorize,
+    is computed on first use and kept in ``prior.conditionals``, so every
+    later call on a failing partition raises a fresh NotPositiveDefinite
+    with the same message.
+
+    Raises
+    ------
+    DimensionMismatch
+        If ``part`` does not have the prior's size.
+    NotPositiveDefinite
+        If the complement block or S cannot be factorized.
     """
+    if part.n != prior.n:
+        raise DimensionMismatch(f"partition of {part.n} latents, prior of {prior.n}")
     # two fields, so the subset's end is part of the key: concatenated bytes
     # of different splits (say [0] | [1..7] and [0, 1] | [2..7]) coincide
     key = (part.subset.tobytes(), part.complement.tobytes())
     entry = prior.conditionals.get(key)
     if entry is None:
+        a, b = part.subset, part.complement
+        cov = prior.cov
         try:
-            gain, schur = _gain_and_schur(prior.cov, part)
-            entry = (gain, factorize(schur))
+            if b.size == 0:
+                entry = (np.zeros((a.size, 0)), factorize(cov[np.ix_(a, a)]))
+            else:
+                cov_ab = cov[np.ix_(a, b)]
+                chol_bb = jittered_cholesky(cov[np.ix_(b, b)])[0]
+                x = scipy.linalg.cho_solve((chol_bb, True), cov_ab.T)
+                schur = cov[np.ix_(a, a)] - cov_ab @ x
+                entry = (x.T, factorize(0.5 * (schur + schur.T)))
         except NotPositiveDefinite as exc:
             entry = str(exc)
         prior.conditionals[key] = entry
@@ -184,13 +154,14 @@ def block_update(
     which can differ from f_A in its last bits.
 
     The gain G = Cov_AB Cov_BB^-1 and the factor of S do not depend on f_B,
-    so they are computed once per partition and cached on ``prior`` (which
-    owns the covariance, so the cache never goes stale). After the first
-    call on a partition an update costs one product m = G f_B plus the inner
-    step, instead of two Cholesky factorizations. A partition whose conditional
-    does not factorize raises NotPositiveDefinite on every call. Entries are
-    kept for the prior's lifetime, one per distinct partition, so callers
-    should reuse partitions rather than draw new index sets every sweep.
+    so :func:`conditional_gaussian` computes them once per partition and
+    caches them on ``prior`` (which owns the covariance, so the cache never
+    goes stale). After the first call on a partition an update costs one
+    product m = G f_B plus the inner step, instead of two Cholesky
+    factorizations. A partition whose conditional does not factorize raises
+    NotPositiveDefinite on every call. Entries are kept for the prior's
+    lifetime, one per distinct partition, so callers should reuse partitions
+    rather than draw new index sets every sweep.
 
     Raises
     ------
@@ -198,15 +169,17 @@ def block_update(
         If ``part`` or ``state.f`` does not have the prior's size.
     NotPositiveDefinite
         If the partition's conditional cannot be factorized.
+    ValueError
+        If the complement values give a non-finite conditional mean.
     """
-    if part.n != prior.n:
-        raise DimensionMismatch(f"partition of {part.n} latents, prior of {prior.n}")
     if np.shape(state.f) != (part.n,):
         raise DimensionMismatch(
             f"state has shape {np.shape(state.f)}, expected ({part.n},)"
         )
-    gain, block_prior = _block_conditional(prior, part)
-    mean = _conditional_mean(gain, state.f[part.complement])
+    gain, block_prior = conditional_gaussian(prior, part)
+    mean = gain.dot(state.f[part.complement])
+    if not np.isfinite(mean).all():
+        raise ValueError("complement values give a non-finite conditional mean")
     block_model = _BlockLikelihood(model, part, mean, state.f.copy())
 
     inner = SamplerState(state.f[part.subset] - mean, state.log_lik,

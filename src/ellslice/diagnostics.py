@@ -30,6 +30,7 @@ class ChainTrace:
     (:class:`~ellslice.samplers.SamplerState`): the prior column counts the
     line-slice operator's O(1) prior terms, one per proposal and one per
     step, and stays 0 for the elliptical and Metropolis-Hastings operators.
+    Neither column is negative or ever falls.
     ``snapshots`` holds the latent vector every ``thin`` kept iterations
     (None when thinning was disabled).
     """
@@ -45,8 +46,9 @@ class ChainTrace:
         n = len(self.log_lik)
         if not (len(self.lik_evals_cum) == len(self.prior_evals_cum) == len(self.accepted) == n):
             raise ValueError("trace columns have inconsistent lengths")
-        if np.any(np.diff(self.lik_evals_cum) < 0):
-            raise ValueError("cumulative evaluation counts must be non-decreasing")
+        for name in ("lik_evals_cum", "prior_evals_cum"):
+            if np.any(np.diff(getattr(self, name), prepend=0) < 0):
+                raise ValueError(f"{name} must be >= 0 and non-decreasing")
 
     @property
     def n_kept(self) -> int:

@@ -46,7 +46,9 @@ def squared_exponential(inputs: np.ndarray, cfg: KernelConfig) -> np.ndarray:
         raise ValueError(f"inputs must be an n x D matrix, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("inputs contain non-finite entries")
-    # elementwise (x_i - x_j)**2 summed over dims is bitwise symmetric
-    diff = x[:, None, :] - x[None, :, :]
-    sq_dist = np.sum(diff * diff, axis=-1)
-    return cfg.signal_variance * np.exp(-0.5 * sq_dist / cfg.lengthscale**2)
+    # elementwise (x_i - x_j)**2 summed over dims is bitwise symmetric; a
+    # scaled distance that overflows to inf is an entry of exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        diff = x[:, None, :] - x[None, :, :]
+        sq_dist = np.sum(diff * diff, axis=-1)
+        return cfg.signal_variance * np.exp(-0.5 * sq_dist / cfg.lengthscale**2)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from datetime import date
 from typing import Callable
 
@@ -40,18 +39,6 @@ def _check_length(f: np.ndarray, n: int) -> np.ndarray:
     if f.shape != (n,):
         raise DimensionMismatch(f"latent vector has shape {f.shape}, expected ({n},)")
     return f
-
-
-@dataclass(frozen=True)
-class ConstantLikelihood:
-    """log L == value everywhere; the posterior is the prior."""
-
-    n: int
-    value: float = 0.0
-
-    def log_lik(self, f: np.ndarray) -> float:
-        _check_length(f, self.n)
-        return self.value
 
 
 class RegressionData:
@@ -325,7 +312,8 @@ def generate_classification_dataset(
     checked_link(link)
     inputs, f_true = _latent_draw(n, dims, kernel, rng)
     if link == "logistic":
-        p_plus = 1.0 / (1.0 + np.exp(-f_true))
+        with np.errstate(over="ignore"):  # exp(-f) = inf below -709 gives p_plus 0
+            p_plus = 1.0 / (1.0 + np.exp(-f_true))
     else:
         p_plus = np.exp(log_ndtr(f_true))
     labels = np.where(rng.uniform(size=n) < p_plus, 1.0, -1.0)

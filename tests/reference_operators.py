@@ -6,17 +6,20 @@ f = nu0*sin(theta) + nu1*cos(theta). :func:`elliptical_slice_aux_step` runs
 that two-stage form literally. It is equivalent in distribution to
 :func:`ellslice.samplers.elliptical_slice_step`, which acceptance 5 checks,
 and its pinned trace digests live with the others in
-``test_trace_digests.py``. Neither it nor :func:`rotate` is part of the
+``test_trace_digests.py``. :class:`ConstantLikelihood` is the likelihood
+under which the posterior is the prior. None of them is part of the
 package.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from ellslice import DimensionMismatch, GaussianPrior, SamplerState, StepResult
+from ellslice.models import _check_length
 from ellslice.samplers import (
     TWO_PI,
     LikelihoodModel,
@@ -26,6 +29,18 @@ from ellslice.samplers import (
     _start,
     _uniform,
 )
+
+
+@dataclass(frozen=True)
+class ConstantLikelihood:
+    """log L == value everywhere; the posterior is the prior."""
+
+    n: int
+    value: float = 0.0
+
+    def log_lik(self, f: np.ndarray) -> float:
+        _check_length(f, self.n)
+        return self.value
 
 
 def rotate(

@@ -9,7 +9,6 @@ import scipy.linalg
 
 from ellslice import (
     BlockPartition,
-    ConstantLikelihood,
     DimensionMismatch,
     NotPositiveDefinite,
     RegressionData,
@@ -27,11 +26,21 @@ from ellslice import (
     KernelConfig,
 )
 from ellslice import blocking, harness
+from reference_operators import ConstantLikelihood
 
 
 def random_spd(rng, n):
     a = rng.standard_normal((n, n))
     return a @ a.T + n * np.eye(n)
+
+
+def dense_conditional(cov, part, f):
+    """Mean and covariance of f_A given f_B under N(0, cov), formed with
+    ``np.linalg.solve``, independently of ``blocking``."""
+    a, b = part.subset, part.complement
+    cov_ab, cov_bb = cov[np.ix_(a, b)], cov[np.ix_(b, b)]
+    return (cov_ab @ np.linalg.solve(cov_bb, f[b]),
+            cov[np.ix_(a, a)] - cov_ab @ np.linalg.solve(cov_bb, cov_ab.T))
 
 
 class TestPartitions:
@@ -80,27 +89,28 @@ class TestPartitions:
 
 
 class TestConditionalGaussian:
+    """The pair (gain G, block prior N(0, S)) that block_update uses: the
+    subset's conditional given f_B is N(G f_B, S)."""
+
     def test_independent_blocks(self):
-        cov = np.diag([1.0, 2.0, 3.0])
-        part = make_partition(3, [0])
-        cond = conditional_gaussian(cov, part, np.array([5.0, -5.0]))
-        np.testing.assert_allclose(cond.mean, [0.0])
-        np.testing.assert_allclose(cond.cov, [[1.0]])
+        prior = factorize(np.diag([1.0, 2.0, 3.0]))
+        gain, block_prior = conditional_gaussian(prior, make_partition(3, [0]))
+        np.testing.assert_allclose(gain.dot([5.0, -5.0]), [0.0])
+        np.testing.assert_allclose(block_prior.cov, [[1.0]])
 
     def test_full_subset_recovers_prior(self):
         rng = chain_rng(1)
         cov = random_spd(rng, 4)
-        part = make_partition(4, [0, 1, 2, 3])
-        cond = conditional_gaussian(cov, part, np.array([]))
-        np.testing.assert_allclose(cond.mean, np.zeros(4))
-        np.testing.assert_allclose(cond.cov, cov)
+        gain, block_prior = conditional_gaussian(factorize(cov), make_partition(4, [0, 1, 2, 3]))
+        assert gain.shape == (4, 0)
+        np.testing.assert_allclose(gain.dot(np.array([])), np.zeros(4))
+        np.testing.assert_allclose(block_prior.cov, cov)
 
     def test_two_by_two_hand_case(self):
-        cov = np.array([[1.0, 0.5], [0.5, 1.0]])
-        part = make_partition(2, [0])
-        cond = conditional_gaussian(cov, part, np.array([2.0]))
-        assert math.isclose(cond.mean[0], 1.0)
-        assert math.isclose(cond.cov[0, 0], 0.75)
+        prior = factorize(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        gain, block_prior = conditional_gaussian(prior, make_partition(2, [0]))
+        assert math.isclose(gain.dot([2.0])[0], 1.0)
+        assert math.isclose(block_prior.cov[0, 0], 0.75)
 
     def test_matches_dense_inverse_oracle(self):
         """Schur-complement solves agree with explicit matrix inversion on
@@ -111,26 +121,23 @@ class TestConditionalGaussian:
             size = int(rng.integers(1, 6))
             part = make_partition(6, rng.choice(6, size=size, replace=False))
             f_b = rng.standard_normal(len(part.complement))
-            cond = conditional_gaussian(cov, part, f_b)
+            gain, block_prior = conditional_gaussian(factorize(cov), part)
             A = np.ix_(part.subset, part.subset)
             AB = np.ix_(part.subset, part.complement)
             B = np.ix_(part.complement, part.complement)
             inv_bb = np.linalg.inv(cov[B])
             mean = cov[AB] @ inv_bb @ f_b
             schur = cov[A] - cov[AB] @ inv_bb @ cov[AB].T
-            assert np.max(np.abs(cond.mean - mean)) < 1e-8
-            assert np.max(np.abs(cond.cov - schur)) < 1e-8
+            assert np.max(np.abs(gain.dot(f_b) - mean)) < 1e-8
+            assert np.max(np.abs(block_prior.cov - schur)) < 1e-8
 
     def test_wrong_complement_length_rejected(self):
-        part = make_partition(3, [0])
-        with pytest.raises(DimensionMismatch):
-            conditional_gaussian(np.eye(3), part, np.zeros(3))
-
-    @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (9,)])
-    def test_covariance_of_wrong_shape_rejected(self, shape):
-        part = make_partition(3, [0])
-        with pytest.raises(DimensionMismatch, match="covariance shape"):
-            conditional_gaussian(np.ones(shape), part, np.zeros(2))
+        """A partition of 3 latents has a complement one short for a prior of
+        4; it is rejected before anything is cached."""
+        prior = factorize(np.eye(4))
+        with pytest.raises(DimensionMismatch, match="partition of 3 latents, prior of 4"):
+            conditional_gaussian(prior, make_partition(3, [0]))
+        assert prior.conditionals == {}
 
 
 class TestBlockUpdate:
@@ -157,7 +164,7 @@ class TestBlockUpdate:
         model = ConstantLikelihood(4)
         part = make_partition(4, [0, 2])
         f0 = prior.sample(rng)
-        cond = conditional_gaussian(cov, part, f0[part.complement])
+        cond_mean, cond_cov = dense_conditional(cov, part, f0)
 
         state = SamplerState(f=f0.copy())
         samples = np.empty((10_000, 2))
@@ -168,10 +175,10 @@ class TestBlockUpdate:
 
         for j in range(2):
             ess = effective_sample_size(samples[:, j]).ess
-            se = math.sqrt(cond.cov[j, j] / ess)
-            assert abs(samples[:, j].mean() - cond.mean[j]) < 3 * se
+            se = math.sqrt(cond_cov[j, j] / ess)
+            assert abs(samples[:, j].mean() - cond_mean[j]) < 3 * se
         emp = np.cov(samples.T)
-        assert np.linalg.norm(emp - cond.cov) / np.linalg.norm(cond.cov) < 0.10
+        assert np.linalg.norm(emp - cond_cov) / np.linalg.norm(cond_cov) < 0.10
 
     def test_full_subset_matches_full_space_operator(self):
         """Updating every index through the block path is statistically the
@@ -276,15 +283,13 @@ class TestBlockUpdateChecks:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_complement_rejected(self, bad):
         """A non-finite complement value fails through the conditional mean,
-        both with the cached gain and in the dense oracle."""
-        part = make_partition(8, [0, 1])
-        self.update(self.state, part)  # the factors are cached from here on
+        both on a partition's first update and with the cached gain."""
         f = self.state.f.copy()
         f[5] = bad
-        with pytest.raises(ValueError):
-            self.update(SamplerState(f=f), part)
-        with pytest.raises(ValueError):
-            conditional_gaussian(self.prior.cov, part, f[part.complement])
+        for part in (make_partition(8, [0, 1]), make_partition(8, [0, 1])):
+            with pytest.raises(ValueError, match="non-finite conditional mean"):
+                self.update(SamplerState(f=f), part)
+            assert len(self.prior.conditionals) == 1
 
     def test_complement_order_is_part_of_the_partition(self):
         """Partitions with one subset but differently ordered complements
@@ -294,8 +299,8 @@ class TestBlockUpdateChecks:
             seen = []
             block_update(self.state, self.prior, self.data, part,
                          recording(make_operator("elliptical"), seen), self.rng)
-            cond = conditional_gaussian(self.prior.cov, part, self.state.f[part.complement])
-            np.testing.assert_allclose(seen[0][0], self.state.f[part.subset] - cond.mean,
+            mean, _ = dense_conditional(self.prior.cov, part, self.state.f)
+            np.testing.assert_allclose(seen[0][0], self.state.f[part.subset] - mean,
                                        rtol=0, atol=1e-12)
 
     def test_partitions_that_share_index_bytes_get_their_own_conditional(self):
@@ -309,10 +314,10 @@ class TestBlockUpdateChecks:
             res = block_update(self.state, self.prior, self.data, part,
                                recording(make_operator("elliptical"), seen), self.rng)
             (inner_f, block_prior), = seen
-            cond = conditional_gaussian(self.prior.cov, part, self.state.f[part.complement])
-            np.testing.assert_allclose(inner_f, self.state.f[part.subset] - cond.mean,
+            mean, schur = dense_conditional(self.prior.cov, part, self.state.f)
+            np.testing.assert_allclose(inner_f, self.state.f[part.subset] - mean,
                                        rtol=0, atol=1e-12)
-            np.testing.assert_allclose(block_prior.cov, cond.cov, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(block_prior.cov, schur, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(res.new_state.f[part.complement],
                                           self.state.f[part.complement])
         # contiguous_partitions(8, 4)[0] is make_partition(8, [0, 1]) again
@@ -340,6 +345,38 @@ class TestBlockUpdateChecks:
         block_update(state, prior, data, make_partition(3, [1, 2]),
                      make_operator("elliptical"), self.rng)
 
+    def test_one_conditional_per_update(self, monkeypatch):
+        """Every update takes its pair from the module global
+        ``blocking.conditional_gaussian``, where a tracer patches it: one
+        call per update, cached or not, failing or not."""
+        calls = []
+        shipped = blocking.conditional_gaussian
+
+        def counting(prior, part):
+            calls.append(part)
+            return shipped(prior, part)
+
+        monkeypatch.setattr(blocking, "conditional_gaussian", counting)
+        cov = np.eye(5)
+        cov[:2, :2] = 1.0  # f_0 is a copy of f_1: the conditional of f_0 fails
+        prior = factorize(cov)
+        data = RegressionData(y=np.zeros(5), noise_variance=0.2)
+        parts = [make_partition(5, [0]), make_partition(5, [1, 2]),
+                 make_partition(5, [3]), make_partition(5, [4])]
+        state = SamplerState(f=np.zeros(5))
+        updates = failed = 0
+        for _ in range(2):
+            for part in parts:
+                updates += 1
+                try:
+                    state = block_update(state, prior, data, part,
+                                         make_operator("elliptical"), self.rng).new_state
+                except NotPositiveDefinite:
+                    failed += 1
+        assert failed == 2
+        assert len(calls) == updates
+        assert all(seen is part for seen, part in zip(calls, parts + parts))
+
 
 class TestBenchmarkSize:
     """The n=200, d=10 regression prior and four contiguous blocks that the
@@ -352,8 +389,9 @@ class TestBenchmarkSize:
         self.parts = contiguous_partitions(200, 4)
 
     def test_cached_conditionals_match_dense_oracle(self):
-        """The cache matches ``conditional_gaussian`` and, independently of
-        ``blocking``, Cov_AB Cov_BB^-1 and its Schur complement formed with
+        """What every update hands its step is the cached pair from
+        ``conditional_gaussian`` and, independently of ``blocking``,
+        Cov_AB Cov_BB^-1 and its Schur complement formed with
         ``np.linalg.solve``. The 2-block split has 100x100 gains, where a
         gain that is not transposed still has a valid shape."""
         rng = chain_rng(10)
@@ -368,13 +406,10 @@ class TestBenchmarkSize:
                     res = block_update(state, self.prior, self.ds.data, part,
                                        recording(step_fn, seen), rng)
                     (inner_f, block_prior), = seen
-                    cond = conditional_gaussian(cov, part, state.f[b])
-                    np.testing.assert_allclose(inner_f, state.f[a] - cond.mean,
-                                               rtol=0, atol=1e-12)
-                    np.testing.assert_allclose(block_prior.cov, cond.cov, rtol=0, atol=1e-12)
-                    cov_ab, cov_bb = cov[np.ix_(a, b)], cov[np.ix_(b, b)]
-                    mean = cov_ab @ np.linalg.solve(cov_bb, state.f[b])
-                    schur = cov[np.ix_(a, a)] - cov_ab @ np.linalg.solve(cov_bb, cov_ab.T)
+                    gain, cached = conditional_gaussian(self.prior, part)
+                    assert block_prior is cached
+                    assert inner_f.tobytes() == (state.f[a] - gain.dot(state.f[b])).tobytes()
+                    mean, schur = dense_conditional(cov, part, state.f)
                     np.testing.assert_allclose(inner_f, state.f[a] - mean, rtol=0, atol=1e-10)
                     np.testing.assert_allclose(block_prior.cov, schur, rtol=0, atol=1e-10)
                     state = res.new_state

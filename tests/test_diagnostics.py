@@ -160,6 +160,17 @@ class TestChainTrace:
                 accepted=np.ones(10),
             )
 
+    @pytest.mark.parametrize("column", ["lik_evals_cum", "prior_evals_cum"])
+    @pytest.mark.parametrize("counts", [[9] * 11 + [0], [-1] + [0] * 11])
+    def test_falling_or_negative_cumulative_column_rejected(self, column, counts):
+        """Each cumulative column starts at 0 or more and never falls, as
+        ``read_trace_csv`` requires of its count; ``summarize`` reports each
+        column's last entry as the chain's total."""
+        columns = {"lik_evals_cum": np.arange(12), "prior_evals_cum": np.zeros(12)}
+        columns[column] = np.array(counts)
+        with pytest.raises(ValueError, match=column):
+            ChainTrace(log_lik=np.zeros(12), accepted=np.ones(12), **columns)
+
 
 class TestSummarize:
     def test_fills_totals_from_trace(self):

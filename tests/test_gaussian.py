@@ -10,12 +10,12 @@ from ellslice import (
     DimensionMismatch,
     GaussianPrior,
     NotPositiveDefinite,
-    check_covariance,
     factorize,
     squared_exponential,
     KernelConfig,
     chain_rng,
 )
+from ellslice.gaussian import check_covariance
 from ellslice.harness import build_dataset, build_prior
 from reference_operators import rotate
 

@@ -49,6 +49,13 @@ class TestSquaredExponential:
         cov = squared_exponential(inputs, KernelConfig(lengthscale=1e6, signal_variance=1.5))
         assert np.all(np.abs(cov - 1.5) < 1e-6)
 
+    @pytest.mark.parametrize("lengthscale, gap", [(1e-160, 0.5), (1e-150, 1e5), (1.0, 1e155)])
+    def test_overflowing_scaled_distance_gives_zero(self, lengthscale, gap):
+        """A squared distance, or its ratio to the lengthscale squared, that
+        overflows is an entry exp(-inf) = 0, without a warning."""
+        cov = squared_exponential(np.array([0.0, gap]), KernelConfig(lengthscale, 2.0))
+        np.testing.assert_array_equal(cov, [[2.0, 0.0], [0.0, 2.0]])
+
     def test_bitwise_symmetric(self):
         rng = np.random.default_rng(2)
         cov = squared_exponential(rng.standard_normal((40, 2)), KernelConfig(0.7, 1.3))

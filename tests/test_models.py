@@ -9,7 +9,6 @@ from scipy.special import gammaln, log_ndtr
 
 from ellslice import (
     ClassificationData,
-    ConstantLikelihood,
     CoxData,
     DimensionMismatch,
     InvalidConfig,
@@ -26,6 +25,7 @@ from ellslice import (
     squared_exponential,
 )
 from ellslice.harness import build_dataset, build_prior
+from reference_operators import ConstantLikelihood
 
 LOG_2PI = math.log(2 * math.pi)
 # a wide kernel (log lengthscale 2.5, log signal std 3.5) for the generator's own tests
@@ -502,6 +502,17 @@ class TestGenerateClassification:
             assert ds.data.n == 200
             shares.append(min(np.mean(ds.data.labels > 0), np.mean(ds.data.labels < 0)))
         assert sum(share >= 0.1 for share in shares) >= 9, shares
+
+    def test_latent_below_exp_range_labels_without_warning(self):
+        """A latent below -709 overflows exp(-f): its logistic probability
+        is 0, so it is labelled -1 without a warning, as every latent far
+        from 0 gets the label of its sign."""
+        _, data, f = generate_classification_dataset(
+            50, 1, KernelConfig(signal_variance=1e6), chain_rng(8)
+        )
+        assert f.min() < -709
+        far = np.abs(f) > 40
+        np.testing.assert_array_equal(data.labels[far], np.sign(f[far]))
 
     def test_fixed_seed_reproducible(self):
         a = generate_classification_dataset(30, 1, WIDE_KERNEL, chain_rng(6))

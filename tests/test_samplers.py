@@ -10,7 +10,6 @@ import pytest
 
 from ellslice import (
     ChainError,
-    ConstantLikelihood,
     CoxData,
     GaussianPrior,
     InvalidConfig,
@@ -34,7 +33,7 @@ from ellslice import (
 )
 from ellslice.harness import build_dataset, build_prior
 from ellslice.samplers import LINE_WIDTH, _line_log_prior, _slice_shrink, _uniform
-from reference_operators import elliptical_slice_aux_step
+from reference_operators import ConstantLikelihood, elliptical_slice_aux_step
 
 TWO_PI = 2.0 * math.pi
 
