@@ -63,6 +63,9 @@ class GaussianPrior:
       with orthonormal ``basis`` (n x rank), and the root is the symmetric
       A = sqrt(j) I + basis diag(sqrt(eig + j) - sqrt(j)) basis.T, so
       A A^T = basis diag(eig) basis.T + jitter * I; ``chol`` is None.
+      Constructing one with a jitter that is not finite and positive, or
+      with ``basis`` or ``eig`` of another shape, raises ValueError naming
+      the field.
 
     ``log_norm`` is the log normalizing constant -n/2 log(2 pi) - log|A|,
     so that ``log_density(f) == log_norm - |whiten(f)|^2 / 2``. Immutable,
@@ -99,6 +102,13 @@ class GaussianPrior:
         if self.chol is not None:
             half_logdet = np.sum(np.log(np.diag(self.chol)))
         else:
+            if not 0.0 < self.jitter < math.inf:
+                raise ValueError(f"a low-rank root needs a finite jitter > 0, got {self.jitter!r}")
+            for name, shape in (("basis", (n, self.rank)), ("eig", (self.rank,))):
+                got = getattr(self, name)
+                if got is None or np.shape(got) != shape:
+                    raise ValueError(f"a low-rank root needs {name} of shape {shape}, got "
+                                     f"{name}={'None' if got is None else np.shape(got)}")
             root_j, root_eig = math.sqrt(self.jitter), np.sqrt(self.eig + self.jitter)
             object.__setattr__(self, "_root", (root_j, root_eig - root_j))
             object.__setattr__(self, "_inv_root", (1.0 / root_j, 1.0 / root_eig - 1.0 / root_j))

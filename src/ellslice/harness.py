@@ -497,23 +497,26 @@ def write_trace_csv(path: str | Path, trace: ChainTrace, comment: str) -> None:
 def read_trace_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(log_likelihood, cumulative_likelihood_evals, accepted) columns.
 
-    A row is rejected, naming the file and line, unless its log-likelihood
+    A row is rejected, naming the file and line, unless data row k (from 0)
+    has iteration k, as :func:`write_trace_csv` writes it, its log-likelihood
     is finite, ``accepted`` is 0 or 1, and its count is at least the previous
     row's (0 for the first), as a :class:`ChainTrace` requires.
     """
-    last_evals = 0
+    last_evals, next_iteration = 0, 0
 
     def row(fields: list[str]) -> tuple[float, int, bool]:
-        nonlocal last_evals
-        _, ll, ev, acc = fields  # another width raises ValueError
-        log_lik, evals, accepted = float(ll), int(ev), int(acc)
+        nonlocal last_evals, next_iteration
+        it, ll, ev, acc = fields  # another width raises ValueError
+        iteration, log_lik, evals, accepted = int(it), float(ll), int(ev), int(acc)
+        if iteration != next_iteration:
+            raise ValueError(f"iteration {iteration}, expected {next_iteration}")
         if not math.isfinite(log_lik):
             raise ValueError("log-likelihood is not finite")
         if evals < last_evals:
             raise ValueError(f"cumulative count below the previous row's {last_evals}")
         if accepted not in (0, 1):
             raise ValueError("accepted must be 0 or 1")
-        last_evals = evals
+        last_evals, next_iteration = evals, iteration + 1
         return log_lik, evals, accepted == 1
 
     log_lik, evals, accepted = zip(*_read_rows(path, row, header=_TRACE_HEADER))

@@ -27,7 +27,7 @@ from ellslice.samplers import (
     _log_slice_height,
     _slice_shrink,
     _start,
-    _uniform,
+    _uniforms,
 )
 
 
@@ -85,19 +85,24 @@ def elliptical_slice_aux_step(
     bracket re-centered at the entry angle, forming each proposal as
     nu0*sin + nu1*cos. The model is seen without its plane method, so every
     proposal is evaluated directly.
+
+    Its uniforms come from one source, as the packaged slice steps' do:
+    theta, the slice height, the first offset and one per shrink, in that
+    order. Its first batch is drawn for theta, before nu.
     """
     cur_log_lik, evals = _start(state, model)
-    theta0 = _uniform(rng, 0.0, TWO_PI)
+    uniforms = _uniforms(rng)
+    theta0 = TWO_PI * next(uniforms)
     nu0, nu1 = rotate(prior.sample(rng), state.f, theta0)
     # the current angle theta0 reproduces the current state, so its cached
     # likelihood seeds the slice threshold
-    log_y = _log_slice_height(cur_log_lik, rng)
+    log_y = _log_slice_height(cur_log_lik, uniforms)
 
-    offset = _uniform(rng, 0.0, TWO_PI)
+    offset = TWO_PI * next(uniforms)
     offsets, f_new, log_lik = _slice_shrink(
         _LogLikOnly(model), nu0, nu1,
         lambda o: (math.sin(theta0 + o), math.cos(theta0 + o)),
-        log_y, offset, offset - TWO_PI, offset, rng,
+        log_y, offset, offset - TWO_PI, offset, uniforms,
     )
     new_state = _advance(state, f_new, log_lik, evals + len(offsets))
     return StepResult(new_state, True, [theta0 + o for o in offsets], log_y)

@@ -81,43 +81,61 @@ def holding(seen):
     return step
 
 
+def exact_posterior_check(kind: str, stream: int) -> tuple[float, float, float, float]:
+    """Acceptance 1's check of one sampler: a chain of 1000 burn-in and
+    20000 kept steps on the D=1, N=50 regression data against the exact
+    posterior. Returns the chain's ESS, the fraction of latents whose mean
+    lies within 3 Monte Carlo standard errors of the oracle's, the fraction
+    whose variance lies within 15% of the oracle's, and the seconds taken."""
+    t0 = time.perf_counter()
+    rng = chain_rng(301)
+    inputs, data, _ = generate_regression_dataset(
+        50, 1, KernelConfig(lengthscale=1.0, signal_variance=1.0), 0.3, rng
+    )
+    prior = factorize(squared_exponential(inputs, KernelConfig(1.0, 1.0)))
+    oracle_mean, oracle_cov = gp_regression_posterior_oracle(prior, data)
+    oracle_var = np.diag(oracle_cov)
+
+    trace = run_chain(
+        np.zeros(50),
+        make_operator(kind),
+        prior,
+        data,
+        n_burn=1_000,
+        n_keep=20_000,
+        thin=1,
+        rng=chain_rng(301, stream),
+    )
+    ess = summarize(trace).ess
+    mean_hat = trace.snapshots.mean(axis=0)
+    var_hat = trace.snapshots.var(axis=0)
+
+    mean_tol = 3.0 * np.sqrt(oracle_var / ess)
+    mean_ok = np.abs(mean_hat - oracle_mean) <= mean_tol
+    var_ok = np.abs(var_hat - oracle_var) <= 0.15 * oracle_var
+    return ess, mean_ok.mean(), var_ok.mean(), time.perf_counter() - t0
+
+
 def test_criterion_01_exact_posterior_reproduction(capsys):
     with criterion(1, "regression posterior matches the exact oracle (D=1, N=50)", capsys):
-        t0 = time.perf_counter()
-        rng = chain_rng(301)
-        inputs, data, _ = generate_regression_dataset(
-            50, 1, KernelConfig(lengthscale=1.0, signal_variance=1.0), 0.3, rng
-        )
-        prior = factorize(squared_exponential(inputs, KernelConfig(1.0, 1.0)))
-        oracle_mean, oracle_cov = gp_regression_posterior_oracle(prior, data)
-        oracle_var = np.diag(oracle_cov)
-
-        trace = run_chain(
-            np.zeros(50),
-            make_operator("elliptical"),
-            prior,
-            data,
-            n_burn=1_000,
-            n_keep=20_000,
-            thin=1,
-            rng=chain_rng(301, 1),
-        )
-        ess = summarize(trace).ess
-        mean_hat = trace.snapshots.mean(axis=0)
-        var_hat = trace.snapshots.var(axis=0)
-
-        mean_tol = 3.0 * np.sqrt(oracle_var / ess)
-        mean_ok = np.abs(mean_hat - oracle_mean) <= mean_tol
-        var_ok = np.abs(var_hat - oracle_var) <= 0.15 * oracle_var
-        elapsed = time.perf_counter() - t0
-        info(
-            capsys,
-            f"  [1] ess={ess:.0f} mean_ok={mean_ok.mean():.2%} "
-            f"var_ok={var_ok.mean():.2%} ({elapsed:.1f}s)",
-        )
-        assert mean_ok.mean() >= 0.95
-        assert var_ok.mean() >= 0.90
+        ess, mean_ok, var_ok, elapsed = exact_posterior_check("elliptical", 1)
+        info(capsys, f"  [1] ess={ess:.0f} mean_ok={mean_ok:.2%} "
+                     f"var_ok={var_ok:.2%} ({elapsed:.1f}s)")
+        assert mean_ok >= 0.95
+        assert var_ok >= 0.90
         assert elapsed < 60.0
+
+
+def test_criterion_01_line_slice_exact_posterior_reproduction(capsys):
+    """Acceptance 1's check, at its tolerances, run with line slice."""
+    with criterion(1, "line-slice regression posterior matches the exact oracle (D=1, N=50)",
+                   capsys):
+        ess, mean_ok, var_ok, elapsed = exact_posterior_check("line-slice", 2)
+        info(capsys, f"  [1 line-slice] ess={ess:.0f} mean_ok={mean_ok:.2%} "
+                     f"var_ok={var_ok:.2%} ({elapsed:.1f}s)")
+        assert mean_ok >= 0.95
+        assert var_ok >= 0.90
+        assert elapsed < 15.0
 
 
 def test_criterion_02_prior_recovery(capsys):

@@ -261,6 +261,29 @@ class TestLowRankRoot:
         with pytest.raises(DimensionMismatch):
             low_rank_prior.whiten(np.zeros(low_rank_prior.n + 1))
 
+    @pytest.mark.parametrize("change, field", [
+        ({"jitter": 0.0}, "jitter"),
+        ({"jitter": -1e-10}, "jitter"),
+        ({"jitter": math.nan}, "jitter"),
+        ({"jitter": math.inf}, "jitter"),
+        ({"basis": None}, "basis"),
+        ({"basis": None, "eig": None}, "basis"),
+        ({"eig": None}, "eig"),
+        ({"basis": np.full((1, 4), 0.5)}, "basis"),
+        ({"rank": 3}, "basis"),
+        ({"eig": np.ones(2)}, "eig"),
+    ], ids=["jitter-zero", "jitter-negative", "jitter-nan", "jitter-inf", "no-basis",
+            "no-basis-or-eig", "no-eig", "basis-transposed", "rank-mismatch", "eig-short"])
+    def test_malformed_low_rank_root_rejected(self, change, field):
+        """A low-rank root (``chol=None``) needs a finite positive jitter,
+        ``basis`` of shape (n, rank) and ``eig`` of shape (rank,); anything
+        else is a ValueError naming the field."""
+        kwargs = dict(cov=np.ones((4, 4)), chol=None, jitter=1e-10, rank=1,
+                      basis=np.full((4, 1), 0.5), eig=np.array([4.0]))
+        assert GaussianPrior(**kwargs).backend == "low-rank"
+        with pytest.raises(ValueError, match=f"needs (a finite )?{field}"):
+            GaussianPrior(**dict(kwargs, **change))
+
     def test_full_rank_prior_keeps_the_dense_root(self):
         """The d=10 regression prior needs no jitter: it keeps ``chol`` and
         draws exactly ``chol @ z``."""

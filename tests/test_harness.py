@@ -64,6 +64,17 @@ def _keep_rows(k):
     return corrupt
 
 
+def _set_iterations(values):
+    """Rewrite the iteration field of data rows: ``values`` maps a row (from
+    0) to the text it gets."""
+    def corrupt(path):
+        lines = path.read_text().splitlines(keepends=True)
+        for k, value in values.items():
+            lines[2 + k] = value + lines[2 + k][lines[2 + k].index(","):]
+        path.write_text("".join(lines))
+    return corrupt
+
+
 def _drop_last_line(path):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
 
@@ -498,6 +509,26 @@ class TestTraceCsv:
         first, second = path.read_text().splitlines()[:2]
         assert first == "# config_hash=abc seed=1"
         assert second == "iteration,log_likelihood,cumulative_likelihood_evals,accepted"
+
+    @pytest.mark.parametrize("values, line, message", [
+        ({0: "1", 1: "2", 2: "3"}, 3, "iteration 1, expected 0"),
+        ({5: "4"}, 8, "iteration 4, expected 5"),
+        ({2: "7", 7: "2"}, 5, "iteration 7, expected 2"),
+        ({3: "abc"}, 6, "invalid literal"),
+        ({4: "4.0"}, 7, "invalid literal"),
+    ], ids=["from-one", "repeated", "shuffled", "not-numeric", "not-integer"])
+    def test_row_k_must_carry_iteration_k(self, tmp_path, values, line, message):
+        """Rows whose other columns are valid and in order, but whose
+        iteration field is not the row's index, name the file and line."""
+        from ellslice import ChainTrace
+
+        trace = ChainTrace(log_lik=np.zeros(12), lik_evals_cum=np.arange(12),
+                           prior_evals_cum=np.zeros(12), accepted=np.ones(12))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, trace, "config_hash=abc seed=1")
+        _set_iterations(values)(path)
+        with pytest.raises(InvalidConfig, match=f"{re.escape(str(path))}:{line}: bad row .*{message}"):
+            read_trace_csv(path)
 
     def test_empty_trace_file_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -987,6 +1018,12 @@ class TestCliMain:
                      id="trace-accepted-not-0-or-1"),
         pytest.param("diagnose", "run/trace.csv", _keep_rows(MIN_SERIES_LENGTH - 1),
                      id="trace-too-short"),
+        pytest.param("diagnose", "run/trace.csv", _set_iterations({3: "abc"}),
+                     id="trace-iteration-not-numeric"),
+        pytest.param("diagnose", "run/trace.csv", _set_iterations({5: "4"}),
+                     id="trace-iteration-repeated"),
+        pytest.param("diagnose", "run/trace.csv", _set_iterations({2: "7", 7: "2"}),
+                     id="trace-iterations-shuffled"),
         pytest.param("diagnose", "run/trace.csv", _append_bytes(_NOT_UTF8), id="trace-not-utf8"),
     ])
     def test_malformed_input_file_exits_2(self, tmp_path, capsys, command, target, corrupt):

@@ -109,26 +109,26 @@ def output_digest(root: Path) -> str:
     return h.hexdigest()
 
 
-EXPECTED = '293abb14a2450f945b4c6060284ed6d5fe41196559830b07cd282c0deae3903d'
+EXPECTED = 'b0eb695819407a837148606b80e345f5ac76a913a489c47474944fd00c5d73c5'
 
 FILE_DIGESTS = {
-    'bench/benchmark_summary.csv': '4f784b672c169a06',
-    'bench/benchmark_summary.json': '164e804c74f51a40',
-    'bench/cell00_elliptical_regression-d2/cell_summary.json': '05e9b292d44beffd',
-    'bench/cell00_elliptical_regression-d2/repeat00/summary.json': 'e0a3ed99e89cd352',
-    'bench/cell00_elliptical_regression-d2/repeat00/trace.csv': 'f95d47001427f31d',
-    'bench/cell00_elliptical_regression-d2/repeat01/summary.json': '7b1ff825dc8e0ab2',
-    'bench/cell00_elliptical_regression-d2/repeat01/trace.csv': 'e63e681dc5f3370e',
-    'bench/cell01_elliptical_classification-d1/cell_summary.json': '6ce9a899a980cd30',
-    'bench/cell01_elliptical_classification-d1/repeat00/summary.json': 'cc733d7aeb9b8b42',
-    'bench/cell01_elliptical_classification-d1/repeat00/trace.csv': '3390f18d71332191',
-    'bench/cell01_elliptical_classification-d1/repeat01/summary.json': '57c13b1c4ac20199',
-    'bench/cell01_elliptical_classification-d1/repeat01/trace.csv': 'c95fa46bc720162c',
-    'bench/cell02_elliptical_cox/cell_summary.json': 'b695d301eeb5e288',
-    'bench/cell02_elliptical_cox/repeat00/summary.json': 'd111fa0e81add5e8',
-    'bench/cell02_elliptical_cox/repeat00/trace.csv': '215fbf34a940d7f6',
-    'bench/cell02_elliptical_cox/repeat01/summary.json': 'f3980515fabba638',
-    'bench/cell02_elliptical_cox/repeat01/trace.csv': '9830aee21b7e66eb',
+    'bench/benchmark_summary.csv': 'a0048ee6e6fa90de',
+    'bench/benchmark_summary.json': '3ae1da9ae17af33c',
+    'bench/cell00_elliptical_regression-d2/cell_summary.json': '05123855961b275b',
+    'bench/cell00_elliptical_regression-d2/repeat00/summary.json': '277c151c170dda4a',
+    'bench/cell00_elliptical_regression-d2/repeat00/trace.csv': '37f8a1af698d406f',
+    'bench/cell00_elliptical_regression-d2/repeat01/summary.json': '6e491316c3b9dca3',
+    'bench/cell00_elliptical_regression-d2/repeat01/trace.csv': '6e7f1ea29c2e5a3d',
+    'bench/cell01_elliptical_classification-d1/cell_summary.json': '668f360bc1ed9627',
+    'bench/cell01_elliptical_classification-d1/repeat00/summary.json': 'b6b717539514f386',
+    'bench/cell01_elliptical_classification-d1/repeat00/trace.csv': 'af1650e6c61f404d',
+    'bench/cell01_elliptical_classification-d1/repeat01/summary.json': '2b64e5c75b391d49',
+    'bench/cell01_elliptical_classification-d1/repeat01/trace.csv': 'e4596591090b343b',
+    'bench/cell02_elliptical_cox/cell_summary.json': '102e7fdd8cbf98ea',
+    'bench/cell02_elliptical_cox/repeat00/summary.json': 'c576cf7126046504',
+    'bench/cell02_elliptical_cox/repeat00/trace.csv': 'cdd2962563434a5b',
+    'bench/cell02_elliptical_cox/repeat01/summary.json': 'fe04aafd2bcf8707',
+    'bench/cell02_elliptical_cox/repeat01/trace.csv': '724144dd31d40976',
     'bench/cell03_neal-mh-eps0.3_regression-d2/cell_summary.json': 'c0677246558812a5',
     'bench/cell03_neal-mh-eps0.3_regression-d2/repeat00/summary.json': 'e2bf274e585549de',
     'bench/cell03_neal-mh-eps0.3_regression-d2/repeat00/trace.csv': '1d5ceba1f529f117',
@@ -144,21 +144,21 @@ FILE_DIGESTS = {
     'bench/cell05_neal-mh-eps0.3_cox/repeat00/trace.csv': 'c31d8f2484444ac4',
     'bench/cell05_neal-mh-eps0.3_cox/repeat01/summary.json': '42e4f1a849d8cba3',
     'bench/cell05_neal-mh-eps0.3_cox/repeat01/trace.csv': '1b0fe11fc4d2a460',
-    'bench/cell06_line-slice_regression-d2/cell_summary.json': '80ea18e4f5e58fb6',
-    'bench/cell06_line-slice_regression-d2/repeat00/summary.json': '155c2c32536c432a',
-    'bench/cell06_line-slice_regression-d2/repeat00/trace.csv': '79a5dc140c3764f8',
-    'bench/cell06_line-slice_regression-d2/repeat01/summary.json': 'fe5ab133d0dceb34',
-    'bench/cell06_line-slice_regression-d2/repeat01/trace.csv': '155cbce183cea520',
-    'bench/cell07_line-slice_classification-d1/cell_summary.json': 'a0c72abfc441dbf8',
-    'bench/cell07_line-slice_classification-d1/repeat00/summary.json': 'ef586bd6abd19d90',
-    'bench/cell07_line-slice_classification-d1/repeat00/trace.csv': '2b4f420333d7bdbb',
-    'bench/cell07_line-slice_classification-d1/repeat01/summary.json': '192c14f370803b72',
-    'bench/cell07_line-slice_classification-d1/repeat01/trace.csv': '54351d708f306084',
-    'bench/cell08_line-slice_cox/cell_summary.json': 'd862007458b7aa1f',
-    'bench/cell08_line-slice_cox/repeat00/summary.json': '14b3ab825c8dd61d',
-    'bench/cell08_line-slice_cox/repeat00/trace.csv': 'e386bf85e4702a03',
-    'bench/cell08_line-slice_cox/repeat01/summary.json': '1f385c2da0563eac',
-    'bench/cell08_line-slice_cox/repeat01/trace.csv': 'cf398f8f082c970f',
+    'bench/cell06_line-slice_regression-d2/cell_summary.json': 'df9dcab4f8e07a6a',
+    'bench/cell06_line-slice_regression-d2/repeat00/summary.json': 'd02c9d21768b6b54',
+    'bench/cell06_line-slice_regression-d2/repeat00/trace.csv': '3e3a73da173ef816',
+    'bench/cell06_line-slice_regression-d2/repeat01/summary.json': 'f71967b01ac3c778',
+    'bench/cell06_line-slice_regression-d2/repeat01/trace.csv': '7f28995536503bd8',
+    'bench/cell07_line-slice_classification-d1/cell_summary.json': 'c67c6bf538191030',
+    'bench/cell07_line-slice_classification-d1/repeat00/summary.json': '4d3b258f1c4a1de0',
+    'bench/cell07_line-slice_classification-d1/repeat00/trace.csv': '7313b44ac508d129',
+    'bench/cell07_line-slice_classification-d1/repeat01/summary.json': '5f0d603eef128145',
+    'bench/cell07_line-slice_classification-d1/repeat01/trace.csv': 'b5e8ac505be845c4',
+    'bench/cell08_line-slice_cox/cell_summary.json': '324530e8a7fe4dd6',
+    'bench/cell08_line-slice_cox/repeat00/summary.json': '653305a466a6a404',
+    'bench/cell08_line-slice_cox/repeat00/trace.csv': 'f24d94ec7c23e714',
+    'bench/cell08_line-slice_cox/repeat01/summary.json': '3d531585738e7a88',
+    'bench/cell08_line-slice_cox/repeat01/trace.csv': '4b04f9154d1ca03b',
     'data/classification/inputs.csv': '5d0ffd7b5b6fbdd1',
     'data/classification/latents.csv': 'acba5f0b13a6007a',
     'data/classification/manifest.json': '1b853eace5c0b925',
@@ -176,8 +176,8 @@ FILE_DIGESTS = {
     'data/regression/d02/manifest.json': '545b4fd6d02dc9b3',
     'data/regression/d02/observations.csv': 'a76a771e7b4afe7f',
     'run/manifest.json': 'de0c6d077fa811e1',
-    'run/summary.json': '1e5606b03976a85e',
-    'run/trace.csv': '9c730dcc8cec3259',
+    'run/summary.json': '92501e237c89cc31',
+    'run/trace.csv': '6800a2720ceed341',
     'tune/tuning.json': 'fa72f9b21be1d7a8',
 }
 

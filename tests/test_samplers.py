@@ -32,7 +32,14 @@ from ellslice import (
     squared_exponential,
 )
 from ellslice.harness import build_dataset, build_prior
-from ellslice.samplers import LINE_WIDTH, _line_log_prior, _slice_shrink, _uniform
+from ellslice.samplers import (
+    LINE_WIDTH,
+    OPERATOR_KINDS,
+    UNIFORM_BATCH,
+    _line_log_prior,
+    _slice_shrink,
+    _uniforms,
+)
 from reference_operators import ConstantLikelihood, elliptical_slice_aux_step
 
 TWO_PI = 2.0 * math.pi
@@ -95,15 +102,43 @@ class CountedPlane(DirectOnly):
 
 
 class Rejected(Exception):
-    """Raised by :class:`RejectingRng`."""
+    """Raised by :class:`RejectingUniforms`."""
 
 
-class RejectingRng:
-    """An RNG whose every draw raises :class:`Rejected`: the shrink loop
-    draws only after it rejects a proposal."""
+class RejectingUniforms:
+    """A uniform source whose every draw raises :class:`Rejected`: the
+    shrink loop draws only after it rejects a proposal."""
 
-    def random(self):
+    def __next__(self):
         raise Rejected
+
+
+class SpyRng:
+    """A Generator that records the size of each ``random`` call."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.random_calls = []
+
+    def random(self, size=None):
+        self.random_calls.append(size)
+        return self._rng.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def replay_positions(first, lo, hi, angles, us):
+    """The positions a shrink loop tries from ``first`` in the bracket
+    [lo, hi], taking the position after each of ``angles`` from ``us``."""
+    positions = [first]
+    for x, u in zip(angles[:-1], us):
+        if x < 0.0:
+            lo = x
+        else:
+            hi = x
+        positions.append(lo + (hi - lo) * u)
+    return positions
 
 
 # (coeffs, log_prior) of each plane operator's proposals, built as
@@ -143,18 +178,29 @@ class TestEllipticalStep:
             assert len(res.angles) == 1
 
     def test_replay_reconstructs_accepted_point(self):
-        """With captured randomness the move is f*cos(theta) + nu*sin(theta)."""
+        """With captured randomness the move is f*cos(theta) + nu*sin(theta):
+        nu is the step's first draw, and its uniforms are the leading values
+        of one ``rng.random(UNIFORM_BATCH)`` call (slice height, first angle,
+        one per shrink). The rest of that batch is discarded."""
         prior = scalar_prior()
-        model = ConstantLikelihood(1)
-        state = SamplerState(f=np.array([1.7]))
-        res = elliptical_slice_step(state, prior, model, rng=chain_rng(42))
-        replay = chain_rng(42)
-        nu = prior.sample(replay)
-        replay.uniform()  # threshold draw
-        theta = replay.uniform(0.0, TWO_PI)
-        assert theta == res.angles[0]
-        expected = state.f * math.cos(theta) + nu * math.sin(theta)
-        np.testing.assert_array_equal(res.new_state.f, expected)
+        data = RegressionData(y=np.array([2.5]), noise_variance=1e-4)
+        state = SamplerState(f=np.array([2.5]), log_lik=data.log_lik(np.array([2.5])))
+        proposals = []
+        for seed in range(10):
+            rng = chain_rng(42, seed)
+            res = elliptical_slice_step(state, prior, data, rng=rng)
+            replay = chain_rng(42, seed)
+            nu = prior.sample(replay)
+            us = replay.random(UNIFORM_BATCH).tolist()
+            assert res.log_threshold == state.log_lik + math.log(us[0])
+            theta = TWO_PI * us[1]
+            assert res.angles == replay_positions(theta, theta - TWO_PI, theta, res.angles, us[2:])
+            t = res.angles[-1]
+            expected = state.f * math.cos(t) + nu * math.sin(t)
+            np.testing.assert_array_equal(res.new_state.f, expected)
+            assert rng.bit_generator.state == replay.bit_generator.state
+            proposals.append(len(res.angles))
+        assert max(proposals) > 2  # the replay covers shrinks
 
     def test_slice_threshold_strictly_cleared(self):
         prior = scalar_prior()
@@ -355,6 +401,30 @@ class TestLineSlice:
             res = line_slice_step(state, prior, data, rng=rng)
             assert res.new_state.prior_evals - before == len(res.angles) + 1
             state = res.new_state
+
+    def test_replay_reads_the_leading_uniforms_of_one_batch(self):
+        """After nu, a line step's uniforms are the leading values of one
+        ``rng.random(UNIFORM_BATCH)`` call: slice height, bracket offset,
+        first eps and one per shrink."""
+        prior = scalar_prior()
+        data = RegressionData(y=np.array([2.5]), noise_variance=1e-4)
+        state = SamplerState(f=np.array([2.5]), log_lik=data.log_lik(np.array([2.5])))
+        proposals = []
+        for seed in range(10):
+            rng = chain_rng(43, seed)
+            res = line_slice_step(state, prior, data, rng=rng)
+            replay = chain_rng(43, seed)
+            nu, z = prior.draw(replay)
+            us = replay.random(UNIFORM_BATCH).tolist()
+            log_prior, _ = _line_log_prior(prior, state, z)
+            assert res.log_threshold == log_prior(0.0) + state.log_lik + math.log(us[0])
+            lo, hi = -LINE_WIDTH * us[1], LINE_WIDTH * (1.0 - us[1])
+            first = lo + (hi - lo) * us[2]
+            assert res.angles == replay_positions(first, lo, hi, res.angles, us[3:])
+            np.testing.assert_array_equal(res.new_state.f, state.f + nu * res.angles[-1])
+            assert rng.bit_generator.state == replay.bit_generator.state
+            proposals.append(len(res.angles))
+        assert max(proposals) > 2  # the replay covers shrinks
 
     def test_step_positions_respect_initial_bracket(self):
         prior = scalar_prior()
@@ -598,11 +668,11 @@ class TestPlaneScoring:
             log_y = math.nextafter(max(expanded, direct), -math.inf)
             assert (expanded > log_y) != (direct > log_y)
             # the bracket [min(x, 0), max(x, 0)] holds x alone, so the loop
-            # returns x's point or draws, which RejectingRng turns into Rejected
+            # returns x's point or draws, which RejectingUniforms turns into Rejected
             try:
                 positions, f_prop, log_lik = _slice_shrink(
                     data, u, v, coeffs, log_y, x, min(x, 0.0), max(x, 0.0),
-                    RejectingRng(), log_prior)
+                    RejectingUniforms(), log_prior)
             except Rejected:
                 accepted = False
             else:
@@ -719,33 +789,50 @@ class TestChainRng:
         assert not np.array_equal(a, b)
 
 
-class TestUniformDraws:
-    def test_helper_matches_generator_uniform_bit_for_bit(self):
-        """The operators draw every uniform through ``_uniform``; its value and
-        the stream after it must be ``Generator.uniform``'s, or recorded
-        traces would no longer reproduce."""
-        ours, numpys = np.random.default_rng(2010), np.random.default_rng(2010)
+class TestUniformSource:
+    """A slice step takes its uniforms from one ``rng.random(UNIFORM_BATCH)``
+    call, and one more batch each time it runs out; M-H makes one
+    ``rng.random()`` call per step."""
 
-        def draw(lo=None, hi=None):
-            if lo is None:
-                x, y = _uniform(ours), numpys.uniform()
-            else:
-                x, y = _uniform(ours, lo, hi), numpys.uniform(lo, hi)
-            assert x == y and type(x) is type(y)
-            return x
+    def test_source_yields_successive_batches(self):
+        ours, theirs = chain_rng(2010), chain_rng(2010)
+        source = _uniforms(ours)
+        got = [next(source) for _ in range(2 * UNIFORM_BATCH + 1)]
+        want = np.concatenate([theirs.random(UNIFORM_BATCH) for _ in range(3)])
+        assert got == want[:len(got)].tolist()
+        assert all(type(u) is float for u in got)
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
-        for _ in range(200):
-            draw()
-            draw(0.0, TWO_PI)
-            theta = draw(0.0, TWO_PI)
-            lo, hi = theta - TWO_PI, theta
-            while hi - lo > 1e-12:  # shrink toward 0 as the slice loop does
-                x = draw(lo, hi)
-                if x < 0.0:
-                    lo = x
-                else:
-                    hi = x
-        assert ours.bit_generator.state == numpys.bit_generator.state
+    @pytest.mark.parametrize("step, fixed", [
+        pytest.param(elliptical_slice_step, 1, id="elliptical"),
+        pytest.param(line_slice_step, 2, id="line-slice"),
+    ])
+    def test_one_batch_per_slice_step(self, step, fixed):
+        """Slice height (and the line's bracket offset), then one uniform
+        per position: a step that uses at most UNIFORM_BATCH draws once, a
+        step past it twice. The spike's width sets how many shrinks it takes."""
+        prior = scalar_prior()
+        calls_seen = set()
+        for seed, tol in itertools.product(range(4), (1e-1, 1e-12, 1e-20)):
+            spy = SpyRng(chain_rng(seed))
+            res = step(SamplerState(f=np.array([0.0])), prior,
+                       SpikeAtStart([0.0], tol=tol), spy)
+            used = fixed + len(res.angles)
+            assert spy.random_calls == [UNIFORM_BATCH] * math.ceil(used / UNIFORM_BATCH)
+            calls_seen.add(len(spy.random_calls))
+        assert {1, 2} <= calls_seen
+
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    def test_random_calls_per_chain_step(self, kind):
+        """On the benchmark's n=200 regression data, every slice step of a
+        chain makes one batch call and every M-H step one scalar call."""
+        ds = build_dataset({"kind": "regression", "n": 200, "dims": 1}, KernelConfig(),
+                           chain_rng(1))
+        spy = SpyRng(chain_rng(2))
+        run_chain(np.zeros(200), make_operator(kind), build_prior(ds), ds.data,
+                  n_burn=0, n_keep=200, rng=spy)
+        size = None if kind == "neal-mh" else UNIFORM_BATCH
+        assert spy.random_calls == [size] * 200
 
 
 class TestRunChain:

@@ -37,6 +37,7 @@ import json
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -176,55 +177,64 @@ def digest(case) -> str:
     return (chain_digest if what == "chain" else block_sweep_digest)(model, operator)
 
 
+def digest_or_error(case) -> dict[str, str]:
+    """``{"digest": ...}`` for a case, or ``{"error": traceback}`` if
+    computing it raised, so that one broken case fails alone."""
+    try:
+        return {"digest": digest(case)}
+    except Exception:
+        return {"error": traceback.format_exc()}
+
+
 EXPECTED = {
     ('chain', 'regression', 'elliptical'):
-        '076fae513360a19060b81cc8c1e7ee1bad9b0f8aacfcd10263103912a537b9c3',
+        'a0d04ddfe535356ecf30c842f119e14adf8910b006262101d336ec15e8ef308a',
     ('chain', 'regression', 'elliptical-aux'):
-        '5e406efcd0691bbe3ce72c76ce19812ceca62ba0966f4897cdfae4a6a8463981',
+        '6cd8f26a6c3be3296c131bd7a0bf619ba30d86bdf1946974b753501143457f74',
     ('chain', 'regression', 'neal-mh'):
         'e44d9c07ea9195d021287c095e083ddb30e591272908dc758d35a2509a11eb6b',
     ('chain', 'regression', 'line-slice'):
-        'd85f132bf6ade541d4541fc56fd36286b2ea5cdfe4386f23b89f88ebf9471a5f',
+        'cf4c38a1ed38492ec8beba5df156f9a30ca890334b24f0aaab35f57e464da329',
     ('chain', 'classification', 'elliptical'):
-        '9d6c88f1dc4fe3cbc5120ee838a93c907f09e74066dfab78635740c189bd8f77',
+        '87db0f120762789abdd0f112ea0cb5a2eed5625104806901dccae631d5e90aed',
     ('chain', 'classification', 'elliptical-aux'):
-        '4ce8c02069da68bc698e9558fe4baf1bc77ce04128a1f07afeb1854a990938d6',
+        'a350b3f4b0390251c00cafcf0468eb7e9291a699e45daafe474b111628bee9c6',
     ('chain', 'classification', 'neal-mh'):
         '30a05327ea61c3cb9880ff90708453b0a7f12a9ba0f20103851433b13a794001',
     ('chain', 'classification', 'line-slice'):
-        '5e568388bdfea27e7577da7a2e106b5fb4441dd3a8abe1902b852ab9dc02d8a5',
+        '3f43533fc4fd48d2303c88dc1446c4c1c128466abfdc338c6a771a8d0da93d69',
     ('chain', 'cox', 'elliptical'):
-        '3be603898da5c150248d0b3169c3bbed0556cdb7f36862b2440c276c878b1569',
+        '30ce78268ea8d1963a0f9f00070a6823b59c7f1d3fc4db421432e67312e7c1cd',
     ('chain', 'cox', 'elliptical-aux'):
-        '85a686cfe23e98555d83bd846d4b1478c5b8f382c3656268419cabf78662e9d1',
+        'd311112d317ee8d83f989365d34c07ea6f510a537d438a2d41814b4096e612cb',
     ('chain', 'cox', 'neal-mh'):
         '28c55e1c1b75f4ecb4aa368f080953d64631e42147f85a9908374fb705555da6',
     ('chain', 'cox', 'line-slice'):
-        'd1ef5377c6261ed0dc1c0c228da5db6f7e6606f3b9bcabf940fc3fd70fbdd240',
+        '4cb975030ff4e180fe39ad4cc8af7161beb14ddd548c50ad298240fe12bef271',
     ('chain', 'cox-mining', 'elliptical'):
-        '54f04731864ab765036ff79a61e2126ddb6da373a92acb456e49748241495c75',
+        '8634a6e2ed73b33e8789c9483d73a8c3490f6b219e30a5c5c5d35d1570598104',
     ('chain', 'cox-mining', 'line-slice'):
-        '8ff6fdc3c17c27f2320b0b70b0ee5e2de8e5002c86a0720341a9816d286c55a3',
+        '3f952995c9f718a6e4209c73d9184766f4048763fb82f4e1bb7364d9213cb1f0',
     ('chain', 'regression-n200', 'elliptical'):
-        '1c2fee606f032c03ee283c4d5bd0f8beb549e840874b617ab40450ea7cb21bf6',
+        'f53c483d31e773b9c467957cdc2af883c03f2c964e8a7bdee64618cc364ffe5b',
     ('chain', 'regression-n200', 'neal-mh'):
         '039d454df7d9555388f63bc9e9f0672912f5801792ab0613fc9933f887870abb',
     ('chain', 'regression-n200', 'line-slice'):
-        '33223fa5a095aaa15462c891f3445eb4a8db758472db749699e3f5e5d5fb6579',
+        '9e5884348ab349b697d3ea9ac9e739d7e6570b507beb788498094cf7b3b96e7a',
     ('block', 'regression', 'elliptical'):
-        'e72e66719edeef9f2f68eeaa25f47d38889d99ccf21699e758b715a8886025c1',
+        '428e9907dc0ae3fa9adb73320fcd32dd4284d0805dc3f7ea77db4f907a1d829f',
     ('block', 'regression', 'elliptical-aux'):
-        'e198661ade313fb09fc0533bede0704cdeb05af22119529e0f0a97dbab27613a',
+        'ab0f8498afc32e860df6607d62f78270bd8c2c25396f763b6f2a6c02d439b054',
     ('block', 'regression', 'neal-mh'):
         '71e50421396a369700a4e63b89c6ffe079d00d971a12abb91a752ef0d50d5248',
     ('block', 'regression', 'line-slice'):
-        'fb1652e52b0611fd58b2f5befb82d014f61476a75abe340b2892e8252550144b',
+        '77c24a009673a7c2512607284f8baccc74edbc0fb04d539445c2feac58040ccd',
     ('block', 'regression-n200-d10', 'elliptical'):
-        'a2e7becb31cd15f34f72c6c89378dde3bf85c4bd8fb2af2266d49ea81a36b11d',
+        '6c8b6b214379bdce2f3b1f22c905da3b0dd488b8e6d0c10fc3c617380c5589a1',
     ('block', 'regression-n200-d10', 'neal-mh'):
         '3428c904f61b3bbe64bc889b59097aa727bfe6874d016046ad6550865f2ca678',
     ('block', 'regression-n200-d10', 'line-slice'):
-        '0ffea2afa9466fa99779d74a6796233fc7d8d8dcc2be81b5757387922b6aac1b',
+        '5b8cf7f3c65141fc2e8d033225be1ca3e58237a9df27d7d94802af45d8aebc71',
 }
 
 
@@ -232,9 +242,10 @@ BLAS_THREADS = 1
 
 
 @functools.cache
-def pinned_digests() -> dict[tuple[str, str, str], str]:
-    """Every case's digest, computed by this module run as a script with
-    ``--json`` in a fresh interpreter whose BLAS runs BLAS_THREADS threads."""
+def pinned_digests() -> dict[tuple[str, str, str], dict[str, str]]:
+    """Every case's :func:`digest_or_error`, computed by this module run as
+    a script with ``--json`` in a fresh interpreter whose BLAS runs
+    BLAS_THREADS threads."""
     path = os.pathsep.join(filter(None, [str(Path(ellslice.__file__).parents[1]),
                                          os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(BLAS_THREADS), PYTHONPATH=path)
@@ -246,14 +257,31 @@ def pinned_digests() -> dict[tuple[str, str, str], str]:
 
 @pytest.mark.parametrize("case", CASES, ids=["-".join(c) for c in CASES])
 def test_digest_is_pinned(case):
-    assert pinned_digests()[case] == EXPECTED[case]
+    got = pinned_digests()[case]
+    assert "error" not in got, got.get("error")
+    assert got["digest"] == EXPECTED[case]
+
+
+def test_broken_case_fails_alone(monkeypatch):
+    """A case whose digest raises records its error; the others keep theirs."""
+    broken = CASES[0]
+
+    def digest_unless_broken(case):
+        if case == broken:
+            raise TypeError("broken case")
+        return f"digest of {case}"
+
+    monkeypatch.setattr(sys.modules[__name__], "digest", digest_unless_broken)
+    entries = {case: digest_or_error(case) for case in CASES}
+    assert "TypeError: broken case" in entries.pop(broken)["error"]
+    assert entries == {case: {"digest": f"digest of {case}"} for case in entries}
 
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--json"]:  # the worker of pinned_digests
-        print(json.dumps([[case, digest(case)] for case in CASES]))
+        print(json.dumps([[case, digest_or_error(case)] for case in CASES]))
     else:
         print("EXPECTED = {")
-        for case, value in pinned_digests().items():
-            print(f"    {case!r}:\n        {value!r},")
+        for case, entry in pinned_digests().items():
+            print(f"    {case!r}:\n        {entry.get('digest', entry.get('error'))!r},")
         print("}")
