@@ -81,10 +81,11 @@ def autocorrelation(series: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
-    x = x - x.mean()
-    var = float(x @ x) / n
-    if var == 0.0:
+    # compared directly: the mean of a constant series may miss its value
+    # by an ulp, which would leave a variance of rounding error
+    if x.min() == x.max():
         raise DegenerateSeries("series is constant; autocorrelation undefined")
+    x = x - x.mean()
     m = 1 << (2 * n - 1).bit_length()
     spec = np.fft.rfft(x, m)
     acov = np.fft.irfft(spec * np.conj(spec), m)[:n] / n

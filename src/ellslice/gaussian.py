@@ -2,10 +2,11 @@
 
 Everything downstream (samplers, conditional blocks, posterior oracles)
 funnels through :class:`GaussianPrior`: one factorization per covariance,
-then draws are a multiply by the root (:meth:`~GaussianPrior.draw` also
-returns the white noise behind the draw) and whitening is a solve with it
-(:meth:`~GaussianPrior.whiten`). The normalizing constant of the
-log-density is computed once, with the root.
+then draws are a multiply by the root (:meth:`~GaussianPrior.draws` makes k
+at once with one matrix product and also returns the white noise behind
+them; :meth:`~GaussianPrior.draw` is its k = 1 case, bit for bit) and
+whitening is a solve with it (:meth:`~GaussianPrior.whiten`). The
+normalizing constant of the log-density is computed once, with the root.
 
 The root is the lower Cholesky factor, unless the covariance needed jitter
 and has low numerical rank; then it is a symmetric low-rank-plus-jitter
@@ -58,7 +59,9 @@ class GaussianPrior:
     named by ``backend``:
 
     * ``"dense"``: ``chol``, lower triangular, ``chol @ chol.T == cov +
-      jitter * I``; ``basis`` and ``eig`` are None.
+      jitter * I``; ``basis`` and ``eig`` are None. Constructing one with
+      ``chol`` not (n, n), or with a diagonal entry that is not finite and
+      positive, raises ValueError naming ``chol``.
     * ``"low-rank"``: ``cov`` is numerically ``basis @ diag(eig) @ basis.T``
       with orthonormal ``basis`` (n x rank), and the root is the symmetric
       A = sqrt(j) I + basis diag(sqrt(eig + j) - sqrt(j)) basis.T, so
@@ -100,7 +103,15 @@ class GaussianPrior:
         # line-slice thresholds are np.float64, whose repr the pinned trace
         # digests hash
         if self.chol is not None:
-            half_logdet = np.sum(np.log(np.diag(self.chol)))
+            if np.shape(self.chol) != (n, n):
+                raise ValueError(f"a dense root needs chol of shape {(n, n)}, "
+                                 f"got chol={np.shape(self.chol)}")
+            diag = np.diag(self.chol)
+            bad = np.flatnonzero(~((diag > 0.0) & (diag < math.inf)))
+            if bad.size:
+                raise ValueError(f"a dense root needs chol with a finite, positive diagonal, "
+                                 f"got chol[{bad[0]}, {bad[0]}]={float(diag[bad[0]])!r}")
+            half_logdet = np.sum(np.log(diag))
         else:
             if not 0.0 < self.jitter < math.inf:
                 raise ValueError(f"a low-rank root needs a finite jitter > 0, got {self.jitter!r}")
@@ -120,18 +131,43 @@ class GaussianPrior:
         """``"dense"`` (Cholesky root) or ``"low-rank"`` (low-rank-plus-jitter root)."""
         return "dense" if self.chol is not None else "low-rank"
 
+    def draws(self, rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Draw k pairs ``(nu, z)`` as two (k, n) arrays: ``z =
+        rng.standard_normal((k, n))`` and ``nu = z A^T``, row i of nu the
+        draw A z_i ~ N(0, cov + jitter*I), in one matrix product.
+
+        Row i of z is the i-th of k successive ``standard_normal(n)`` calls.
+        The rows of nu may differ from k single draws in their last bits, as
+        a matrix-matrix product sums in another order.
+        """
+        z = rng.standard_normal((k, self.n))
+        return self._times_root(z), z
+
     def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Draw ``(nu, z)``: z ~ N(0, I), n normals, and nu = A z ~ N(0, cov + jitter*I)."""
+        """Draw ``(nu, z)``: z ~ N(0, I), n normals, and nu = A z ~ N(0, cov + jitter*I).
+
+        The k = 1 case of :meth:`draws`, bit for bit its single row: the
+        same normals, and the same product, which for one vector is a
+        matrix-vector product.
+        """
         z = rng.standard_normal(self.n)
-        # .dot is the same BLAS gemv as @, bit for bit, without @'s dispatch cost
-        if self.chol is not None:
-            return self.chol.dot(z), z
-        c, d = self._root
-        return c * z + self.basis.dot(d * z.dot(self.basis)), z
+        return self._times_root(z), z
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw one vector from N(0, cov + jitter*I): one multiply by the root."""
-        return self.draw(rng)[0]
+        """Draw one vector from N(0, cov + jitter*I): ``draw``'s nu."""
+        return self._times_root(rng.standard_normal(self.n))
+
+    def _times_root(self, z: np.ndarray) -> np.ndarray:
+        """``z A^T`` for noise z of shape (n,) or (k, n), so A times each row:
+        the one place the root multiplies noise.
+
+        Rows times A^T keep a batch C-ordered, each row a contiguous vector.
+        ``.dot`` is the BLAS routine of ``@``, without its dispatch cost.
+        """
+        if self.chol is not None:
+            return z.dot(self.chol.T)
+        c, d = self._root
+        return c * z + (z.dot(self.basis) * d).dot(self.basis.T)
 
     def whiten(self, f: np.ndarray) -> np.ndarray:
         """Solve ``A w = f`` for w, which is N(0, I) when f is a prior draw.
@@ -152,8 +188,6 @@ class GaussianPrior:
             If ``f`` is not a vector of length ``n``.
         ValueError
             If ``f`` contains infs or NaNs.
-        numpy.linalg.LinAlgError
-            If the dense root has a zero on its diagonal.
         """
         f = np.asarray(f, dtype=float)
         if f.shape != (self.n,):
@@ -163,10 +197,9 @@ class GaussianPrior:
         if not np.isfinite(f).all():
             raise ValueError("vector must not contain infs or NaNs")
         if self.chol is not None:
-            w, info = dtrtrs(self.chol.T, f, lower=0, trans=1)
-            if info:
-                raise np.linalg.LinAlgError(f"singular root: zero at diagonal {info - 1}")
-            return w
+            # the root's diagonal was checked on construction, so the solve
+            # cannot fail: dtrtrs's info is always 0
+            return dtrtrs(self.chol.T, f, lower=0, trans=1)[0]
         c, d = self._inv_root
         return c * f + self.basis.dot(d * f.dot(self.basis))
 

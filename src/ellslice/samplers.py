@@ -40,10 +40,17 @@ every proposal, as Metropolis-Hastings does. ``lik_evals`` counts proposals
 either way.
 
 Operators never mutate their inputs; each chain owns its RNG stream.
-A slice step draws its prior draw nu first, then takes every uniform it
-uses, in order, from :func:`_uniforms`: one ``rng.random(UNIFORM_BATCH)``
-call, and one more batch only for a step that uses more than
-:data:`UNIFORM_BATCH` of them. A uniform on [lo, hi) is
+A step takes its prior draw nu first. The draw does not depend on the
+state, so a chain of :func:`run_chain` makes the draws of
+:data:`DRAW_BATCH` steps at once, with one
+:meth:`~ellslice.gaussian.GaussianPrior.draws` call (one
+``rng.standard_normal((DRAW_BATCH, n))`` and one matrix product), at the
+first step that needs one: that call's normals come before the uniforms of
+the steps that use them. A step on any other state (a block update's inner
+state, or one built directly) makes its own draw, n normals. A slice step
+then takes every uniform it uses, in order, from :func:`_uniforms`: one
+``rng.random(UNIFORM_BATCH)`` call, and one more batch only for a step that
+uses more than :data:`UNIFORM_BATCH` of them. A uniform on [lo, hi) is
 ``lo + (hi - lo) * u``. The unused tail of a step's last batch is
 discarded, so the next step's draws start after it. Metropolis-Hastings
 draws its one uniform with ``rng.random()``.
@@ -80,6 +87,10 @@ MAX_SHRINKS = 1000
 # the benchmark's n=200 regression and cox data use 7-10 per step on
 # average, 16-18 at the 99th percentile and at most 24.
 UNIFORM_BATCH = 32
+# prior draws a run_chain chain makes per GaussianPrior.draws call: one
+# Generator call and one matrix product per DRAW_BATCH steps. Sized on whole
+# chains of the benchmark's workloads; see CHANGES.md.
+DRAW_BATCH = 8
 
 
 class LikelihoodModel(Protocol):
@@ -116,6 +127,13 @@ class SamplerState:
     by ``dataclasses.replace`` or by another operator, has none and is
     whitened with one solve. The carry assumes ``f`` is not written in
     place, as no operator does.
+
+    A state made by :func:`run_chain` also carries the chain's pending batch
+    of prior draws in a private field, which every operator's step takes
+    its draw from when its prior and generator are the very objects stored,
+    and passes on to the state it returns. Any other state, including the
+    inner states of block updates, one built directly and one made by
+    ``dataclasses.replace``, has none, and its step makes one draw.
     """
 
     f: np.ndarray
@@ -125,6 +143,32 @@ class SamplerState:
     # (prior, f, w, w.w) with w = A^-1 f, set by the line-slice step that
     # made this state; init=False, so dataclasses.replace and _advance drop it
     _whitened: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # the _DrawBatch of the run_chain chain this state belongs to
+    _draws: _DrawBatch | None = field(default=None, init=False, repr=False, compare=False)
+
+
+class _DrawBatch:
+    """The pending prior draws of one chain under one prior and generator.
+
+    ``take`` returns the next row pair of ``prior.draws(rng, DRAW_BATCH)``,
+    making that call when the last batch is used up (or, the first time,
+    when there is none). Every state of the chain shares the object, so a
+    draw is taken once, whichever state takes it.
+    """
+
+    __slots__ = ("prior", "rng", "nu", "z", "next")
+
+    def __init__(self, prior: GaussianPrior, rng: np.random.Generator):
+        self.prior, self.rng = prior, rng
+        self.next = DRAW_BATCH
+
+    def take(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.next == DRAW_BATCH:
+            self.nu, self.z = self.prior.draws(self.rng, DRAW_BATCH)
+            self.next = 0
+        i = self.next
+        self.next = i + 1
+        return self.nu[i], self.z[i]
 
 
 @dataclass
@@ -177,10 +221,24 @@ def _start(state: SamplerState, model: LikelihoodModel) -> tuple[float, int]:
 def _advance(
     state: SamplerState, f: np.ndarray, log_lik: float, lik_evals: int, prior_evals: int = 0
 ) -> SamplerState:
-    """The next state, with this step's evaluations added to the counters."""
-    return SamplerState(
-        f, log_lik, state.lik_evals + lik_evals, state.prior_evals + prior_evals
-    )
+    """The next state, with this step's evaluations added to the counters,
+    carrying on the chain's batch of prior draws."""
+    new = SamplerState(f, log_lik, state.lik_evals + lik_evals, state.prior_evals + prior_evals)
+    new._draws = state._draws
+    return new
+
+
+def _prior_draw(state: SamplerState, prior: GaussianPrior, rng: np.random.Generator,
+                noise: bool = False):
+    """This step's prior draw nu, or ``(nu, z)`` with its white noise if
+    ``noise``: the next of the chain's batch when the state carries one for
+    this very prior and generator, else one ``prior.sample(rng)`` (with
+    ``noise``, one ``prior.draw(rng)``)."""
+    batch = state._draws
+    if batch is not None and batch.prior is prior and batch.rng is rng:
+        nu, z = batch.take()
+        return (nu, z) if noise else nu
+    return prior.draw(rng) if noise else prior.sample(rng)
 
 
 def _uniforms(rng: np.random.Generator) -> Iterator[float]:
@@ -295,7 +353,7 @@ def elliptical_slice_step(
         If the likelihood returns NaN at a proposal.
     """
     cur_log_lik, evals = _start(state, model)
-    nu = prior.sample(rng)
+    nu = _prior_draw(state, prior, rng)
     uniforms = _uniforms(rng)
     log_y = _log_slice_height(cur_log_lik, uniforms)
 
@@ -325,7 +383,7 @@ def neal_mh_step(
     place) with counters advanced.
     """
     cur_log_lik, evals = _start(state, model)
-    nu = prior.sample(rng)
+    nu = _prior_draw(state, prior, rng)
     f_prop = math.sqrt(1.0 - epsilon * epsilon) * state.f + epsilon * nu
     prop_log_lik = _eval_log_lik(model, f_prop)
 
@@ -379,7 +437,7 @@ def line_slice_step(
     eps = 0 and shrinks toward it.
     """
     cur_log_lik, evals = _start(state, model)
-    nu, z = prior.draw(rng)
+    nu, z = _prior_draw(state, prior, rng, noise=True)
     log_prior, whitened_at = _line_log_prior(prior, state, z)
     uniforms = _uniforms(rng)
     # the current state's prior density seeds the threshold: one prior eval
@@ -452,6 +510,11 @@ def run_chain(
     flag every kept iteration; snapshots the latent vector every ``thin``
     kept iterations (0 disables snapshots). Operator errors are re-raised as
     :class:`ChainError` carrying the failing iteration index.
+
+    The chain's states carry its batch of prior draws (see
+    :class:`SamplerState`), so its operators draw :data:`DRAW_BATCH` steps'
+    nu at a time. An operator that hands its inner step other states, as a
+    block update does, draws one nu per step.
     """
     if n_keep < 1:
         raise ValueError("n_keep must be >= 1")
@@ -459,6 +522,7 @@ def run_chain(
         raise ValueError("n_burn and thin must be non-negative")
 
     state = SamplerState(f=np.array(initial, dtype=float))
+    state._draws = _DrawBatch(prior, rng)
     log_lik = np.empty(n_keep)
     lik_evals = np.empty(n_keep, dtype=np.int64)
     prior_evals = np.empty(n_keep, dtype=np.int64)

@@ -81,10 +81,10 @@ def holding(seen):
     return step
 
 
-def exact_posterior_check(kind: str, stream: int) -> tuple[float, float, float, float]:
-    """Acceptance 1's check of one sampler: a chain of 1000 burn-in and
-    20000 kept steps on the D=1, N=50 regression data against the exact
-    posterior. Returns the chain's ESS, the fraction of latents whose mean
+def exact_posterior_check(kind: str, stream: int, **params) -> tuple[float, float, float, float]:
+    """Acceptance 1's check of one sampler, built by ``make_operator(kind,
+    **params)``: a chain of 1000 burn-in and 20000 kept steps on the D=1,
+    N=50 regression data against the exact posterior. Returns the chain's ESS, the fraction of latents whose mean
     lies within 3 Monte Carlo standard errors of the oracle's, the fraction
     whose variance lies within 15% of the oracle's, and the seconds taken."""
     t0 = time.perf_counter()
@@ -98,7 +98,7 @@ def exact_posterior_check(kind: str, stream: int) -> tuple[float, float, float, 
 
     trace = run_chain(
         np.zeros(50),
-        make_operator(kind),
+        make_operator(kind, **params),
         prior,
         data,
         n_burn=1_000,
@@ -132,6 +132,19 @@ def test_criterion_01_line_slice_exact_posterior_reproduction(capsys):
                    capsys):
         ess, mean_ok, var_ok, elapsed = exact_posterior_check("line-slice", 2)
         info(capsys, f"  [1 line-slice] ess={ess:.0f} mean_ok={mean_ok:.2%} "
+                     f"var_ok={var_ok:.2%} ({elapsed:.1f}s)")
+        assert mean_ok >= 0.95
+        assert var_ok >= 0.90
+        assert elapsed < 15.0
+
+
+def test_criterion_01_neal_mh_exact_posterior_reproduction(capsys):
+    """Acceptance 1's check, at its tolerances, run with Metropolis-Hastings
+    at epsilon = 0.12, the step size the benchmark fixes."""
+    with criterion(1, "neal-mh regression posterior matches the exact oracle (D=1, N=50)",
+                   capsys):
+        ess, mean_ok, var_ok, elapsed = exact_posterior_check("neal-mh", 3, epsilon=0.12)
+        info(capsys, f"  [1 neal-mh] ess={ess:.0f} mean_ok={mean_ok:.2%} "
                      f"var_ok={var_ok:.2%} ({elapsed:.1f}s)")
         assert mean_ok >= 0.95
         assert var_ok >= 0.90

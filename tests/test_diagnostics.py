@@ -71,6 +71,17 @@ class TestAutocorrelation:
         with pytest.raises(DegenerateSeries):
             autocorrelation(np.full(100, 2.5))
 
+    @pytest.mark.parametrize("value", [0.1, 31.13243477, -1e300])
+    def test_constant_series_with_inexact_mean_degenerate(self, value):
+        """A constant series whose float64 mean is not its value, as for 20
+        copies of 0.1 or of a log-likelihood a chain never left, is still
+        constant: its centred values are rounding error, not variance."""
+        x = np.full(20, value)
+        with pytest.raises(DegenerateSeries):
+            autocorrelation(x)
+        with pytest.raises(DegenerateSeries):
+            effective_sample_size(x)
+
 
 class TestEffectiveSampleSize:
     def test_iid_normal_near_n(self):

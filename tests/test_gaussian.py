@@ -150,12 +150,26 @@ class TestDrawAndWhiten:
             np.testing.assert_array_equal(prior.whiten(f), expected)
 
     def test_zero_on_root_diagonal_raises(self):
+        """A zero on the dense root's diagonal is refused on construction,
+        so ``whiten`` never meets a singular root."""
         chol = np.tril(random_spd(np.random.default_rng(12), 4))
         chol[2, 2] = 0.0
-        with np.errstate(divide="ignore"):  # log|A| is -inf
-            prior = GaussianPrior(cov=chol @ chol.T, chol=chol)
-        with pytest.raises(np.linalg.LinAlgError):
-            prior.whiten(np.ones(4))
+        with pytest.raises(ValueError, match=r"chol\[2, 2\]=0\.0"):
+            GaussianPrior(cov=chol @ chol.T, chol=chol)
+
+    @pytest.mark.parametrize("chol, match", [
+        (np.eye(2), r"shape \(3, 3\), got chol=\(2, 2\)"),
+        (np.ones(3), r"shape \(3, 3\), got chol=\(3,\)"),
+        (-np.eye(3), r"chol\[0, 0\]=-1\.0"),
+        (np.diag([1.0, np.nan, 1.0]), r"chol\[1, 1\]=nan"),
+        (np.diag([1.0, 1.0, np.inf]), r"chol\[2, 2\]=inf"),
+    ], ids=["too-small", "vector", "negative", "nan", "inf"])
+    def test_malformed_dense_root_rejected(self, chol, match):
+        """A dense root needs ``chol`` of shape (n, n) with a finite,
+        positive diagonal; anything else is a ValueError naming ``chol``."""
+        assert GaussianPrior(cov=np.eye(3), chol=np.eye(3)).backend == "dense"
+        with pytest.raises(ValueError, match=match):
+            GaussianPrior(cov=np.eye(3), chol=chol)
 
     def test_whiten_leaves_a_read_only_vector_untouched(self):
         prior = factorize(random_spd(np.random.default_rng(13), 6))
@@ -301,6 +315,64 @@ class TestLowRankRoot:
         assert (prior.backend, prior.rank) == ("dense", 18) and prior.jitter > 0.0
         err = np.max(np.abs(prior.chol @ prior.chol.T - (prior.cov + prior.jitter * np.eye(20))))
         assert err <= 1e-8 * np.max(np.diag(prior.cov))
+
+
+# the four roots the draw contract is checked on: dense at two sizes
+# (the d=10 prior needs no jitter) and the two low-rank benchmark priors
+DRAW_PRIORS = {
+    "dense-6": lambda: factorize(random_spd(np.random.default_rng(21), 6)),
+    "dense-regression-d10": lambda: build_prior(build_dataset(
+        {"kind": "regression", "n": 200, "dims": 10}, KernelConfig(), chain_rng(1))),
+    **{f"low-rank-{name}": (lambda spec=spec: build_prior(
+        build_dataset(spec, KernelConfig(), chain_rng(1))))
+       for name, spec in BENCHMARK_PRIORS.items()},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(DRAW_PRIORS))
+def any_prior(request):
+    return DRAW_PRIORS[request.param]()
+
+
+def _matvec_draw(prior, z):
+    """A z as one matrix-vector product, the form a single draw has always had."""
+    if prior.chol is not None:
+        return prior.chol.dot(z)
+    c, d = prior._root
+    return c * z + prior.basis.dot(d * z.dot(prior.basis))
+
+
+class TestDraws:
+    """``draws(rng, k)``: k rows of noise from one ``standard_normal((k, n))``
+    call, times the root in one matrix product; ``draw`` is its k = 1 row."""
+
+    def test_draw_is_the_single_row_of_draws(self, any_prior):
+        """Bit for bit, over 200 draws: ``draw`` is the row of ``draws(rng, 1)``,
+        and that row is the matrix-vector product of one draw."""
+        prior = any_prior
+        a, b = np.random.default_rng(31), np.random.default_rng(31)
+        for _ in range(200):
+            nu, z = prior.draw(a)
+            nus, zs = prior.draws(b, 1)
+            assert nus.shape == zs.shape == (1, prior.n)
+            np.testing.assert_array_equal(z, zs[0])
+            np.testing.assert_array_equal(nu, nus[0])
+            np.testing.assert_array_equal(nu, _matvec_draw(prior, z))
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_rows_are_successive_draws(self, any_prior):
+        """Row i of z is the i-th of k successive ``standard_normal(n)`` calls
+        and row i of nu its product with the root, up to the last bits that
+        a matrix-matrix product may sum differently; each row is contiguous."""
+        prior = any_prior
+        a, b = np.random.default_rng(32), np.random.default_rng(32)
+        nus, zs = prior.draws(a, 8)
+        assert nus.shape == zs.shape == (8, prior.n) and nus.flags.c_contiguous
+        for nu, z in zip(nus, zs):
+            np.testing.assert_array_equal(z, b.standard_normal(prior.n))
+            want = _matvec_draw(prior, z)
+            np.testing.assert_allclose(nu, want, rtol=0, atol=1e-14 * np.abs(want).max())
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestLogDensity:

@@ -611,26 +611,29 @@ class TestTuneMh:
         assert [r["ess_mean"] for r in results] == [42.0, 42.0, 42.0]
 
     def test_failed_chain_rules_its_epsilon_out(self, tmp_path):
-        # an epsilon=1.0 chain never moves in its kept part, so its summary
-        # fails on a constant series; the grid goes on and picks 0.05
+        # an epsilon=1.0 chain proposes independent prior draws, so after its
+        # burn-in it moves only on a draw better than all 4000 before it:
+        # its 10 kept steps stay put (on 100 of 100 config seeds checked)
+        # and its summary fails on a constant series. The grid goes on and
+        # picks 0.01, whose chain accepts about 3 proposals in 4 at noise 0.1
         for repeats in (2, 1):
             cfg = parse_config({
-                "seed": 0, "n_burn": 100, "n_keep": 20, "repeats": repeats,
-                "tune_grid": [0.05, 1.0],
-                "model": {"kind": "regression", "n": 50, "dims": 1, "noise_std": 0.01},
+                "seed": 0, "n_burn": 4000, "n_keep": 10, "repeats": repeats,
+                "tune_grid": [0.01, 1.0],
+                "model": {"kind": "regression", "n": 50, "dims": 1, "noise_std": 0.1},
             })
             (ds,) = cli_generate(cfg, tmp_path / f"ds{repeats}")
             tune = tmp_path / f"tune{repeats}"
             best, results = cli_tune_mh(cfg, ds, tune)
-            assert best == 0.05
-            assert [r["epsilon"] for r in results] == [0.05, 1.0]
+            assert best == 0.01
+            assert [r["epsilon"] for r in results] == [0.01, 1.0]
             assert results[0]["failures"] == []
             failure = results[1]["failures"][0]
             assert failure["type"] == "DegenerateSeries" and failure["iteration"] is None
             assert "series is constant" in failure["error"]
             assert len(results[1]["ess"]) == cfg.repeats - len(results[1]["failures"])
             saved = _strict_json(tune / "tuning.json")
-            assert saved["best_epsilon"] == 0.05
+            assert saved["best_epsilon"] == 0.01
             assert saved["results"][1]["failures"] == results[1]["failures"]
         # at 1 repeat no epsilon=1.0 chain finished: its mean is null, not NaN
         assert results[1]["ess"] == [] and saved["results"][1]["ess_mean"] is None

@@ -109,56 +109,56 @@ def output_digest(root: Path) -> str:
     return h.hexdigest()
 
 
-EXPECTED = 'b0eb695819407a837148606b80e345f5ac76a913a489c47474944fd00c5d73c5'
+EXPECTED = '69017ca3235a6ddf679c884fd4e3c2b84dae73b56844994f7b26276e51bd23f0'
 
 FILE_DIGESTS = {
-    'bench/benchmark_summary.csv': 'a0048ee6e6fa90de',
-    'bench/benchmark_summary.json': '3ae1da9ae17af33c',
-    'bench/cell00_elliptical_regression-d2/cell_summary.json': '05123855961b275b',
-    'bench/cell00_elliptical_regression-d2/repeat00/summary.json': '277c151c170dda4a',
-    'bench/cell00_elliptical_regression-d2/repeat00/trace.csv': '37f8a1af698d406f',
-    'bench/cell00_elliptical_regression-d2/repeat01/summary.json': '6e491316c3b9dca3',
-    'bench/cell00_elliptical_regression-d2/repeat01/trace.csv': '6e7f1ea29c2e5a3d',
-    'bench/cell01_elliptical_classification-d1/cell_summary.json': '668f360bc1ed9627',
-    'bench/cell01_elliptical_classification-d1/repeat00/summary.json': 'b6b717539514f386',
-    'bench/cell01_elliptical_classification-d1/repeat00/trace.csv': 'af1650e6c61f404d',
-    'bench/cell01_elliptical_classification-d1/repeat01/summary.json': '2b64e5c75b391d49',
-    'bench/cell01_elliptical_classification-d1/repeat01/trace.csv': 'e4596591090b343b',
-    'bench/cell02_elliptical_cox/cell_summary.json': '102e7fdd8cbf98ea',
-    'bench/cell02_elliptical_cox/repeat00/summary.json': 'c576cf7126046504',
-    'bench/cell02_elliptical_cox/repeat00/trace.csv': 'cdd2962563434a5b',
-    'bench/cell02_elliptical_cox/repeat01/summary.json': 'fe04aafd2bcf8707',
-    'bench/cell02_elliptical_cox/repeat01/trace.csv': '724144dd31d40976',
-    'bench/cell03_neal-mh-eps0.3_regression-d2/cell_summary.json': 'c0677246558812a5',
-    'bench/cell03_neal-mh-eps0.3_regression-d2/repeat00/summary.json': 'e2bf274e585549de',
-    'bench/cell03_neal-mh-eps0.3_regression-d2/repeat00/trace.csv': '1d5ceba1f529f117',
-    'bench/cell03_neal-mh-eps0.3_regression-d2/repeat01/summary.json': 'e0052d957c2e410b',
-    'bench/cell03_neal-mh-eps0.3_regression-d2/repeat01/trace.csv': 'acf9c229990cf359',
-    'bench/cell04_neal-mh-eps0.3_classification-d1/cell_summary.json': 'b7bdd5681b0d52d2',
-    'bench/cell04_neal-mh-eps0.3_classification-d1/repeat00/summary.json': 'bde1cc3053877577',
-    'bench/cell04_neal-mh-eps0.3_classification-d1/repeat00/trace.csv': '3a5191de24e8afb0',
-    'bench/cell04_neal-mh-eps0.3_classification-d1/repeat01/summary.json': '36ae828000474a9b',
-    'bench/cell04_neal-mh-eps0.3_classification-d1/repeat01/trace.csv': '831c11e4c3dd76f8',
-    'bench/cell05_neal-mh-eps0.3_cox/cell_summary.json': 'b30e6b701d7a3903',
-    'bench/cell05_neal-mh-eps0.3_cox/repeat00/summary.json': 'b2c20d9757cb8d83',
-    'bench/cell05_neal-mh-eps0.3_cox/repeat00/trace.csv': 'c31d8f2484444ac4',
-    'bench/cell05_neal-mh-eps0.3_cox/repeat01/summary.json': '42e4f1a849d8cba3',
-    'bench/cell05_neal-mh-eps0.3_cox/repeat01/trace.csv': '1b0fe11fc4d2a460',
-    'bench/cell06_line-slice_regression-d2/cell_summary.json': 'df9dcab4f8e07a6a',
-    'bench/cell06_line-slice_regression-d2/repeat00/summary.json': 'd02c9d21768b6b54',
-    'bench/cell06_line-slice_regression-d2/repeat00/trace.csv': '3e3a73da173ef816',
-    'bench/cell06_line-slice_regression-d2/repeat01/summary.json': 'f71967b01ac3c778',
-    'bench/cell06_line-slice_regression-d2/repeat01/trace.csv': '7f28995536503bd8',
-    'bench/cell07_line-slice_classification-d1/cell_summary.json': 'c67c6bf538191030',
-    'bench/cell07_line-slice_classification-d1/repeat00/summary.json': '4d3b258f1c4a1de0',
-    'bench/cell07_line-slice_classification-d1/repeat00/trace.csv': '7313b44ac508d129',
-    'bench/cell07_line-slice_classification-d1/repeat01/summary.json': '5f0d603eef128145',
-    'bench/cell07_line-slice_classification-d1/repeat01/trace.csv': 'b5e8ac505be845c4',
-    'bench/cell08_line-slice_cox/cell_summary.json': '324530e8a7fe4dd6',
-    'bench/cell08_line-slice_cox/repeat00/summary.json': '653305a466a6a404',
-    'bench/cell08_line-slice_cox/repeat00/trace.csv': 'f24d94ec7c23e714',
-    'bench/cell08_line-slice_cox/repeat01/summary.json': '3d531585738e7a88',
-    'bench/cell08_line-slice_cox/repeat01/trace.csv': '4b04f9154d1ca03b',
+    'bench/benchmark_summary.csv': 'f2deef7aa1fb5e1e',
+    'bench/benchmark_summary.json': '0a9538560d6b6c62',
+    'bench/cell00_elliptical_regression-d2/cell_summary.json': '18c12ecd2b26b0ad',
+    'bench/cell00_elliptical_regression-d2/repeat00/summary.json': '36163f8a870214a0',
+    'bench/cell00_elliptical_regression-d2/repeat00/trace.csv': '967d112486e65d85',
+    'bench/cell00_elliptical_regression-d2/repeat01/summary.json': '3c4478ccd4128e92',
+    'bench/cell00_elliptical_regression-d2/repeat01/trace.csv': '6c1e61b804565ce4',
+    'bench/cell01_elliptical_classification-d1/cell_summary.json': '04224da84ae5de7e',
+    'bench/cell01_elliptical_classification-d1/repeat00/summary.json': '4d7d31c83b68870b',
+    'bench/cell01_elliptical_classification-d1/repeat00/trace.csv': '1a55ed1170bd4071',
+    'bench/cell01_elliptical_classification-d1/repeat01/summary.json': '2e550456ac53c49d',
+    'bench/cell01_elliptical_classification-d1/repeat01/trace.csv': '1ce6dde7db04e3c6',
+    'bench/cell02_elliptical_cox/cell_summary.json': '9065108171c67d3a',
+    'bench/cell02_elliptical_cox/repeat00/summary.json': '557d20907d90768b',
+    'bench/cell02_elliptical_cox/repeat00/trace.csv': '06fe67520546bcbf',
+    'bench/cell02_elliptical_cox/repeat01/summary.json': 'f4574b5085839f5b',
+    'bench/cell02_elliptical_cox/repeat01/trace.csv': 'a7a8b76691d4d841',
+    'bench/cell03_neal-mh-eps0.3_regression-d2/cell_summary.json': 'd9a1d8cb981f6487',
+    'bench/cell03_neal-mh-eps0.3_regression-d2/repeat00/summary.json': '5bdd8cb28fdd2d8f',
+    'bench/cell03_neal-mh-eps0.3_regression-d2/repeat00/trace.csv': 'e162fec70c7ae567',
+    'bench/cell03_neal-mh-eps0.3_regression-d2/repeat01/summary.json': '1e2a0ca7f02acb05',
+    'bench/cell03_neal-mh-eps0.3_regression-d2/repeat01/trace.csv': '2228924b090f69db',
+    'bench/cell04_neal-mh-eps0.3_classification-d1/cell_summary.json': '44d2338634631e68',
+    'bench/cell04_neal-mh-eps0.3_classification-d1/repeat00/summary.json': 'ca165de2ff18faa0',
+    'bench/cell04_neal-mh-eps0.3_classification-d1/repeat00/trace.csv': 'f120ad0217332223',
+    'bench/cell04_neal-mh-eps0.3_classification-d1/repeat01/summary.json': 'd82f925a2ab727b3',
+    'bench/cell04_neal-mh-eps0.3_classification-d1/repeat01/trace.csv': '5439e48b5e0442e3',
+    'bench/cell05_neal-mh-eps0.3_cox/cell_summary.json': 'ea4838005984d0ad',
+    'bench/cell05_neal-mh-eps0.3_cox/repeat00/summary.json': '182f7899c68b2a85',
+    'bench/cell05_neal-mh-eps0.3_cox/repeat00/trace.csv': '1fcc953d77e0992e',
+    'bench/cell05_neal-mh-eps0.3_cox/repeat01/summary.json': 'f86b5f42b8f7a793',
+    'bench/cell05_neal-mh-eps0.3_cox/repeat01/trace.csv': 'c8495a376bae7dcc',
+    'bench/cell06_line-slice_regression-d2/cell_summary.json': 'c4cc50d8c941a653',
+    'bench/cell06_line-slice_regression-d2/repeat00/summary.json': 'd1821975d1e14c05',
+    'bench/cell06_line-slice_regression-d2/repeat00/trace.csv': '7e240f21d3bbfca2',
+    'bench/cell06_line-slice_regression-d2/repeat01/summary.json': 'f2792447730b6572',
+    'bench/cell06_line-slice_regression-d2/repeat01/trace.csv': 'c1384c5b31020fc0',
+    'bench/cell07_line-slice_classification-d1/cell_summary.json': '26a4df98e8e7ef52',
+    'bench/cell07_line-slice_classification-d1/repeat00/summary.json': 'e7dc7c4498bf7c55',
+    'bench/cell07_line-slice_classification-d1/repeat00/trace.csv': '84a45df897aa4253',
+    'bench/cell07_line-slice_classification-d1/repeat01/summary.json': 'c6aada3385105c4c',
+    'bench/cell07_line-slice_classification-d1/repeat01/trace.csv': 'c71745f17957aa9a',
+    'bench/cell08_line-slice_cox/cell_summary.json': '2544943620defd6c',
+    'bench/cell08_line-slice_cox/repeat00/summary.json': '676450a19c7676a7',
+    'bench/cell08_line-slice_cox/repeat00/trace.csv': 'a99263843c0ab828',
+    'bench/cell08_line-slice_cox/repeat01/summary.json': 'b52824210a0006b7',
+    'bench/cell08_line-slice_cox/repeat01/trace.csv': '25319abd1b7750f9',
     'data/classification/inputs.csv': '5d0ffd7b5b6fbdd1',
     'data/classification/latents.csv': 'acba5f0b13a6007a',
     'data/classification/manifest.json': '1b853eace5c0b925',
@@ -176,9 +176,9 @@ FILE_DIGESTS = {
     'data/regression/d02/manifest.json': '545b4fd6d02dc9b3',
     'data/regression/d02/observations.csv': 'a76a771e7b4afe7f',
     'run/manifest.json': 'de0c6d077fa811e1',
-    'run/summary.json': '92501e237c89cc31',
-    'run/trace.csv': '6800a2720ceed341',
-    'tune/tuning.json': 'fa72f9b21be1d7a8',
+    'run/summary.json': '1b67b5d0f505df8c',
+    'run/trace.csv': '47ca785411a8080c',
+    'tune/tuning.json': '13bba1fc60f2f88a',
 }
 
 

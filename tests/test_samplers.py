@@ -33,9 +33,11 @@ from ellslice import (
 )
 from ellslice.harness import build_dataset, build_prior
 from ellslice.samplers import (
+    DRAW_BATCH,
     LINE_WIDTH,
     OPERATOR_KINDS,
     UNIFORM_BATCH,
+    _DrawBatch,
     _line_log_prior,
     _slice_shrink,
     _uniforms,
@@ -114,15 +116,26 @@ class RejectingUniforms:
 
 
 class SpyRng:
-    """A Generator that records the size of each ``random`` call."""
+    """A Generator that records the size of each ``random`` call, and the
+    size and values of each ``standard_normal`` call; ``calls`` lists both
+    kinds in order, as ``("random", size)`` and ``("normal", size)``."""
 
     def __init__(self, rng):
         self._rng = rng
         self.random_calls = []
+        self.normals = []
+        self.calls = []
 
     def random(self, size=None):
         self.random_calls.append(size)
+        self.calls.append(("random", size))
         return self._rng.random(size)
+
+    def standard_normal(self, size=None):
+        values = self._rng.standard_normal(size)
+        self.normals.append(values)
+        self.calls.append(("normal", size))
+        return values
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
@@ -835,6 +848,115 @@ class TestUniformSource:
         assert spy.random_calls == [size] * 200
 
 
+def spd_prior(seed, n):
+    """A prior with a well-conditioned covariance: its dense Cholesky root."""
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return factorize(a @ a.T + n * np.eye(n))
+
+
+class PlaneRecorder:
+    """A constant likelihood whose ``on_plane(u, v)`` records v, the prior
+    draw of each slice step, and never decides."""
+
+    def __init__(self, n):
+        self.n = n
+        self.seen = []
+
+    def log_lik(self, f):
+        return 0.0
+
+    def on_plane(self, u, v):
+        self.seen.append(v.copy())
+        return lambda a, b: (-math.inf, math.inf)
+
+
+def chain_prior_draws(kind, prior, steps, rng):
+    """The nu of each step of a ``run_chain`` chain under a constant
+    likelihood: what a slice step hands ``on_plane``, and for M-H at
+    epsilon = 1, whose proposal 0*f + nu is nu and always accepted, the
+    chain's states."""
+    if kind == "neal-mh":
+        trace = run_chain(np.zeros(prior.n), make_operator(kind, epsilon=1.0), prior,
+                          ConstantLikelihood(prior.n), n_burn=0, n_keep=steps, thin=1, rng=rng)
+        return list(trace.snapshots)
+    model = PlaneRecorder(prior.n)
+    run_chain(np.zeros(prior.n), make_operator(kind), prior, model,
+              n_burn=0, n_keep=steps, rng=rng)
+    return model.seen
+
+
+class TestDrawBatch:
+    """A ``run_chain`` chain takes the nu of DRAW_BATCH steps from one
+    ``prior.draws`` call; any other state draws one nu per step."""
+
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    @pytest.mark.parametrize("model", ["dense-12", "low-rank-regression-n200"])
+    def test_chain_nu_are_rows_of_one_batch(self, kind, model):
+        """nu of step i is row i mod K of one ``standard_normal((K, n))`` times
+        the root, bit for bit, and steps 1, K+1 and 2K+1 each draw the next
+        batch before their uniforms."""
+        if model == "dense-12":
+            prior = spd_prior(3, 12)
+        else:
+            prior = build_prior(build_dataset({"kind": "regression", "n": 200, "dims": 1},
+                                              KernelConfig(), chain_rng(1)))
+        steps = 2 * DRAW_BATCH + 3
+        spy = SpyRng(chain_rng(2020))
+        nus = chain_prior_draws(kind, prior, steps, spy)
+
+        assert len(nus) == steps
+        assert [np.shape(z) for z in spy.normals] == [(DRAW_BATCH, prior.n)] * 3
+        if prior.chol is not None:
+            want = [z @ prior.chol.T for z in spy.normals]
+        else:
+            c, d = prior._root
+            want = [c * z + (z @ prior.basis * d) @ prior.basis.T for z in spy.normals]
+        np.testing.assert_array_equal(np.array(nus), np.concatenate(want)[:steps])
+
+        uniforms = ("random", None if kind == "neal-mh" else UNIFORM_BATCH)
+        batch = [("normal", (DRAW_BATCH, prior.n))] + [uniforms] * DRAW_BATCH
+        assert spy.calls == (2 * batch + batch[:4])
+
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    def test_block_update_and_direct_steps_draw_per_step(self, kind):
+        """A block update's inner state and a directly built state carry no
+        batch: every step draws its own n normals, as ``prior.draw`` does."""
+        prior = spd_prior(4, 12)
+        step = make_operator(kind)
+        data = RegressionData(y=np.linspace(-1.0, 1.0, 12), noise_variance=0.5)
+        parts = contiguous_partitions(12, 3)
+        spy = SpyRng(chain_rng(2021))
+        state = SamplerState(f=np.zeros(12))
+        for part in 2 * parts:
+            state = block_update(state, prior, data, part, step, spy).new_state
+        for _ in range(5):
+            state = step(state, prior, data, spy).new_state
+        assert [np.shape(z) for z in spy.normals] == (
+            [(p.subset.size,) for p in 2 * parts] + [(12,)] * 5)
+
+    def test_batch_is_used_only_under_its_prior_and_generator(self):
+        """A state carrying a batch draws from it only when the step's prior
+        and generator are the very objects stored; otherwise it draws one nu
+        itself, and the batch is left untouched. A replaced state has none."""
+        prior = spd_prior(5, 6)
+        rng, other_rng = chain_rng(2022), SpyRng(chain_rng(2023))
+        state = SamplerState(f=np.zeros(6))
+        state._draws = _DrawBatch(prior, rng)
+        model = ConstantLikelihood(6)
+
+        other_prior = factorize(prior.cov)
+        out = elliptical_slice_step(state, prior, model, other_rng)
+        assert out.new_state._draws is state._draws
+        elliptical_slice_step(state, other_prior, model, rng)
+        assert [np.shape(z) for z in other_rng.normals] == [(6,)]
+        assert state._draws.next == DRAW_BATCH  # no batch drawn yet
+        assert replace(state)._draws is None
+
+        taken = [state._draws.take()[0] for _ in range(DRAW_BATCH + 1)]
+        assert state._draws.next == 1
+        assert not np.array_equal(taken[0], taken[DRAW_BATCH])
+
+
 class TestRunChain:
     def test_single_step_trace(self):
         prior = scalar_prior()
@@ -871,7 +993,13 @@ class TestRunChain:
             xs = trace.snapshots[:, j]
             ess = effective_sample_size(xs).ess
             assert abs(xs.mean()) < 3 * math.sqrt(cov[j, j] / ess)
-            assert abs(xs.var() - cov[j, j]) < 3 * cov[j, j] * math.sqrt(2.0 / ess)
+            # the sample variance averages the squares (x - mean)^2, whose
+            # autocorrelation differs from that of x (under a constant
+            # likelihood their lag-1 autocorrelation is 1/2, so their ESS is
+            # about a third of the chain's): its standard error
+            # cov_jj sqrt(2 / ESS) takes the ESS of the squares
+            ess_sq = effective_sample_size((xs - xs.mean()) ** 2).ess
+            assert abs(xs.var() - cov[j, j]) < 3 * cov[j, j] * math.sqrt(2.0 / ess_sq)
 
     def test_thinning_snapshot_count(self):
         prior = scalar_prior()

@@ -188,39 +188,39 @@ def digest_or_error(case) -> dict[str, str]:
 
 EXPECTED = {
     ('chain', 'regression', 'elliptical'):
-        'a0d04ddfe535356ecf30c842f119e14adf8910b006262101d336ec15e8ef308a',
+        '5da763e46b62cde6f175209a8c2a826a7a8dfcd4a484d8d347d3fde34da29844',
     ('chain', 'regression', 'elliptical-aux'):
         '6cd8f26a6c3be3296c131bd7a0bf619ba30d86bdf1946974b753501143457f74',
     ('chain', 'regression', 'neal-mh'):
-        'e44d9c07ea9195d021287c095e083ddb30e591272908dc758d35a2509a11eb6b',
+        '5823d0481aef76d9f6c107a563651b031b1a42e3da63dedf547d9c3231090e84',
     ('chain', 'regression', 'line-slice'):
-        'cf4c38a1ed38492ec8beba5df156f9a30ca890334b24f0aaab35f57e464da329',
+        '6c824e3f12a9ad8ac80436fd6d4a6f3808c162bd8407a100062c812634b10418',
     ('chain', 'classification', 'elliptical'):
-        '87db0f120762789abdd0f112ea0cb5a2eed5625104806901dccae631d5e90aed',
+        'cbdf24a26dae1ab388a5ff7bbada87091af9620976e8adefde31c57d98a33cc0',
     ('chain', 'classification', 'elliptical-aux'):
         'a350b3f4b0390251c00cafcf0468eb7e9291a699e45daafe474b111628bee9c6',
     ('chain', 'classification', 'neal-mh'):
-        '30a05327ea61c3cb9880ff90708453b0a7f12a9ba0f20103851433b13a794001',
+        '6578d2c8c87bee2cc58f7d5e59a4c560fa36ee1a2db820f8979b5741840ba0c7',
     ('chain', 'classification', 'line-slice'):
-        '3f43533fc4fd48d2303c88dc1446c4c1c128466abfdc338c6a771a8d0da93d69',
+        'c6cffc3ec45774c02ae8670c493cdce6669292c685788b116337284848653da2',
     ('chain', 'cox', 'elliptical'):
-        '30ce78268ea8d1963a0f9f00070a6823b59c7f1d3fc4db421432e67312e7c1cd',
+        '6791043168cc711c6a58e6b94dc734ca4b66e7628907a63bbb9ac42c8f7ed5b9',
     ('chain', 'cox', 'elliptical-aux'):
         'd311112d317ee8d83f989365d34c07ea6f510a537d438a2d41814b4096e612cb',
     ('chain', 'cox', 'neal-mh'):
-        '28c55e1c1b75f4ecb4aa368f080953d64631e42147f85a9908374fb705555da6',
+        '8494df4006352cc110f8334ce6640167d5d9da0c84ca03e98917ab0f6ec4373c',
     ('chain', 'cox', 'line-slice'):
-        '4cb975030ff4e180fe39ad4cc8af7161beb14ddd548c50ad298240fe12bef271',
+        '23cae144729e5c3000138668b08eb199fea6725dbdcf09b99e9dd0c9ac137a56',
     ('chain', 'cox-mining', 'elliptical'):
-        '8634a6e2ed73b33e8789c9483d73a8c3490f6b219e30a5c5c5d35d1570598104',
+        '2897c98f87f11229bfd988445c9490034d1a86def8e03dc0167913e4792aad1d',
     ('chain', 'cox-mining', 'line-slice'):
-        '3f952995c9f718a6e4209c73d9184766f4048763fb82f4e1bb7364d9213cb1f0',
+        'b1e4dada5146fb63ea138485348d23252a95bd8c0d7c5299e5312cf4bc1c1990',
     ('chain', 'regression-n200', 'elliptical'):
-        'f53c483d31e773b9c467957cdc2af883c03f2c964e8a7bdee64618cc364ffe5b',
+        '091d28aa8a64d51efd9e1e4a4a1b1c015c1ecf39873e627362651cc5b16c551e',
     ('chain', 'regression-n200', 'neal-mh'):
-        '039d454df7d9555388f63bc9e9f0672912f5801792ab0613fc9933f887870abb',
+        '487de711f69f40da1c701675d9d06b92a1aa37d348f425e300d50ed452ac6033',
     ('chain', 'regression-n200', 'line-slice'):
-        '9e5884348ab349b697d3ea9ac9e739d7e6570b507beb788498094cf7b3b96e7a',
+        '8ea79e0733ab9f75413d4c073c0737198a68a225ddafd1141e5fcebe0f1ea2c8',
     ('block', 'regression', 'elliptical'):
         '428e9907dc0ae3fa9adb73320fcd32dd4284d0805dc3f7ea77db4f907a1d829f',
     ('block', 'regression', 'elliptical-aux'):
